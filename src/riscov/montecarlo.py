@@ -6,9 +6,9 @@ link states per link, beams from the actual geometry, and cell activity from
 the sampled users. The typical user sits at the disk center; interferers are
 sampled out to the full radius so edge effects only bias against coverage.
 
-The per-trial draw order is fixed (deployment, then link states, then beam
-angles, then activity), so identical seeds reproduce identical samples and
-trials can be evaluated in any order.
+The per-trial draw order is fixed (deployment, then link states, then
+activity, then interfering beams and reflector phases), so identical seeds
+reproduce identical samples and trials can be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -153,10 +153,12 @@ def sample_deployment(
 
 
 def _segment_arrays(segments: Sequence[BlockageSegment]) -> tuple[np.ndarray, np.ndarray]:
-    ends = np.array([[*seg.endpoints[0], *seg.endpoints[1]] for seg in segments])
-    if ends.size == 0:
-        ends = ends.reshape(0, 4)
-    return ends[:, :2], ends[:, 2:]
+    """(n, 2) arrays of both endpoints, as BlockageSegment.endpoints gives them."""
+    mid = np.array([seg.midpoint for seg in segments], dtype=float).reshape(-1, 2)
+    length = np.array([seg.length for seg in segments], dtype=float)
+    orient = np.array([seg.orientation for seg in segments], dtype=float)
+    half = 0.5 * length[:, None] * np.column_stack((np.cos(orient), np.sin(orient)))
+    return mid - half, mid + half
 
 
 def _blocked(a: np.ndarray, b: np.ndarray, seg_p: np.ndarray, seg_q: np.ndarray) -> np.ndarray:
@@ -177,6 +179,15 @@ def _blocked(a: np.ndarray, b: np.ndarray, seg_p: np.ndarray, seg_q: np.ndarray)
 
 
 # -- one realization ----------------------------------------------------------
+#
+# A trial runs five stages in a fixed order, each on whole arrays: link
+# states, association, activity, signal and interference. Only link states,
+# activity and interference draw from the trial's generator, in that order.
+
+# complex elements in one block of the idle-reflector element sum (1 MiB);
+# idle reflectors are processed in column chunks under this size, so memory
+# stays flat however many reflectors are deployed
+_IDLE_BLOCK_ELEMENTS = 2**16
 
 
 def _los_draw(rng: np.random.Generator, dist: np.ndarray, beta: float) -> np.ndarray:
@@ -192,241 +203,282 @@ def _angles(vec: np.ndarray) -> np.ndarray:
     return np.arctan2(vec[..., 1], vec[..., 0])
 
 
-class _Realization:
-    """Scratch state of one trial; splits the long computation into steps."""
+def _offsets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y components of every vector b[j] -> a[i], each (len(a), len(b))."""
+    return a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1]
 
-    def __init__(
-        self,
-        dep: Deployment,
-        cfg: NetworkConfig,
-        rng: np.random.Generator,
-        draw_serving_gains: bool,
-        bernoulli_activity: bool,
-    ):
-        self.dep = dep
-        self.cfg = cfg
-        self.rng = rng
-        self.draw_serving_gains = draw_serving_gains
-        self.bernoulli_activity = bernoulli_activity
-        self.geometric = dep.blockage_segments is not None
-        if self.geometric:
-            self.seg_p, self.seg_q = _segment_arrays(dep.blockage_segments)
 
-    def _typical_los(self, points: np.ndarray) -> np.ndarray:
-        """LOS states of links from the origin, per the blockage mode."""
-        dist = np.hypot(points[:, 0], points[:, 1])
-        if self.geometric:
-            origin = np.zeros_like(points)
-            return ~_blocked(origin, points, self.seg_p, self.seg_q)
-        return _los_draw(self.rng, dist, self.cfg.beta)
+@dataclass(frozen=True, eq=False)
+class _Links:
+    """Distances and LOS states of every link one trial uses."""
 
-    def run(self) -> SinrSample:
-        dep, cfg, rng = self.dep, self.cfg, self.rng
-        n_bs = dep.bs_points.shape[0]
-        if n_bs == 0:
-            raise ValueError("deployment has no base stations")
+    bs_dist: np.ndarray   # (n_bs,) BS to typical user [m]
+    bs_los: np.ndarray    # (n_bs,) bool
+    ris_dist: np.ndarray  # (n_ris,) RIS to typical user [m]
+    ris_los: np.ndarray   # (n_ris,) bool
+    leg_dist: np.ndarray  # (n_bs, n_ris) BS to RIS [m]
+    leg_los: np.ndarray   # (n_bs, n_ris) bool
 
-        # link states toward the typical user, then the BS-RIS leg matrix
-        self.bs_dist = np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1])
-        self.bs_los = self._typical_los(dep.bs_points)
-        self.ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
-        self.ris_los = self._typical_los(dep.ris_points)
-        diff = dep.bs_points[:, None, :] - dep.ris_points[None, :, :]
-        self.leg_dist = np.hypot(diff[..., 0], diff[..., 1])
-        if self.geometric and self.leg_dist.size:
-            a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
-            b = np.tile(dep.ris_points, (n_bs, 1))
-            self.leg_los = ~_blocked(a, b, self.seg_p, self.seg_q).reshape(self.leg_dist.shape)
-        else:
-            self.leg_los = _los_draw(rng, self.leg_dist, cfg.beta)
 
-        self._associate()
-        self._activity()
-        signal = self._signal()
-        interference = self._interference()
-        noise = cfg.noise_power_watt
-        sinr = signal / (interference + noise)
+def _link_states(dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator) -> _Links:
+    """Links toward the typical user, then the BS-RIS leg matrix; states are
+    drawn from exp(-beta x), or cut by the deployment's blockage segments."""
+    bs_dist = np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1])
+    ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
+    diff = dep.bs_points[:, None, :] - dep.ris_points[None, :, :]
+    leg_dist = np.hypot(diff[..., 0], diff[..., 1])
+    if dep.blockage_segments is None:
+        bs_los = _los_draw(rng, bs_dist, cfg.beta)
+        ris_los = _los_draw(rng, ris_dist, cfg.beta)
+        leg_los = _los_draw(rng, leg_dist, cfg.beta)
+    else:
+        seg_p, seg_q = _segment_arrays(dep.blockage_segments)
+        bs_los = ~_blocked(np.zeros_like(dep.bs_points), dep.bs_points, seg_p, seg_q)
+        ris_los = ~_blocked(np.zeros_like(dep.ris_points), dep.ris_points, seg_p, seg_q)
+        a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
+        b = np.tile(dep.ris_points, (dep.bs_points.shape[0], 1))
+        leg_los = ~_blocked(a, b, seg_p, seg_q).reshape(leg_dist.shape)
+    return _Links(bs_dist, bs_los, ris_dist, ris_los, leg_dist, leg_los)
 
-        rho = LinkKind.LOS if self.bs_los[self.serving_bs] else LinkKind.NLOS
-        if self.serving_ris is None:
-            case = AssociationCase(rho, None)
-            leg = None
-        else:
-            xi = LinkKind.LOS if self.ris_los[self.serving_ris] else LinkKind.NLOS
-            case = AssociationCase(rho, xi)
-            leg_los = self.leg_los[self.serving_bs, self.serving_ris]
-            leg = LinkKind.LOS if leg_los else LinkKind.NLOS
-        return SinrSample(float(sinr), case, float(signal), float(interference), noise, leg)
 
-    def _associate(self) -> None:
-        """Serving BS by max biased received power, then the strongest
-        eligible reflector judged on its user-side leg."""
-        dep, cfg = self.dep, self.cfg
-        metric_bs = _pathloss(self.bs_dist, self.bs_los, cfg)
-        self.serving_bs = int(np.argmax(metric_bs))
-        bs0 = dep.bs_points[self.serving_bs]
+def _associate(dep: Deployment, cfg: NetworkConfig, links: _Links) -> tuple[int, int | None]:
+    """Serving BS by max biased received power, then the strongest eligible
+    reflector judged on its user-side leg (None when no reflector is eligible)."""
+    serving_bs = int(np.argmax(_pathloss(links.bs_dist, links.bs_los, cfg)))
+    bs0 = dep.bs_points[serving_bs]
+    normals = np.column_stack((np.cos(dep.ris_normals), np.sin(dep.ris_normals)))
+    user_side = np.einsum("ij,ij->i", -dep.ris_points, normals) > 0.0
+    bs_side = np.einsum("ij,ij->i", bs0[None, :] - dep.ris_points, normals) > 0.0
+    eligible = user_side & bs_side
+    if not eligible.any():
+        return serving_bs, None
+    metric_ris = np.where(eligible, _pathloss(links.ris_dist, links.ris_los, cfg), -np.inf)
+    return serving_bs, int(np.argmax(metric_ris))
 
-        normals = np.column_stack((np.cos(dep.ris_normals), np.sin(dep.ris_normals)))
-        user_side = np.einsum("ij,ij->i", -dep.ris_points, normals) > 0.0
-        bs_side = np.einsum("ij,ij->i", bs0[None, :] - dep.ris_points, normals) > 0.0
-        eligible = user_side & bs_side
-        if eligible.any():
-            metric_ris = np.where(
-                eligible, _pathloss(self.ris_dist, self.ris_los, cfg), -np.inf
+
+def _activity(
+    dep: Deployment,
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    serving_bs: int,
+    serving_ris: int | None,
+    bernoulli: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loaded BSs and RISs, from the sampled users' own associations or, with
+    ``bernoulli``, thinned at the analytic activity probabilities."""
+    n_bs = dep.bs_points.shape[0]
+    n_ris = dep.ris_points.shape[0]
+    bs_active = np.zeros(n_bs, dtype=bool)
+    ris_active = np.zeros(n_ris, dtype=bool)
+    bs_active[serving_bs] = True
+    if serving_ris is not None:
+        ris_active[serving_ris] = True
+
+    if bernoulli:
+        bs_active |= rng.random(n_bs) < active_prob_bs(cfg)
+        ris_active |= rng.random(n_ris) < active_prob_ris(cfg)
+        return bs_active, ris_active
+
+    users = dep.user_points
+    if users.shape[0] == 0:
+        return bs_active, ris_active
+    # other users associate exactly like the typical one; their link states
+    # stay analytic draws even in geometric mode (they only set cell
+    # occupancy, not any path toward the origin)
+    dx, dy = _offsets(users, dep.bs_points)
+    d_ub = np.sqrt(dx * dx + dy * dy)
+    los_ub = _los_draw(rng, d_ub, cfg.beta)
+    serving = np.argmax(_pathloss(d_ub, los_ub, cfg), axis=1)
+    bs_active[np.unique(serving)] = True
+
+    if n_ris == 0:
+        return bs_active, ris_active
+    dx, dy = _offsets(users, dep.ris_points)
+    d_ur = np.sqrt(dx * dx + dy * dy)
+    los_ur = _los_draw(rng, d_ur, cfg.beta)
+    nx, ny = np.cos(dep.ris_normals), np.sin(dep.ris_normals)
+    user_side = dx * nx + dy * ny > 0.0
+    dx, dy = _offsets(dep.bs_points[serving], dep.ris_points)
+    bs_side = dx * nx + dy * ny > 0.0
+    metric = np.where(user_side & bs_side, _pathloss(d_ur, los_ur, cfg), -np.inf)
+    best = np.argmax(metric, axis=1)
+    served = best[np.isfinite(metric[np.arange(len(best)), best])]
+    ris_active[np.unique(served)] = True
+    return bs_active, ris_active
+
+
+def _signal(
+    dep: Deployment,
+    cfg: NetworkConfig,
+    links: _Links,
+    serving_bs: int,
+    serving_ris: int | None,
+    draw_serving_gains: bool,
+) -> tuple[float, float, float]:
+    """(received signal power [W], serving BS beam, user beam), the beams as
+    spatial frequencies."""
+    power = cfg.p_bs_watt
+    bs0 = dep.bs_points[serving_bs]
+    ld0 = _pathloss(links.bs_dist[serving_bs], links.bs_los[serving_bs], cfg)
+
+    if serving_ris is None:
+        # beams can only aim at the direct path
+        nu_bs0 = spatial_frequency(_angles(-bs0), cfg)
+        nu_u0 = spatial_frequency(_angles(bs0), cfg)
+        return float(power * ld0 * cfg.n_bs * cfg.n_u), nu_bs0, nu_u0
+
+    ris0 = dep.ris_points[serving_ris]
+    lu0 = _pathloss(links.ris_dist[serving_ris], links.ris_los[serving_ris], cfg)
+    lg0 = _pathloss(
+        links.leg_dist[serving_bs, serving_ris], links.leg_los[serving_bs, serving_ris], cfg
+    )
+    gain_direct, gain_reflected = serving_gains(cfg)
+    # spatial frequencies of the two departure/arrival pairs
+    nu_d = spatial_frequency(_angles(-bs0), cfg)           # BS toward user
+    nu_g = spatial_frequency(_angles(ris0 - bs0), cfg)     # BS toward RIS
+    nu_ud = spatial_frequency(_angles(bs0), cfg)           # user toward BS
+    nu_ur = spatial_frequency(_angles(ris0), cfg)          # user toward RIS
+    if cfg.antenna_scheme == "scheme1":
+        nu_bs0, nu_u0 = nu_g, nu_ur
+        if draw_serving_gains:
+            gain_direct = (
+                fejer_kernel(nu_d - nu_g, cfg.n_bs)
+                * fejer_kernel(nu_ud - nu_ur, cfg.n_u)
+                / (cfg.n_bs * cfg.n_u)
             )
-            self.serving_ris = int(np.argmax(metric_ris))
-        else:
-            self.serving_ris = None
-
-    def _activity(self) -> None:
-        """Mark loaded BSs and RISs from the sampled users' own associations."""
-        dep, cfg, rng = self.dep, self.cfg, self.rng
-        n_bs = dep.bs_points.shape[0]
-        n_ris = dep.ris_points.shape[0]
-        self.bs_active = np.zeros(n_bs, dtype=bool)
-        self.ris_active = np.zeros(n_ris, dtype=bool)
-        self.bs_active[self.serving_bs] = True
-        if self.serving_ris is not None:
-            self.ris_active[self.serving_ris] = True
-
-        if self.bernoulli_activity:
-            self.bs_active |= rng.random(n_bs) < active_prob_bs(cfg)
-            self.ris_active |= rng.random(n_ris) < active_prob_ris(cfg)
-            return
-
-        users = dep.user_points
-        if users.shape[0] == 0:
-            return
-        # other users associate exactly like the typical one; their link
-        # states stay analytic draws even in geometric mode (they only set
-        # cell occupancy, not any path toward the origin)
-        d_ub = np.hypot(
-            users[:, 0, None] - dep.bs_points[None, :, 0],
-            users[:, 1, None] - dep.bs_points[None, :, 1],
-        )
-        los_ub = _los_draw(rng, d_ub, cfg.beta)
-        serving = np.argmax(_pathloss(d_ub, los_ub, cfg), axis=1)
-        self.bs_active[np.unique(serving)] = True
-
-        if n_ris == 0:
-            return
-        d_ur = np.hypot(
-            users[:, 0, None] - dep.ris_points[None, :, 0],
-            users[:, 1, None] - dep.ris_points[None, :, 1],
-        )
-        los_ur = _los_draw(rng, d_ur, cfg.beta)
-        normals = np.column_stack((np.cos(dep.ris_normals), np.sin(dep.ris_normals)))
-        to_user = users[:, None, :] - dep.ris_points[None, :, :]
-        user_side = np.einsum("uij,ij->ui", to_user, normals) > 0.0
-        to_bs = dep.bs_points[serving][:, None, :] - dep.ris_points[None, :, :]
-        bs_side = np.einsum("uij,ij->ui", to_bs, normals) > 0.0
-        metric = np.where(
-            user_side & bs_side, _pathloss(d_ur, los_ur, cfg), -np.inf
-        )
-        best = np.argmax(metric, axis=1)
-        served = best[np.isfinite(metric[np.arange(len(best)), best])]
-        self.ris_active[np.unique(served)] = True
-
-    def _signal(self) -> float:
-        dep, cfg = self.dep, self.cfg
-        power = cfg.p_bs_watt
-        bs0 = dep.bs_points[self.serving_bs]
-        ld0 = _pathloss(self.bs_dist[self.serving_bs], self.bs_los[self.serving_bs], cfg)
-
-        if self.serving_ris is None:
-            # beams can only aim at the direct path
-            self.nu_bs0 = spatial_frequency(_angles(-bs0), cfg)
-            self.nu_u0 = spatial_frequency(_angles(bs0), cfg)
-            return float(power * ld0 * cfg.n_bs * cfg.n_u)
-
-        ris0 = dep.ris_points[self.serving_ris]
-        lu0 = _pathloss(self.ris_dist[self.serving_ris], self.ris_los[self.serving_ris], cfg)
-        lg0 = _pathloss(
-            self.leg_dist[self.serving_bs, self.serving_ris],
-            self.leg_los[self.serving_bs, self.serving_ris],
-            cfg,
-        )
-        gain_direct, gain_reflected = serving_gains(cfg)
-        # spatial frequencies of the two departure/arrival pairs
-        nu_d = spatial_frequency(_angles(-bs0), cfg)           # BS toward user
-        nu_g = spatial_frequency(_angles(ris0 - bs0), cfg)     # BS toward RIS
-        nu_ud = spatial_frequency(_angles(bs0), cfg)           # user toward BS
-        nu_ur = spatial_frequency(_angles(ris0), cfg)          # user toward RIS
-        if cfg.antenna_scheme == "scheme1":
-            self.nu_bs0, self.nu_u0 = nu_g, nu_ur
-            if self.draw_serving_gains:
-                gain_direct = (
-                    fejer_kernel(nu_d - nu_g, cfg.n_bs)
-                    * fejer_kernel(nu_ud - nu_ur, cfg.n_u)
-                    / (cfg.n_bs * cfg.n_u)
-                )
-        else:
-            self.nu_bs0, self.nu_u0 = nu_d, nu_ud
-            if self.draw_serving_gains:
-                gain_reflected = (
-                    fejer_kernel(nu_g - nu_d, cfg.n_bs) / cfg.n_bs
-                    * fejer_kernel(nu_ur - nu_ud, cfg.n_u) / cfg.n_u
-                    * cfg.n_ris**2
-                )
-        amp = math.sqrt(power * ld0 * gain_direct) + math.sqrt(
-            power * lg0 * lu0 * gain_reflected
-        )
-        return float(amp**2)
-
-    def _interference(self) -> float:
-        dep, cfg, rng = self.dep, self.cfg, self.rng
-        power = cfg.p_bs_watt
-        n_bs = dep.bs_points.shape[0]
-        n_ris = dep.ris_points.shape[0]
-
-        # interfering beams target their own scheduled users; under the point
-        # process those azimuths are uniform, so they are drawn directly
-        beam_nu = spatial_frequency(rng.uniform(0.0, _TWO_PI, n_bs), cfg)
-        beam_nu[self.serving_bs] = self.nu_bs0
-        # phase profiles of loaded reflectors align to their own served pair
-        prof_u = rng.uniform(0.0, _TWO_PI, n_ris)
-        prof_g = rng.uniform(0.0, _TWO_PI, n_ris)
-        profile_delta = spatial_frequency(prof_u, cfg) - spatial_frequency(prof_g, cfg)
-
-        total = 0.0
-        others = self.bs_active.copy()
-        others[self.serving_bs] = False
-        if others.any():
-            nu_arr = spatial_frequency(_angles(-dep.bs_points[others]), cfg)
-            g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
-            nu_at_user = spatial_frequency(_angles(dep.bs_points[others]), cfg)
-            g_u = fejer_kernel(nu_at_user - self.nu_u0, cfg.n_u)
-            ld = _pathloss(self.bs_dist[others], self.bs_los[others], cfg)
-            total += float(
-                np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u)
+    else:
+        nu_bs0, nu_u0 = nu_d, nu_ud
+        if draw_serving_gains:
+            gain_reflected = (
+                fejer_kernel(nu_g - nu_d, cfg.n_bs) / cfg.n_bs
+                * fejer_kernel(nu_ur - nu_ud, cfg.n_u) / cfg.n_u
+                * cfg.n_ris**2
             )
+    amp = math.sqrt(power * ld0 * gain_direct) + math.sqrt(power * lg0 * lu0 * gain_reflected)
+    return float(amp**2), nu_bs0, nu_u0
 
-        if n_ris == 0 or not self.bs_active.any():
-            return total
 
-        active_bs = np.flatnonzero(self.bs_active)
-        bs_pts = dep.bs_points[active_bs]
-        for j in range(n_ris):
-            if j == self.serving_ris:
-                continue
-            ris_j = dep.ris_points[j]
-            vec = ris_j[None, :] - bs_pts                       # BS -> RIS
-            nu_dep = spatial_frequency(_angles(vec), cfg)       # at the BS
-            nu_inc = spatial_frequency(_angles(-vec), cfg)      # at the RIS
-            lg = _pathloss(self.leg_dist[active_bs, j], self.leg_los[active_bs, j], cfg)
-            incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs], cfg.n_bs) / cfg.n_bs
-            nu_out = spatial_frequency(_angles(-ris_j), cfg)    # RIS toward user
-            if self.ris_active[j]:
-                element = fejer_kernel(nu_out - nu_inc - profile_delta[j], cfg.n_ris)
-            else:
-                psi = rng.uniform(0.0, _TWO_PI, cfg.n_ris)
-                phase = _TWO_PI * np.arange(cfg.n_ris)[None, :] * (nu_out - nu_inc)[:, None]
-                element = np.abs(np.exp(1j * (phase - psi[None, :])).sum(axis=1)) ** 2
-            nu_at_user = spatial_frequency(_angles(ris_j), cfg)  # user toward RIS
-            g_u = fejer_kernel(nu_at_user - self.nu_u0, cfg.n_u) / cfg.n_u
-            lu = _pathloss(self.ris_dist[j], self.ris_los[j], cfg)
-            total += float(lu * g_u * np.sum(incident * element))
+def _idle_element(rng: np.random.Generator, offset: np.ndarray, n_ris: int) -> np.ndarray:
+    """|sum_m exp(i(2 pi m x - psi_m))|^2 at each (BS, idle reflector) offset
+    x, with one uniform phase profile psi per reflector column, drawn in
+    column order (the same stream as one draw per reflector).
+
+    The m-th phase factor is built as the m-th power of exp(2 pi i x) by a
+    running product: one complex exponential per offset instead of one per
+    element, at the same accuracy (both err by about m ulp).
+    """
+    n_rows, n_idle = offset.shape
+    element = np.empty(offset.shape)
+    step = max(1, _IDLE_BLOCK_ELEMENTS // (n_rows * n_ris))
+    for lo in range(0, n_idle, step):
+        x = offset[:, lo:lo + step]
+        psi = rng.uniform(0.0, _TWO_PI, (x.shape[1], n_ris))
+        terms = np.empty((*x.shape, n_ris), dtype=complex)
+        terms[..., 0] = 1.0
+        terms[..., 1:] = np.exp(1j * _TWO_PI * x)[..., None]
+        np.cumprod(terms, axis=-1, out=terms)
+        terms *= np.exp(-1j * psi)
+        total = terms.sum(axis=-1)
+        element[:, lo:lo + step] = total.real**2 + total.imag**2
+    return element
+
+
+def _interference(
+    dep: Deployment,
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    links: _Links,
+    serving_bs: int,
+    serving_ris: int | None,
+    bs_active: np.ndarray,
+    ris_active: np.ndarray,
+    nu_bs0: float,
+    nu_u0: float,
+) -> float:
+    """Power [W] the typical user receives from every other active BS, and
+    from every other reflector through the legs of every active BS."""
+    power = cfg.p_bs_watt
+    n_bs = dep.bs_points.shape[0]
+    n_ris = dep.ris_points.shape[0]
+
+    # interfering beams target their own scheduled users; under the point
+    # process those azimuths are uniform, so they are drawn directly
+    beam_nu = spatial_frequency(rng.uniform(0.0, _TWO_PI, n_bs), cfg)
+    beam_nu[serving_bs] = nu_bs0
+    # phase profiles of loaded reflectors align to their own served pair
+    prof_u = rng.uniform(0.0, _TWO_PI, n_ris)
+    prof_g = rng.uniform(0.0, _TWO_PI, n_ris)
+    profile_delta = spatial_frequency(prof_u, cfg) - spatial_frequency(prof_g, cfg)
+
+    total = 0.0
+    others = bs_active.copy()
+    others[serving_bs] = False
+    if others.any():
+        nu_arr = spatial_frequency(_angles(-dep.bs_points[others]), cfg)
+        g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
+        nu_at_user = spatial_frequency(_angles(dep.bs_points[others]), cfg)
+        g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u)
+        ld = _pathloss(links.bs_dist[others], links.bs_los[others], cfg)
+        total += float(np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u))
+
+    ris = np.arange(n_ris)
+    if serving_ris is not None:
+        ris = np.delete(ris, serving_ris)
+    if ris.size == 0:
         return total
+
+    # rows: active BSs (the serving one included); columns: other reflectors
+    active_bs = np.flatnonzero(bs_active)
+    ris_pts = dep.ris_points[ris]
+    vec = ris_pts[None, :, :] - dep.bs_points[active_bs, None, :]   # BS -> RIS
+    nu_dep = spatial_frequency(_angles(vec), cfg)                    # at the BS
+    nu_inc = spatial_frequency(_angles(-vec), cfg)                   # at the RIS
+    legs = np.ix_(active_bs, ris)
+    lg = _pathloss(links.leg_dist[legs], links.leg_los[legs], cfg)
+    incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs, None], cfg.n_bs) / cfg.n_bs
+    offset = spatial_frequency(_angles(-ris_pts), cfg) - nu_inc      # RIS toward user
+    loaded = ris_active[ris]
+    element = np.empty(offset.shape)
+    if loaded.any():
+        element[:, loaded] = fejer_kernel(
+            offset[:, loaded] - profile_delta[ris[loaded]], cfg.n_ris
+        )
+    if not loaded.all():
+        element[:, ~loaded] = _idle_element(rng, offset[:, ~loaded], cfg.n_ris)
+    nu_at_user = spatial_frequency(_angles(ris_pts), cfg)            # user toward RIS
+    g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u) / cfg.n_u
+    lu = _pathloss(links.ris_dist[ris], links.ris_los[ris], cfg)
+    return total + float(np.sum(lu * g_u * np.sum(incident * element, axis=0)))
+
+
+def _realize(
+    dep: Deployment,
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    draw_serving_gains: bool,
+    bernoulli_activity: bool,
+) -> SinrSample:
+    if dep.bs_points.shape[0] == 0:
+        raise ValueError("deployment has no base stations")
+    links = _link_states(dep, cfg, rng)
+    serving_bs, serving_ris = _associate(dep, cfg, links)
+    bs_active, ris_active = _activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli_activity)
+    signal, nu_bs0, nu_u0 = _signal(dep, cfg, links, serving_bs, serving_ris, draw_serving_gains)
+    interference = _interference(
+        dep, cfg, rng, links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0
+    )
+    noise = cfg.noise_power_watt
+    sinr = signal / (interference + noise)
+
+    rho = LinkKind.LOS if links.bs_los[serving_bs] else LinkKind.NLOS
+    if serving_ris is None:
+        case = AssociationCase(rho, None)
+        leg = None
+    else:
+        xi = LinkKind.LOS if links.ris_los[serving_ris] else LinkKind.NLOS
+        case = AssociationCase(rho, xi)
+        leg = LinkKind.LOS if links.leg_los[serving_bs, serving_ris] else LinkKind.NLOS
+    return SinrSample(float(sinr), case, float(signal), float(interference), noise, leg)
 
 
 def realize_sinr(
@@ -438,7 +490,7 @@ def realize_sinr(
 ) -> SinrSample:
     """Realize link states, beams and activity on a fixed deployment."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _Realization(dep, cfg, rng, draw_serving_gains, bernoulli_activity).run()
+    return _realize(dep, cfg, rng, draw_serving_gains, bernoulli_activity)
 
 
 _STATE_CODE = {LinkKind.LOS: 0, LinkKind.NLOS: 1, None: -1}
@@ -470,9 +522,7 @@ def sinr_samples(
         if dep.bs_points.shape[0] == 0:
             codes[t] = (1, -1, -1)
             continue
-        sample = _Realization(
-            dep, cfg, rng, draw_serving_gains, bernoulli_activity
-        ).run()
+        sample = _realize(dep, cfg, rng, draw_serving_gains, bernoulli_activity)
         sinr[t] = sample.sinr
         codes[t, 0] = _STATE_CODE[sample.serving_case.bs_state]
         codes[t, 1] = _STATE_CODE[sample.serving_case.ris_state]
@@ -539,7 +589,9 @@ def association_frequencies(
 
     Keys: serving direct-link state (d_los, d_nlos), serving reflector state
     (u_los, u_nlos, no_ris) and the full reflected path state (g_los, g_nlos),
-    where g_los needs both reflected legs unblocked.
+    where g_los needs both reflected legs unblocked. Trial t draws the same
+    link states as trial t of ``sinr_samples`` without geometric blockage,
+    so the two agree on every association code.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -552,24 +604,15 @@ def association_frequencies(
         dep = _sample(cfg, radius, rng, geometric_blockage=False)
         if dep.bs_points.shape[0] == 0:
             continue
-        real = _Realization(dep, cfg, rng, False, False)
-        real.bs_dist = np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1])
-        real.bs_los = _los_draw(rng, real.bs_dist, cfg.beta)
-        real.ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
-        real.ris_los = _los_draw(rng, real.ris_dist, cfg.beta)
-        real._associate()
+        links = _link_states(dep, cfg, rng)
+        serving_bs, serving_ris = _associate(dep, cfg, links)
         done += 1
-        if real.bs_los[real.serving_bs]:
-            counts["d_los"] += 1
-        if real.serving_ris is None:
+        counts["d_los"] += bool(links.bs_los[serving_bs])
+        if serving_ris is None:
             continue
-        ris_is_los = bool(real.ris_los[real.serving_ris])
+        ris_is_los = bool(links.ris_los[serving_ris])
         counts["u_los" if ris_is_los else "u_nlos"] += 1
-        if ris_is_los:
-            bs0 = dep.bs_points[real.serving_bs]
-            leg = np.hypot(*(dep.ris_points[real.serving_ris] - bs0))
-            if rng.random() < math.exp(-cfg.beta * max(leg, cfg.r_min)):
-                counts["g_los"] += 1
+        counts["g_los"] += ris_is_los and bool(links.leg_los[serving_bs, serving_ris])
     if done == 0:
         raise ValueError("no deployment contained a base station")
     freq = {key: val / done for key, val in counts.items()}

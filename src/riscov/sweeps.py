@@ -415,7 +415,7 @@ def validate(
         coverage_probability(1.0, cfg, doubled).total
         - coverage_probability(1.0, cfg, quad).total
     )
-    checks.append(_tol_check("quadrature-doubling", drift, 1e-3 + quad.tolerance))
+    checks.append(_tol_check("quadrature-doubling", drift, 1e-3 + quad.tolerance, ".2e"))
 
     cfg_act = cfg.replace(lambda_u=10.0 * cfg.lambda_bs)
     act_err = active_prob_bs(cfg_act) - (1.0 - 11.0 ** (-3.5))

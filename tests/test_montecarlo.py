@@ -1,11 +1,14 @@
 """Sampling engine: determinism, closed-form checks and blockage calibration."""
 
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from riscov import montecarlo as mc
+from riscov.beamforming import fejer_kernel, spatial_frequency
 from riscov.config import NetworkConfig
 from riscov.montecarlo import (
     Deployment,
@@ -18,6 +21,7 @@ from riscov.montecarlo import (
     wilson_interval,
 )
 from riscov.propagation import LinkKind
+from riscov.sweeps import RIS_DENSITY_GRID, RIS_SIZE_GRID, UNIT_DENSITY
 
 NO_POINTS = np.empty((0, 2))
 NO_ANGLES = np.empty((0,))
@@ -248,3 +252,148 @@ def test_trials_validation(cfg):
         sinr_samples(cfg, 0)
     with pytest.raises(ValueError):
         association_frequencies(cfg, 0)
+
+
+def test_association_frequencies_match_sinr_codes(cfg):
+    # both draw trial t's link states from the same (seed, t) stream
+    freq = association_frequencies(cfg, 300, radius=500.0, seed=6)
+    batch = sinr_samples(cfg, 300, radius=500.0, seed=6)
+    has_bs = batch.sinr > 0.0  # a trial without a BS is coded with sinr 0
+    bs, ris, leg = batch.bs_state[has_bs], batch.ris_state[has_bs], batch.leg_state[has_bs]
+    assert freq["trials"] == has_bs.sum()
+    assert freq["d_los"] == np.mean(bs == 0)
+    assert freq["u_los"] == np.mean(ris == 0)
+    assert freq["u_nlos"] == np.mean(ris == 1)
+    assert freq["no_ris"] == pytest.approx(np.mean(ris == -1), abs=1e-12)
+    assert freq["g_los"] == np.mean((ris == 0) & (leg == 0))
+
+
+# -- the vectorized interference stage against the per-reflector loop ---------
+
+
+def _interference_loop(
+    dep, cfg, rng, links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0
+):
+    """Reference: the interference stage written as one pass per reflector."""
+    two_pi = 2.0 * math.pi
+    power = cfg.p_bs_watt
+    n_bs = dep.bs_points.shape[0]
+    n_ris = dep.ris_points.shape[0]
+    beam_nu = spatial_frequency(rng.uniform(0.0, two_pi, n_bs), cfg)
+    beam_nu[serving_bs] = nu_bs0
+    prof_u = rng.uniform(0.0, two_pi, n_ris)
+    prof_g = rng.uniform(0.0, two_pi, n_ris)
+    profile_delta = spatial_frequency(prof_u, cfg) - spatial_frequency(prof_g, cfg)
+
+    total = 0.0
+    others = bs_active.copy()
+    others[serving_bs] = False
+    if others.any():
+        nu_arr = spatial_frequency(mc._angles(-dep.bs_points[others]), cfg)
+        g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
+        nu_at_user = spatial_frequency(mc._angles(dep.bs_points[others]), cfg)
+        g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u)
+        ld = mc._pathloss(links.bs_dist[others], links.bs_los[others], cfg)
+        total += float(np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u))
+
+    active_bs = np.flatnonzero(bs_active)
+    bs_pts = dep.bs_points[active_bs]
+    for j in range(n_ris):
+        if j == serving_ris:
+            continue
+        ris_j = dep.ris_points[j]
+        vec = ris_j[None, :] - bs_pts
+        nu_dep = spatial_frequency(mc._angles(vec), cfg)
+        nu_inc = spatial_frequency(mc._angles(-vec), cfg)
+        lg = mc._pathloss(links.leg_dist[active_bs, j], links.leg_los[active_bs, j], cfg)
+        incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs], cfg.n_bs) / cfg.n_bs
+        nu_out = spatial_frequency(mc._angles(-ris_j), cfg)
+        if ris_active[j]:
+            element = fejer_kernel(nu_out - nu_inc - profile_delta[j], cfg.n_ris)
+        else:
+            psi = rng.uniform(0.0, two_pi, cfg.n_ris)
+            phase = two_pi * np.arange(cfg.n_ris)[None, :] * (nu_out - nu_inc)[:, None]
+            element = np.abs(np.exp(1j * (phase - psi[None, :])).sum(axis=1)) ** 2
+        nu_at_user = spatial_frequency(mc._angles(ris_j), cfg)
+        g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u) / cfg.n_u
+        lu = mc._pathloss(links.ris_dist[j], links.ris_los[j], cfg)
+        total += float(lu * g_u * np.sum(incident * element))
+    return total
+
+
+def _check_against_loop(dep, cfg, seed, bernoulli=False, loaded=None):
+    """Run the stages up to interference, optionally override which
+    reflectors are loaded, then compare the stage with the loop on identical
+    generator states. Returns the stage inputs for case-specific asserts."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    links = mc._link_states(dep, cfg, rng)
+    serving_bs, serving_ris = mc._associate(dep, cfg, links)
+    bs_active, ris_active = mc._activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli)
+    if loaded is not None:
+        ris_active = np.full(ris_active.shape, loaded)
+    _, nu_bs0, nu_u0 = mc._signal(dep, cfg, links, serving_bs, serving_ris, False)
+    args = (links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0)
+    stage_rng, loop_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    stage = mc._interference(dep, cfg, stage_rng, *args)
+    loop = _interference_loop(dep, cfg, loop_rng, *args)
+    assert stage == pytest.approx(loop, rel=1e-12, abs=0.0)
+    # the same draws were consumed, in the same order
+    assert stage_rng.random() == loop_rng.random()
+    return stage, args
+
+
+@pytest.mark.parametrize(
+    "case", ("sampled", "all-active", "all-idle", "scheme2", "geometric", "bernoulli")
+)
+def test_interference_stage_matches_loop(cfg, case):
+    geometric = case == "geometric"
+    run_cfg = cfg.replace(antenna_scheme="scheme2") if case == "scheme2" else cfg
+    loaded = {"all-active": True, "all-idle": False}.get(case)
+    mixed = False
+    for seed in (31, 32, 33):
+        dep = sample_deployment(run_cfg, radius=500.0, seed=seed, geometric_blockage=geometric)
+        _, args = _check_against_loop(dep, run_cfg, seed, case == "bernoulli", loaded)
+        ris_active = args[4]
+        assert len(ris_active) > 1  # several reflectors, so the loop has work
+        mixed |= ris_active.any() and not ris_active.all()
+    if case == "sampled":
+        assert mixed  # some reflectors loaded and some idle
+
+
+def test_interference_stage_without_reflectors(cfg):
+    dep = sample_deployment(cfg, radius=500.0, seed=31)
+    bare = dataclasses.replace(dep, ris_points=NO_POINTS.copy(), ris_normals=NO_ANGLES.copy())
+    value, args = _check_against_loop(bare, cfg, 31)
+    assert args[2] is None and value > 0.0
+
+
+def test_interference_stage_serving_reflector_only(cfg):
+    # every link LOS: the BS at (100, 0) serves, and the reflector at
+    # (50, 30) faces both it and the user, so it is the serving one
+    dep = Deployment(
+        bs_points=np.array([[100.0, 0.0], [-300.0, 200.0], [250.0, -350.0]]),
+        ris_points=np.array([[50.0, 30.0]]),
+        ris_normals=np.array([1.5 * math.pi]),
+        user_points=np.array([[-200.0, 100.0], [240.0, -300.0], [90.0, 10.0]]),
+        radius=500.0,
+    )
+    clear = cfg.replace(beta=0.0)
+    value, args = _check_against_loop(dep, clear, 7)
+    serving_bs, serving_ris, bs_active = args[1:4]
+    assert (serving_bs, serving_ris) == (0, 0)
+    assert bs_active.all()
+    # no other reflector: only the direct links of the two other BSs interfere
+    assert value > 0.0
+
+
+def test_interference_stage_chunks_idle_reflectors(cfg):
+    # the densest and largest reflectors of the sweep grids: the idle block
+    # spans several chunks of the bounded temporary
+    big = cfg.replace(
+        lambda_ris=max(RIS_DENSITY_GRID) * UNIT_DENSITY, n_ris=max(RIS_SIZE_GRID)
+    )
+    dep = sample_deployment(big, seed=41)
+    _, args = _check_against_loop(dep, big, 41)
+    bs_active, ris_active = args[3], args[4]
+    idle_elements = bs_active.sum() * (~ris_active).sum() * big.n_ris
+    assert idle_elements > 4 * mc._IDLE_BLOCK_ELEMENTS

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -131,6 +132,11 @@ def test_validate_without_budget(cfg, light_quad):
     # the four analytic checks pass on their own, quadrature doubling included
     assert report.exit_status == 0
     assert "FAIL" not in report.text
+    # the doubling residual is printed in e-notation: at default nodes it is
+    # about 1e-5, which a fixed four-decimal format would show as zero
+    (doubling,) = [c for c in report.checks if c.name == "quadrature-doubling"]
+    match = re.fullmatch(r"delta=([+-]\d\.\d\de[+-]\d\d) limit=2\.00e-03", doubling.detail)
+    assert match and float(match.group(1)) != 0.0
 
 
 def test_validation_report_fail_exit_status():
