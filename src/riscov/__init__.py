@@ -4,7 +4,6 @@ from .analytics import (
     CoverageResult,
     EfficiencyResult,
     QuadratureSpec,
-    ase,
     coverage_direct,
     coverage_probability,
     coverage_small_beta,
@@ -29,7 +28,6 @@ __all__ = [
     "QuadratureSpec",
     "SinrBatch",
     "SweepTable",
-    "ase",
     "coverage_direct",
     "coverage_probability",
     "coverage_small_beta",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -9,21 +11,25 @@ class IntegrationError(RuntimeError):
     """A numerical integral failed its convergence check."""
 
 
+@lru_cache(maxsize=16)
 def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights shifted to (0, 1)."""
+    """Gauss-Legendre nodes and weights shifted to (0, 1), read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    t, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
-def halfline_nodes(
-    k: int, scale: float, lower: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def halfline_nodes(k: int, scale, lower=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals over (lower, inf).
 
     Uses r = lower + scale*t/(1-t) with Gauss-Legendre points t in (0, 1);
-    ``scale`` should match the integrand's decay length.
+    ``scale`` should match the integrand's decay length.  Array ``scale`` or
+    ``lower`` give one rule per element, with the node axis first.
     """
     t, w = gauss_legendre_01(k)
+    extra = (1,) * max(np.ndim(scale), np.ndim(lower))
+    t, w = t.reshape(-1, *extra), w.reshape(-1, *extra)
     r = lower + scale * t / (1.0 - t)
     jac = scale / (1.0 - t) ** 2
     return r, w * jac

@@ -12,6 +12,7 @@ half-line integral template.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import IntegrationError, gauss_legendre_01
+from ._quad import IntegrationError, halfline_nodes, tan_halfline_nodes
 from .association import (
     AssociationCase,
     bs_ris_distance,
@@ -56,7 +57,6 @@ class QuadratureSpec:
     q3: int = 16  # angle nodes
     q_tail: int = 48  # Gauss-Legendre nodes of the interference tail tables
     w_alzer: int = 5  # terms in the gamma-dummy binomial sum
-    tolerance: float = 1e-3  # relative accuracy target
 
     def __post_init__(self) -> None:
         for name in ("q1", "q2", "q3", "q_tail"):
@@ -65,8 +65,6 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be an integer >= 4, got {count!r}")
         if not isinstance(self.w_alzer, int) or self.w_alzer < 1:
             raise ValueError(f"w_alzer must be a positive integer, got {self.w_alzer!r}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -114,16 +112,6 @@ def alzer_epsilon(w: int, printed_constant: bool = False) -> float:
     return w * factorial ** (-1.0 / w)
 
 
-def _chebyshev_tan(count: int) -> tuple[np.ndarray, np.ndarray]:
-    # tan map sending Chebyshev nodes on (-1, 1) to the positive half line
-    k = np.arange(1, count + 1)
-    theta = (2 * k - 1) * np.pi / (2 * count)
-    arg = 0.25 * np.pi * np.cos(theta) + 0.25 * np.pi
-    nodes = np.tan(arg)
-    weights = np.pi**2 * np.sin(theta) / (4 * count * np.cos(arg) ** 2)
-    return nodes, weights
-
-
 def _chebyshev_angle(count: int) -> tuple[np.ndarray, np.ndarray]:
     # cosine map onto (0, 2*pi); weights average (the 1/(2*pi) is folded in)
     k = np.arange(1, count + 1)
@@ -139,8 +127,8 @@ def gcq_nodes(qspec: QuadratureSpec) -> GcqNodes:
     x and y tables integrate over (0, inf); the angle table averages over
     (0, 2*pi), i.e. its weights sum to ~1.
     """
-    x, wx = _chebyshev_tan(qspec.q1)
-    y, wy = _chebyshev_tan(qspec.q2)
+    x, wx = tan_halfline_nodes(qspec.q1)
+    y, wy = tan_halfline_nodes(qspec.q2)
     angle, w_angle = _chebyshev_angle(qspec.q3)
     return GcqNodes(x=x, wx=wx, y=y, wy=wy, angle=angle, w_angle=w_angle)
 
@@ -155,19 +143,11 @@ def active_prob_bs(cfg: NetworkConfig) -> float:
     return 1.0 - (1.0 + cfg.lambda_u / cfg.lambda_bs) ** -3.5
 
 
-def ris_cell_occupancy(c, lambda_u: float, lambda_ris: float):
-    """Occupancy probability of a reflector cell with side-condition factor c.
-
-    The eligible-user region around a reflector is a half-plane sector; its
-    effective cell is 1/c times larger than the isotropic Voronoi cell of a
-    process with density lambda_ris / 2, hence the 2/c load scaling.
-    """
-    c = np.asarray(c, dtype=float)
-    return 1.0 - (1.0 + 2.0 * lambda_u / (c * lambda_ris)) ** -3.5
-
-
 @lru_cache(maxsize=64)
 def _active_prob_ris_cached(cfg: NetworkConfig) -> float:
+    # the eligible-user region around a reflector is a half-plane sector; its
+    # effective cell is 1/c times larger than the isotropic Voronoi cell of a
+    # process with density lambda_ris / 2, hence the 2/c load scaling
     def idle_kernel(x, y, v):
         c = side_condition(x, y, v)
         return (1.0 + 2.0 * cfg.lambda_u / (c * cfg.lambda_ris)) ** -3.5
@@ -213,21 +193,21 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
         return los + nlos
 
     scale = max(1.0 / cfg.beta if cfg.beta > 0.0 else 10.0 * cfg.r_min, 10.0 * cfg.r_min)
-    total = _halfline_integral(integrand, cfg.r_min, scale, 384)
-    check = _halfline_integral(integrand, cfg.r_min, scale, 768)
+
+    def integral(count):
+        r, w = halfline_nodes(count, scale, cfg.r_min)
+        return float(np.sum(w * integrand(r)))
+
+    total, check = integral(384), integral(768)
     if abs(total - check) > 1e-9 * max(abs(check), 1e-30):
         raise IntegrationError("ambient reflected power integral did not converge")
     return float(np.pi * cfg.lambda_bs * cfg.p_bs_watt * check)
 
 
-def _halfline_integral(fn, lower: float, scale: float, count: int) -> float:
-    t, w = gauss_legendre_01(count)
-    r = lower + scale * t / (1.0 - t)
-    jac = scale / (1.0 - t) ** 2
-    return float(np.sum(w * jac * fn(r)))
-
-
 # -- interference Laplace transforms -----------------------------------------
+
+# interfering point sets; the two reflector sets share their tail tables
+_SET_KINDS = ("bs", "ris", "ris_idle")
 
 
 def _set_parameters(set_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
@@ -235,13 +215,12 @@ def _set_parameters(set_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
     if set_kind == "bs":
         density = 2.0 * np.pi * cfg.lambda_bs * active_prob_bs(cfg)
         power_gain = cfg.p_bs_watt * mean_direct_interference_gain(cfg)
-    elif set_kind == "ris":
-        density = np.pi * cfg.lambda_ris * active_prob_ris(cfg)
-        power_gain = ris_interference_power(cfg) * mean_reflected_interference_gain(cfg)
-    elif set_kind == "ris_idle":
-        density = np.pi * cfg.lambda_ris * (1.0 - active_prob_ris(cfg))
+    elif set_kind in ("ris", "ris_idle"):
+        idle = set_kind == "ris_idle"
+        p_active = active_prob_ris(cfg)
+        density = np.pi * cfg.lambda_ris * (1.0 - p_active if idle else p_active)
         power_gain = ris_interference_power(cfg) * mean_reflected_interference_gain(
-            cfg, idle=True
+            cfg, idle=idle
         )
     else:
         raise ValueError(f"unknown interferer set {set_kind!r}")
@@ -252,6 +231,48 @@ def _state_parameters(state: LinkKind, cfg: NetworkConfig) -> tuple[float, float
     if state is LinkKind.LOS:
         return cfg.c_los, cfg.alpha_los
     return cfg.c_nlos, cfg.alpha_nlos
+
+
+def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
+    """Tables (A, B) with J(c) = sum_k A[k] * (1 - exp(-c * B[k])).
+
+    J(c) integrates the state-thinning weight times (1 - exp(-c*r^-alpha))*r
+    over r beyond `exclusion`: the exponent of one interfering set's Laplace
+    transform per unit density.  The node axis comes first; the other axes
+    follow `exclusion`.
+    """
+    exclusion = np.asarray(exclusion, dtype=float)
+    # support is bounded by the blockage decay for LOS sets and by the
+    # pathloss rolloff otherwise; the map reaches far past `scale` anyway
+    scale = np.maximum(3.0 * exclusion, 100.0 * cfg.r_min)
+    if state is LinkKind.LOS and cfg.beta > 0.0:
+        scale = np.maximum(np.minimum(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
+    r, w = halfline_nodes(nodes, scale, exclusion)
+    if state is LinkKind.LOS:
+        weight = np.exp(-cfg.beta * r)
+    else:
+        weight = -np.expm1(-cfg.beta * r)
+    _, exponent = _state_parameters(state, cfg)
+    return w * weight * r, r**-exponent
+
+
+def _j(c, table):
+    """J(c) of one tail table; c broadcasts against the exclusion axes."""
+    a, b = table
+    return np.einsum("k...,k...->...", a, -np.expm1(-c * b))
+
+
+def _exclusion(factor_state: int, serving_state: int, d, cfg: NetworkConfig):
+    """Guard radius of one interferer state when the serving link is at d.
+
+    Interferers in the serving link's own state are excluded up to d, the
+    other state up to the distance of equal received power.
+    """
+    if factor_state == serving_state:
+        return d
+    if factor_state == 0:
+        return equivalent_los_distance(d, cfg)
+    return equivalent_nlos_distance(d, cfg)
 
 
 def laplace_interference(
@@ -273,31 +294,13 @@ def laplace_interference(
     density, power_gain = _set_parameters(set_kind, cfg)
     if s == 0.0 or density == 0.0 or power_gain == 0.0:
         return 1.0
-    intercept, exponent = _state_parameters(state, cfg)
+    intercept, _ = _state_parameters(state, cfg)
     c = s * power_gain * intercept
-
-    if state is LinkKind.LOS:
-        def integrand(r):
-            return np.exp(-cfg.beta * r) * -np.expm1(-c * r**-exponent) * r
-    else:
-        def integrand(r):
-            return -np.expm1(-cfg.beta * r) * -np.expm1(-c * r**-exponent) * r
-
-    scale = _tail_scale(state, exclusion, cfg)
-    total = _halfline_integral(integrand, exclusion, scale, 192)
-    check = _halfline_integral(integrand, exclusion, scale, 384)
+    total = _j(c, _tail_table(state, exclusion, cfg, 192))
+    check = _j(c, _tail_table(state, exclusion, cfg, 384))
     if abs(total - check) > 1e-8 * max(abs(check), 1e-12):
         raise IntegrationError("interference tail integral did not converge")
     return float(np.exp(-density * check))
-
-
-def _tail_scale(state: LinkKind, exclusion: float, cfg: NetworkConfig) -> float:
-    # support is bounded by the blockage decay for LOS sets and by the
-    # pathloss rolloff otherwise; the map reaches far past `scale` anyway
-    base = max(3.0 * exclusion, 100.0 * cfg.r_min)
-    if state is LinkKind.LOS and cfg.beta > 0.0:
-        return max(min(base, 5.0 / cfg.beta), 1.0 / cfg.beta)
-    return base
 
 
 # -- coverage evaluator ------------------------------------------------------
@@ -307,6 +310,8 @@ class _CoverageEvaluator:
 
     Building the evaluator costs a few hundred ms; evaluating one threshold
     re-uses every geometry-dependent tensor and only re-exponentiates.
+    Arrays live on the (x, y, angle) grid, with size-1 axes where a quantity
+    does not depend on that coordinate.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -369,132 +374,59 @@ class _CoverageEvaluator:
         cfg = self.cfg
         gain_direct, gain_reflected = serving_gains(cfg)
         power = cfg.p_bs_watt
-        xl = np.maximum(self.x, cfg.r_min)
-        yl = np.maximum(self.y, cfg.r_min)
-        self.sig_direct = []
-        amp_direct = []
-        for state in _STATES:
-            intercept, exponent = _state_parameters(state, cfg)
-            loss = intercept * xl**-exponent
-            self.sig_direct.append(power * gain_direct * loss)
-            amp_direct.append(np.sqrt(power * gain_direct * loss))
-        # reflected amplitude: BS->reflector leg state is mixed per node
-        leg_bs = {}
-        leg_user = {}
-        for idx, state in enumerate(_STATES):
-            intercept, exponent = _state_parameters(state, cfg)
-            leg_bs[idx] = intercept * self.z**-exponent
-            leg_user[idx] = intercept * yl**-exponent
-        blocked = -np.expm1(-self.cfg.beta * self.z)
-        self.state_prob = {0: 1.0 - blocked, 1: blocked}
-        self.sig = {}
-        for irho in range(2):
-            for ixi in range(2):
-                for ig in range(2):
-                    amp_r = np.sqrt(
-                        power * gain_reflected * leg_bs[ig] * leg_user[ixi][None, :, None]
-                    )
-                    self.sig[irho, ixi, ig] = (
-                        amp_direct[irho][:, None, None] + amp_r
-                    ) ** 2
+        xl = np.maximum(self.x, cfg.r_min)[:, None, None]
+        yl = np.maximum(self.y, cfg.r_min)[None, :, None]
+        laws = [_state_parameters(state, cfg) for state in _STATES]
+        self.sig_direct = [power * gain_direct * (c * xl**-alpha) for c, alpha in laws]
+        leg_bs = [c * self.z**-alpha for c, alpha in laws]
+        leg_user = [c * yl**-alpha for c, alpha in laws]
+        # reflected signal: the BS->reflector leg state is mixed per node
+        blocked = -np.expm1(-cfg.beta * self.z)
+        leg_prob = (1.0 - blocked, blocked)
+        self.reflected = {}
+        for irho, ixi in itertools.product(range(2), repeat=2):
+            amp_direct = np.sqrt(self.sig_direct[irho])
+            amp = [np.sqrt(power * gain_reflected * leg * leg_user[ixi]) for leg in leg_bs]
+            self.reflected[irho, ixi] = [
+                (prob, (amp_direct + a) ** 2) for prob, a in zip(leg_prob, amp)
+            ]
 
-    # half-line tables: J(c) = sum_k A[k]*(1 - exp(-c * B[k]))
+    # tail tables, keyed by (side, factor state, serving state of that side);
+    # the reflector tables with serving state None have no void
 
     def _build_factor_tables(self) -> None:
         cfg = self.cfg
-        chi_l_x = equivalent_los_distance(self.x, cfg)
-        chi_n_x = equivalent_nlos_distance(self.x, cfg)
-        # exclusion radius of each interference factor given the serving state
-        bs_excl = {
-            (0, 0): self.x, (0, 1): chi_l_x,  # LOS factor | serving LOS/NLOS
-            (1, 0): chi_n_x, (1, 1): self.x,  # NLOS factor
-        }
-        self.bs_tables = {}
-        for (fstate, serving), excl in bs_excl.items():
-            self.bs_tables[fstate, serving] = self._tail_table(fstate, excl)
-        self.ris_tables = {}
-        self.ris_free_tables = {}
+        kinds = _SET_KINDS if self.has_ris else _SET_KINDS[:1]
+        self.sets = {kind: _set_parameters(kind, cfg) for kind in kinds}
+        distances = {"bs": self.x[:, None, None]}
         if self.has_ris:
-            chi_l_y = equivalent_los_distance(self.y, cfg)
-            chi_n_y = equivalent_nlos_distance(self.y, cfg)
-            ris_excl = {
-                (0, 0): self.y, (0, 1): chi_l_y,
-                (1, 0): chi_n_y, (1, 1): self.y,
-            }
-            for (fstate, serving), excl in ris_excl.items():
-                self.ris_tables[fstate, serving] = self._tail_table(fstate, excl)
-            for fstate in range(2):
-                table = self._tail_table(fstate, np.array([0.0]))
-                self.ris_free_tables[fstate] = (table[0][:, 0], table[1][:, 0])
+            distances["ris"] = self.y[None, :, None]
+        self.tables = {}
+        for fstate, state in enumerate(_STATES):
+            for side, d in distances.items():
+                for serving in range(2):
+                    excl = _exclusion(fstate, serving, d, cfg)
+                    self.tables[side, fstate, serving] = _tail_table(
+                        state, excl, cfg, self.quad.q_tail
+                    )
+            if self.has_ris:
+                self.tables["ris", fstate, None] = _tail_table(
+                    state, np.zeros((1, 1, 1)), cfg, self.quad.q_tail
+                )
 
-        self.density_bs = 2.0 * np.pi * cfg.lambda_bs * active_prob_bs(cfg)
-        if self.has_ris:
-            p_active = active_prob_ris(cfg)
-            self.density_ris = np.pi * cfg.lambda_ris * p_active
-            self.density_idle = np.pi * cfg.lambda_ris * (1.0 - p_active)
-            ambient = ris_interference_power(cfg)
-            self.pg_ris = ambient * mean_reflected_interference_gain(cfg)
-            self.pg_idle = ambient * mean_reflected_interference_gain(cfg, idle=True)
-        self.pg_bs = cfg.p_bs_watt * mean_direct_interference_gain(cfg)
+    def _log_laplace(self, s, irho: int, ixi: int | None, los_only: bool):
+        """Log of the interference Laplace product times exp(-s*sigma2) at s.
 
-    def _tail_table(self, factor_state: int, exclusion: np.ndarray):
-        cfg = self.cfg
-        t, glw = gauss_legendre_01(self.quad.q_tail)
-        state = _STATES[factor_state]
-        scale = np.array(
-            [_tail_scale(state, float(a), cfg) for a in np.atleast_1d(exclusion)]
-        )
-        a = np.atleast_1d(exclusion)[None, :]
-        r = a + scale[None, :] * t[:, None] / (1.0 - t[:, None])
-        jac = scale[None, :] / (1.0 - t[:, None]) ** 2
-        if state is LinkKind.LOS:
-            weight = np.exp(-cfg.beta * r)
-        else:
-            weight = -np.expm1(-cfg.beta * r)
-        _, exponent = _state_parameters(state, cfg)
-        return glw[:, None] * jac * weight * r, r**-exponent
-
-    # factor exponents
-
-    def _j_nodes_x(self, c, table):
-        a, b = table  # (K, q1)
-        if c.ndim == 1:
-            return np.einsum("kx,kx->x", a, -np.expm1(-c[None, :] * b))
-        return np.einsum("kx,kxyv->xyv", a, -np.expm1(-c[None] * b[:, :, None, None]))
-
-    def _j_nodes_y(self, c, table):
-        a, b = table  # (K, q2)
-        if c.ndim == 1:
-            # direct-signal mode: c varies along x, exclusion along y
-            return np.einsum(
-                "ky,kxy->xy", a, -np.expm1(-c[None, :, None] * b[:, None, :])
-            )
-        return np.einsum("ky,kxyv->xyv", a, -np.expm1(-c[None] * b[:, None, :, None]))
-
-    def _j_free(self, c, table):
-        a, b = table  # (K,)
-        return np.einsum("k,kx->x", a, -np.expm1(-c[None, :] * b[:, None]))
-
-    def _log_factors(self, s, irho: int, ixi: int | None, los_only: bool):
-        """Sum of the factor exponents (log of the Laplace product) at s."""
-        cfg = self.cfg
+        irho and ixi are the serving BS and reflector states; ixi None takes
+        the reflector sets without a void.  los_only drops the NLOS factors.
+        """
         expo = -(s * self.sigma2)
-        intercepts = (cfg.c_los, cfg.c_nlos)
-        factor_states = (0,) if los_only else (0, 1)
-        for fstate in factor_states:
-            c = s * self.pg_bs * intercepts[fstate]
-            expo = expo - self.density_bs * self._j_nodes_x(c, self.bs_tables[fstate, irho])
-        if self.has_ris:
-            for fstate in factor_states:
-                if ixi is None:
-                    tables = self.ris_free_tables[fstate]
-                    j_act = self._j_free(s * self.pg_ris * intercepts[fstate], tables)
-                    j_idl = self._j_free(s * self.pg_idle * intercepts[fstate], tables)
-                else:
-                    tables = self.ris_tables[fstate, ixi]
-                    j_act = self._j_nodes_y(s * self.pg_ris * intercepts[fstate], tables)
-                    j_idl = self._j_nodes_y(s * self.pg_idle * intercepts[fstate], tables)
-                expo = expo - self.density_ris * j_act - self.density_idle * j_idl
+        for fstate in (0,) if los_only else (0, 1):
+            intercept, _ = _state_parameters(_STATES[fstate], self.cfg)
+            for kind, (density, power_gain) in self.sets.items():
+                side, serving = ("bs", irho) if kind == "bs" else ("ris", ixi)
+                table = self.tables[side, fstate, serving]
+                expo = expo - density * _j(s * power_gain * intercept, table)
         return expo
 
     # public evaluation
@@ -504,30 +436,35 @@ class _CoverageEvaluator:
         threshold: float,
         direct_signal: bool = False,
         los_only: bool = False,
-        printed_constant: bool = False,
     ) -> CoverageResult:
         if threshold <= 0.0:
             raise ValueError("threshold must be positive")
         w_terms = self.quad.w_alzer
-        eps = alzer_epsilon(w_terms, printed_constant=printed_constant)
-        coefs = [
-            (-1.0) ** (w + 1) * math.comb(w_terms, w) for w in range(1, w_terms + 1)
+        eps = alzer_epsilon(w_terms)
+        # gamma-dummy sum: (scale of s, binomial coefficient) per term
+        terms = [
+            (w * eps, (-1.0) ** (w + 1) * math.comb(w_terms, w))
+            for w in range(1, w_terms + 1)
         ]
 
         by_case: dict[AssociationCase, float] = {}
         for irho, rho in enumerate(_STATES):
+            direct = [(1.0, self.sig_direct[irho])]
+            fdw = self.fdw[irho][:, None, None] * self.wv
             # cases served through a reflector
             for ixi, xi in enumerate(_STATES):
                 if self.has_ris:
+                    signals = direct if direct_signal else self.reflected[irho, ixi]
                     value = self._case_value(
-                        threshold, eps, coefs, irho, ixi, direct_signal, los_only
+                        threshold, terms, signals, fdw * self.gw[ixi], irho, ixi, los_only
                     )
                 else:
                     value = 0.0
                 by_case[AssociationCase(rho, xi)] = value
             # no-reflector bucket: direct signal only
-            by_case[AssociationCase(rho, None)] = self._bucket_value(
-                threshold, eps, coefs, irho, los_only
+            by_case[AssociationCase(rho, None)] = self._case_value(
+                threshold, terms, direct, fdw * self.remainder[:, None, :],
+                irho, None, los_only,
             )
 
         total = sum(by_case.values()) / self.norm
@@ -544,66 +481,20 @@ class _CoverageEvaluator:
         engine = "analytic-small-beta" if los_only else "analytic"
         return CoverageResult(result_total, by_case, engine, meta)
 
-    def _case_value(self, threshold, eps, coefs, irho, ixi, direct_signal, los_only):
-        if direct_signal:
-            s_base = eps * threshold / self.sig_direct[irho]
-            ksum = np.zeros((self.quad.q1, self.quad.q2))
-            for w, coef in enumerate(coefs, start=1):
-                s = w * s_base
-                expo = -(s[:, None] * self.sigma2)
-                intercepts = (self.cfg.c_los, self.cfg.c_nlos)
-                for fstate in (0,) if los_only else (0, 1):
-                    c = s * self.pg_bs * intercepts[fstate]
-                    expo = expo - self.density_bs * self._j_nodes_x(
-                        c, self.bs_tables[fstate, irho]
-                    )[:, None]
-                    if self.has_ris:
-                        tables = self.ris_tables[fstate, ixi]
-                        expo = expo - self.density_ris * self._j_nodes_y(
-                            s * self.pg_ris * intercepts[fstate], tables
-                        )
-                        expo = expo - self.density_idle * self._j_nodes_y(
-                            s * self.pg_idle * intercepts[fstate], tables
-                        )
-                ksum += coef * np.exp(expo)
-            return float(
-                np.einsum("x,v,xyv,xy->", self.fdw[irho], self.wv, self.gw[ixi], ksum)
-            )
-        acc = np.zeros((self.quad.q1, self.quad.q2, self.quad.q3))
-        for ig in range(2):
-            sig = self.sig[irho, ixi, ig]
-            ksum = np.zeros_like(sig)
-            for w, coef in enumerate(coefs, start=1):
-                s = w * eps * threshold / sig
-                ksum += coef * np.exp(self._log_factors(s, irho, ixi, los_only))
-            acc += self.state_prob[ig] * ksum
-        return float(
-            np.einsum("x,v,xyv,xyv->", self.fdw[irho], self.wv, self.gw[ixi], acc)
-        )
+    def _case_value(self, threshold, terms, signals, weight, irho, ixi, los_only):
+        """Grid integral of weight times the coverage kernel of one case.
 
-    def _bucket_value(self, threshold, eps, coefs, irho, los_only):
-        s_base = eps * threshold / self.sig_direct[irho]
-        ksum = np.zeros(self.quad.q1)
-        for w, coef in enumerate(coefs, start=1):
-            s = w * s_base
-            expo = -(s * self.sigma2)
-            intercepts = (self.cfg.c_los, self.cfg.c_nlos)
-            for fstate in (0,) if los_only else (0, 1):
-                c = s * self.pg_bs * intercepts[fstate]
-                expo = expo - self.density_bs * self._j_nodes_x(
-                    c, self.bs_tables[fstate, irho]
-                )
-                if self.has_ris:
-                    tables = self.ris_free_tables[fstate]
-                    expo = expo - self.density_ris * self._j_free(
-                        s * self.pg_ris * intercepts[fstate], tables
-                    )
-                    expo = expo - self.density_idle * self._j_free(
-                        s * self.pg_idle * intercepts[fstate], tables
-                    )
-            ksum += coef * np.exp(expo)
-        weight = np.einsum("v,xv->x", self.wv, self.remainder)
-        return float(np.sum(self.fdw[irho] * weight * ksum))
+        signals lists (probability, signal power) pairs that mix into the
+        kernel; each contributes its gamma-dummy sum of Laplace products.
+        """
+        acc = 0.0
+        for prob, sig in signals:
+            ksum = 0.0
+            for gamma, coef in terms:
+                s = gamma * threshold / sig
+                ksum = ksum + coef * np.exp(self._log_laplace(s, irho, ixi, los_only))
+            acc = acc + prob * ksum
+        return float(np.sum(weight * acc))
 
 
 @lru_cache(maxsize=8)
@@ -619,18 +510,16 @@ def coverage_probability(
     threshold: float,
     cfg: NetworkConfig,
     quad: QuadratureSpec | None = None,
-    printed_constant: bool = False,
 ) -> CoverageResult:
     """Coverage of the typical user with the reflected path in the signal."""
     ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold, printed_constant=printed_constant)
+    return ev.evaluate(threshold)
 
 
 def coverage_direct(
     threshold: float,
     cfg: NetworkConfig,
     quad: QuadratureSpec | None = None,
-    printed_constant: bool = False,
 ) -> CoverageResult:
     """Coverage counting only the direct-link signal power.
 
@@ -638,14 +527,13 @@ def coverage_direct(
     unchanged; only the serving signal drops the reflected amplitude.
     """
     ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold, direct_signal=True, printed_constant=printed_constant)
+    return ev.evaluate(threshold, direct_signal=True)
 
 
 def coverage_small_beta(
     threshold: float,
     cfg: NetworkConfig,
     quad: QuadratureSpec | None = None,
-    printed_constant: bool = False,
 ) -> CoverageResult:
     """Reduced form for weak blockage: NLOS interference factors dropped.
 
@@ -653,26 +541,20 @@ def coverage_small_beta(
     agrees with the full expression as beta -> 0.
     """
     ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold, los_only=True, printed_constant=printed_constant)
+    return ev.evaluate(threshold, los_only=True)
 
 
 # -- area spectral efficiency and energy efficiency --------------------------
 
 
-def ase(
+def energy_efficiency(
     threshold: float, cfg: NetworkConfig, quad: QuadratureSpec | None = None
 ) -> EfficiencyResult:
-    """Area spectral efficiency in bit/s/Hz per m^2.
+    """Area spectral efficiency (bit/s/Hz per m^2) and energy efficiency.
 
     When active reflectors outnumber active BSs every BS serves through a
     reflector; otherwise the surplus BSs serve direct links.
     """
-    return energy_efficiency(threshold, cfg, quad)
-
-
-def energy_efficiency(
-    threshold: float, cfg: NetworkConfig, quad: QuadratureSpec | None = None
-) -> EfficiencyResult:
     quad = _resolve_quad(quad)
     p_bs = active_prob_bs(cfg)
     p_ris = active_prob_ris(cfg)

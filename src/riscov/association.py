@@ -46,15 +46,6 @@ CASES_WITH_RIS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ServingDistancePdf:
-    """Normalized conditional distance density of one association case."""
-
-    state: LinkKind
-    pdf: Callable[[np.ndarray], np.ndarray]
-    association_prob: float
-
-
 # -- closed-form disk integrals ---------------------------------------------
 
 
@@ -166,15 +157,6 @@ def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
     """Probability that the serving BS link is LOS (or NLOS)."""
     mass_los, mass_nlos = _bs_masses(cfg)
     return mass_los if state is LinkKind.LOS else mass_nlos
-
-
-def serving_bs_pdf(state: LinkKind, cfg: NetworkConfig) -> ServingDistancePdf:
-    mass = assoc_prob_bs(state, cfg)
-    if mass <= 0.0:
-        return ServingDistancePdf(state, lambda x: np.zeros_like(np.asarray(x, float)), 0.0)
-    return ServingDistancePdf(
-        state, lambda x: serving_bs_density(x, state, cfg) / mass, mass
-    )
 
 
 def serving_bs_mixture_density(x, cfg: NetworkConfig):
@@ -356,25 +338,3 @@ def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     if state is LinkKind.LOS:
         return both_los
     return 1.0 - both_los
-
-
-def serving_ris_pdf(state: LinkKind, cfg: NetworkConfig,
-                    q_x: int = 96, q_v: int = 48) -> ServingDistancePdf:
-    """Marginal serving-RIS distance density (averaged over x and upsilon)."""
-    mass = assoc_prob_ris(state, cfg)
-    if mass <= 0.0:
-        return ServingDistancePdf(state, lambda y: np.zeros_like(np.asarray(y, float)), 0.0)
-    scale_los, scale_nlos = _bs_length_scales(cfg)
-    x, wx = tan_halfline_nodes(q_x, max(scale_los, scale_nlos))
-    fx = serving_bs_mixture_density(x, cfg)
-    v = _TWO_PI * (np.arange(q_v) + 0.5) / q_v
-
-    def pdf(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        g = ris_case_density(
-            y[:, None, None], x[None, :, None], v[None, None, :], state, cfg
-        )
-        avg = np.sum((wx * fx)[None, :, None] * g, axis=(1, 2)) / q_v
-        return avg / mass
-
-    return ServingDistancePdf(state, pdf, mass)

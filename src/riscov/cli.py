@@ -117,7 +117,7 @@ def _cmd_coverage(args, cfg: NetworkConfig) -> int:
         print("error: coverage reports one engine per call", file=sys.stderr)
         return 2
     threshold = 10.0 ** (args.threshold_db / 10.0)
-    metric_cfg = sweeps._metric_cfg(args.metric, cfg)
+    metric_cfg = sweeps.metric_config(args.metric, cfg)
     payload = {"metric": args.metric, "threshold_db": args.threshold_db}
     if args.engine == "montecarlo":
         if args.metric == "p_d":

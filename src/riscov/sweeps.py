@@ -202,7 +202,8 @@ def _sweep_points(kind: str, cfg: NetworkConfig, threshold: float):
     raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
 
 
-def _metric_cfg(metric: str, point_cfg: NetworkConfig) -> NetworkConfig:
+def metric_config(metric: str, point_cfg: NetworkConfig) -> NetworkConfig:
+    """The configuration a metric is evaluated on at one sweep point."""
     if metric == "p2":
         return point_cfg.replace(antenna_scheme="scheme2")
     if metric == "p_t":
@@ -212,7 +213,7 @@ def _metric_cfg(metric: str, point_cfg: NetworkConfig) -> NetworkConfig:
 
 def _analytic_value(metric: str, threshold: float, point_cfg: NetworkConfig,
                     quad: QuadratureSpec | None) -> float:
-    cfg = _metric_cfg(metric, point_cfg)
+    cfg = metric_config(metric, point_cfg)
     if metric in ("p1", "p2", "p_t"):
         return coverage_probability(threshold, cfg, quad).total
     if metric == "p_d":
@@ -272,7 +273,7 @@ def run_sweep(
                 )
                 continue
             for _, _, point_cfg, _ in points:
-                mc_cfg = _metric_cfg(metric, point_cfg)
+                mc_cfg = metric_config(metric, point_cfg)
                 if mc_cfg not in batches:
                     batches[mc_cfg] = montecarlo.sinr_samples(
                         mc_cfg, trials, seed=seed
@@ -292,7 +293,7 @@ def run_sweep(
             if engine == "analytic":
                 res = _analytic_value(metric, threshold, point_cfg, quad)
                 return SweepRow(param, value, metric, engine, res), None
-            mc_cfg = _metric_cfg(metric, point_cfg)
+            mc_cfg = metric_config(metric, point_cfg)
             cov = montecarlo.empirical_coverage(
                 threshold, mc_cfg, trials, seed=seed, samples=batches[mc_cfg]
             )
@@ -333,6 +334,7 @@ _COVERAGE_CHECK_DB = (-5.0, 0.0, 5.0, 10.0)
 _COVERAGE_TOL = 0.03
 _ASSOC_TOL = 0.015
 _SMALL_BETA_TOL = 0.02
+_DOUBLING_TOL = 2e-3
 _ACTIVE_PROB_TOL = 1e-12
 
 
@@ -409,13 +411,13 @@ def validate(
     # the approximation, not a resolution, so it is carried over
     doubled = QuadratureSpec(
         q1=2 * quad.q1, q2=2 * quad.q2, q3=2 * quad.q3, q_tail=2 * quad.q_tail,
-        w_alzer=quad.w_alzer, tolerance=quad.tolerance,
+        w_alzer=quad.w_alzer,
     )
     drift = (
         coverage_probability(1.0, cfg, doubled).total
         - coverage_probability(1.0, cfg, quad).total
     )
-    checks.append(_tol_check("quadrature-doubling", drift, 1e-3 + quad.tolerance, ".2e"))
+    checks.append(_tol_check("quadrature-doubling", drift, _DOUBLING_TOL, ".2e"))
 
     cfg_act = cfg.replace(lambda_u=10.0 * cfg.lambda_bs)
     act_err = active_prob_bs(cfg_act) - (1.0 - 11.0 ** (-3.5))
