@@ -39,13 +39,6 @@ class AssociationCase:
         return f"{bs}-{ris}"
 
 
-CASES_WITH_RIS = tuple(
-    AssociationCase(b, r)
-    for b in (LinkKind.LOS, LinkKind.NLOS)
-    for r in (LinkKind.LOS, LinkKind.NLOS)
-)
-
-
 # -- closed-form disk integrals ---------------------------------------------
 
 

@@ -15,15 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .analytics import CoverageResult, active_prob_bs, active_prob_ris
 from .association import AssociationCase
 from .beamforming import fejer_kernel, serving_gains, spatial_frequency
 from .config import NetworkConfig
-from .propagation import BlockageSegment, LinkKind, blockage_density
+from .propagation import (
+    LinkKind,
+    blockage_density,
+    crossings,
+    los_probability,
+    path_loss,
+    segment_endpoints,
+)
 
 _TWO_PI = 2.0 * math.pi
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -41,8 +46,9 @@ class Deployment:
     ris_normals: np.ndarray = field(repr=False)   # (n_ris,) coated-face normal [rad]
     user_points: np.ndarray = field(repr=False)   # (n_user, 2) [m]
     radius: float                                 # simulation disk radius [m]
-    rng_seed: int | None = None
-    blockage_segments: tuple[BlockageSegment, ...] | None = None
+    # both endpoints of every blockage segment, two (n_seg, 2) arrays [m];
+    # None draws link states from exp(-beta x) instead
+    blockage_segments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("bs_points", "ris_points", "user_points"):
@@ -53,6 +59,14 @@ class Deployment:
                 raise ValueError(f"{name} contains points outside the simulation disk")
         if self.ris_normals.shape != (self.ris_points.shape[0],):
             raise ValueError("ris_normals must hold one angle per RIS")
+        segs = self.blockage_segments
+        if segs is not None and not (
+            isinstance(segs, tuple)
+            and len(segs) == 2
+            and all(isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[1] == 2 for e in segs)
+            and segs[0].shape == segs[1].shape
+        ):
+            raise ValueError("blockage_segments must be two (n, 2) endpoint arrays of equal n")
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,6 @@ def _sample(
     radius: float,
     rng: np.random.Generator,
     geometric_blockage: bool,
-    seed: int | None = None,
 ) -> Deployment:
     area = math.pi * radius**2
     n_bs = rng.poisson(cfg.lambda_bs * area)
@@ -127,11 +140,8 @@ def _sample(
         mid = _disk_points(rng, n_seg, reach)
         length = rng.uniform(lo, hi, n_seg)
         orient = rng.uniform(0.0, math.pi, n_seg)
-        segments = tuple(
-            BlockageSegment((mid[i, 0], mid[i, 1]), length[i], orient[i])
-            for i in range(n_seg)
-        )
-    return Deployment(bs, ris, normals, users, radius, seed, segments)
+        segments = segment_endpoints(mid, length, orient)
+    return Deployment(bs, ris, normals, users, radius, segments)
 
 
 def sample_deployment(
@@ -146,36 +156,7 @@ def sample_deployment(
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _sample(cfg, radius, rng, geometric_blockage, seed)
-
-
-# -- geometric blockage -------------------------------------------------------
-
-
-def _segment_arrays(segments: Sequence[BlockageSegment]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2) arrays of both endpoints, as BlockageSegment.endpoints gives them."""
-    mid = np.array([seg.midpoint for seg in segments], dtype=float).reshape(-1, 2)
-    length = np.array([seg.length for seg in segments], dtype=float)
-    orient = np.array([seg.orientation for seg in segments], dtype=float)
-    half = 0.5 * length[:, None] * np.column_stack((np.cos(orient), np.sin(orient)))
-    return mid - half, mid + half
-
-
-def _blocked(a: np.ndarray, b: np.ndarray, seg_p: np.ndarray, seg_q: np.ndarray) -> np.ndarray:
-    """Whether each a[i] -> b[i] link crosses any segment (proper crossings)."""
-    if seg_p.shape[0] == 0:
-        return np.zeros(a.shape[0], dtype=bool)
-
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    ab = (b - a)[:, None, :]
-    pq = (seg_q - seg_p)[None, :, :]
-    d1 = cross(ab, seg_p[None, :, :] - a[:, None, :])
-    d2 = cross(ab, seg_q[None, :, :] - a[:, None, :])
-    d3 = cross(pq, a[:, None, :] - seg_p[None, :, :])
-    d4 = cross(pq, b[:, None, :] - seg_p[None, :, :])
-    return ((d1 * d2 < 0.0) & (d3 * d4 < 0.0)).any(axis=1)
+    return _sample(cfg, radius, rng, geometric_blockage)
 
 
 # -- one realization ----------------------------------------------------------
@@ -191,12 +172,7 @@ _IDLE_BLOCK_ELEMENTS = 2**16
 
 
 def _los_draw(rng: np.random.Generator, dist: np.ndarray, beta: float) -> np.ndarray:
-    return rng.random(dist.shape) < np.exp(-beta * dist)
-
-
-def _pathloss(dist: np.ndarray, los: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
-    d = np.maximum(dist, cfg.r_min)
-    return np.where(los, cfg.c_los * d**-cfg.alpha_los, cfg.c_nlos * d**-cfg.alpha_nlos)
+    return rng.random(dist.shape) < los_probability(dist, beta)
 
 
 def _angles(vec: np.ndarray) -> np.ndarray:
@@ -232,28 +208,55 @@ def _link_states(dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator) 
         ris_los = _los_draw(rng, ris_dist, cfg.beta)
         leg_los = _los_draw(rng, leg_dist, cfg.beta)
     else:
-        seg_p, seg_q = _segment_arrays(dep.blockage_segments)
-        bs_los = ~_blocked(np.zeros_like(dep.bs_points), dep.bs_points, seg_p, seg_q)
-        ris_los = ~_blocked(np.zeros_like(dep.ris_points), dep.ris_points, seg_p, seg_q)
+        seg = dep.blockage_segments
+        bs_los = ~crossings(np.zeros_like(dep.bs_points), dep.bs_points, *seg).any(axis=1)
+        ris_los = ~crossings(np.zeros_like(dep.ris_points), dep.ris_points, *seg).any(axis=1)
         a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
         b = np.tile(dep.ris_points, (dep.bs_points.shape[0], 1))
-        leg_los = ~_blocked(a, b, seg_p, seg_q).reshape(leg_dist.shape)
+        leg_los = ~crossings(a, b, *seg).any(axis=1).reshape(leg_dist.shape)
     return _Links(bs_dist, bs_los, ris_dist, ris_los, leg_dist, leg_los)
 
 
+def _serve(
+    users: np.ndarray,
+    bs_dist: np.ndarray,
+    bs_los: np.ndarray,
+    ris_dist: np.ndarray,
+    ris_los: np.ndarray,
+    dep: Deployment,
+    cfg: NetworkConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serving BS of each user by max received power, then its strongest
+    eligible reflector judged on the user-side leg, -1 where none is eligible.
+
+    A reflector is eligible when the user and the serving BS both lie on its
+    coated side. Link arrays are (n_user, n_bs) and (n_user, n_ris).
+    """
+    serving_bs = np.argmax(path_loss(bs_dist, bs_los, cfg), axis=1)
+    if dep.ris_points.shape[0] == 0:
+        return serving_bs, np.full(users.shape[0], -1)
+    nx, ny = np.cos(dep.ris_normals), np.sin(dep.ris_normals)
+    eligible = np.ones(ris_dist.shape, dtype=bool)
+    for pts in (users, dep.bs_points[serving_bs]):
+        dx, dy = _offsets(pts, dep.ris_points)
+        eligible &= dx * nx + dy * ny > 0.0
+    metric = np.where(eligible, path_loss(ris_dist, ris_los, cfg), -np.inf)
+    return serving_bs, np.where(eligible.any(axis=1), np.argmax(metric, axis=1), -1)
+
+
 def _associate(dep: Deployment, cfg: NetworkConfig, links: _Links) -> tuple[int, int | None]:
-    """Serving BS by max biased received power, then the strongest eligible
-    reflector judged on its user-side leg (None when no reflector is eligible)."""
-    serving_bs = int(np.argmax(_pathloss(links.bs_dist, links.bs_los, cfg)))
-    bs0 = dep.bs_points[serving_bs]
-    normals = np.column_stack((np.cos(dep.ris_normals), np.sin(dep.ris_normals)))
-    user_side = np.einsum("ij,ij->i", -dep.ris_points, normals) > 0.0
-    bs_side = np.einsum("ij,ij->i", bs0[None, :] - dep.ris_points, normals) > 0.0
-    eligible = user_side & bs_side
-    if not eligible.any():
-        return serving_bs, None
-    metric_ris = np.where(eligible, _pathloss(links.ris_dist, links.ris_los, cfg), -np.inf)
-    return serving_bs, int(np.argmax(metric_ris))
+    """Serving BS and reflector of the typical user (None when no reflector
+    is eligible)."""
+    serving_bs, serving_ris = _serve(
+        np.zeros((1, 2)), links.bs_dist[None], links.bs_los[None],
+        links.ris_dist[None], links.ris_los[None], dep, cfg,
+    )
+    return int(serving_bs[0]), (int(serving_ris[0]) if serving_ris[0] >= 0 else None)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    dx, dy = _offsets(a, b)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _activity(
@@ -285,25 +288,13 @@ def _activity(
     # other users associate exactly like the typical one; their link states
     # stay analytic draws even in geometric mode (they only set cell
     # occupancy, not any path toward the origin)
-    dx, dy = _offsets(users, dep.bs_points)
-    d_ub = np.sqrt(dx * dx + dy * dy)
+    d_ub = _distances(users, dep.bs_points)
+    d_ur = _distances(users, dep.ris_points)
     los_ub = _los_draw(rng, d_ub, cfg.beta)
-    serving = np.argmax(_pathloss(d_ub, los_ub, cfg), axis=1)
-    bs_active[np.unique(serving)] = True
-
-    if n_ris == 0:
-        return bs_active, ris_active
-    dx, dy = _offsets(users, dep.ris_points)
-    d_ur = np.sqrt(dx * dx + dy * dy)
     los_ur = _los_draw(rng, d_ur, cfg.beta)
-    nx, ny = np.cos(dep.ris_normals), np.sin(dep.ris_normals)
-    user_side = dx * nx + dy * ny > 0.0
-    dx, dy = _offsets(dep.bs_points[serving], dep.ris_points)
-    bs_side = dx * nx + dy * ny > 0.0
-    metric = np.where(user_side & bs_side, _pathloss(d_ur, los_ur, cfg), -np.inf)
-    best = np.argmax(metric, axis=1)
-    served = best[np.isfinite(metric[np.arange(len(best)), best])]
-    ris_active[np.unique(served)] = True
+    serving, served = _serve(users, d_ub, los_ub, d_ur, los_ur, dep, cfg)
+    bs_active[serving] = True
+    ris_active[served[served >= 0]] = True
     return bs_active, ris_active
 
 
@@ -319,7 +310,7 @@ def _signal(
     spatial frequencies."""
     power = cfg.p_bs_watt
     bs0 = dep.bs_points[serving_bs]
-    ld0 = _pathloss(links.bs_dist[serving_bs], links.bs_los[serving_bs], cfg)
+    ld0 = path_loss(links.bs_dist[serving_bs], links.bs_los[serving_bs], cfg)
 
     if serving_ris is None:
         # beams can only aim at the direct path
@@ -328,8 +319,8 @@ def _signal(
         return float(power * ld0 * cfg.n_bs * cfg.n_u), nu_bs0, nu_u0
 
     ris0 = dep.ris_points[serving_ris]
-    lu0 = _pathloss(links.ris_dist[serving_ris], links.ris_los[serving_ris], cfg)
-    lg0 = _pathloss(
+    lu0 = path_loss(links.ris_dist[serving_ris], links.ris_los[serving_ris], cfg)
+    lg0 = path_loss(
         links.leg_dist[serving_bs, serving_ris], links.leg_los[serving_bs, serving_ris], cfg
     )
     gain_direct, gain_reflected = serving_gains(cfg)
@@ -418,7 +409,7 @@ def _interference(
         g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
         nu_at_user = spatial_frequency(_angles(dep.bs_points[others]), cfg)
         g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u)
-        ld = _pathloss(links.bs_dist[others], links.bs_los[others], cfg)
+        ld = path_loss(links.bs_dist[others], links.bs_los[others], cfg)
         total += float(np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u))
 
     ris = np.arange(n_ris)
@@ -434,7 +425,7 @@ def _interference(
     nu_dep = spatial_frequency(_angles(vec), cfg)                    # at the BS
     nu_inc = spatial_frequency(_angles(-vec), cfg)                   # at the RIS
     legs = np.ix_(active_bs, ris)
-    lg = _pathloss(links.leg_dist[legs], links.leg_los[legs], cfg)
+    lg = path_loss(links.leg_dist[legs], links.leg_los[legs], cfg)
     incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs, None], cfg.n_bs) / cfg.n_bs
     offset = spatial_frequency(_angles(-ris_pts), cfg) - nu_inc      # RIS toward user
     loaded = ris_active[ris]
@@ -447,7 +438,7 @@ def _interference(
         element[:, ~loaded] = _idle_element(rng, offset[:, ~loaded], cfg.n_ris)
     nu_at_user = spatial_frequency(_angles(ris_pts), cfg)            # user toward RIS
     g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u) / cfg.n_u
-    lu = _pathloss(links.ris_dist[ris], links.ris_los[ris], cfg)
+    lu = path_loss(links.ris_dist[ris], links.ris_los[ris], cfg)
     return total + float(np.sum(lu * g_u * np.sum(incident * element, axis=0)))
 
 

@@ -1,10 +1,9 @@
-"""LOS probability, dual-slope path loss and blockage-segment geometry."""
+"""LOS probability, dual-slope path loss and blockage-segment geometry, on arrays."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,105 +15,45 @@ class LinkKind(enum.Enum):
     NLOS = "nlos"
 
 
-class RisSide(enum.Enum):
-    """Which face of a blockage carries the reflecting coating."""
-
-    SIDE_A = "side_a"   # the face whose outward normal is orientation + 90 deg
-    SIDE_B = "side_b"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class LinkState:
-    kind: LinkKind
-    distance: float  # [m]
-
-    def __post_init__(self) -> None:
-        if not (self.distance > 0 and math.isfinite(self.distance)):
-            raise ValueError(f"link distance must be positive and finite, got {self.distance}")
-
-    @classmethod
-    def los(cls, distance: float) -> "LinkState":
-        return cls(LinkKind.LOS, distance)
-
-    @classmethod
-    def nlos(cls, distance: float) -> "LinkState":
-        return cls(LinkKind.NLOS, distance)
-
-
-@dataclass(frozen=True)
-class BlockageSegment:
-    midpoint: tuple[float, float]  # [m]
-    length: float                  # [m]
-    orientation: float             # radians in [0, pi)
-    ris_side: RisSide = RisSide.NONE
-
-    def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"blockage length must be positive, got {self.length}")
-
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        half = 0.5 * self.length * np.array(
-            [math.cos(self.orientation), math.sin(self.orientation)]
-        )
-        mid = np.asarray(self.midpoint, dtype=float)
-        return mid - half, mid + half
-
-
 def los_probability(x, beta: float):
     """Probability that a link of length ``x`` is unblocked, exp(-beta*x)."""
     return np.exp(-beta * np.asarray(x, dtype=float))
 
 
-def path_loss(state: LinkState, cfg: NetworkConfig) -> float:
-    """Distance-dependent channel gain of a single link (no small-scale fading)."""
-    if state.distance < cfg.r_min:
-        raise ValueError(
-            f"link distance {state.distance} m is below the model cutoff r_min={cfg.r_min} m"
-        )
-    if state.kind is LinkKind.LOS:
-        return cfg.c_los * state.distance ** (-cfg.alpha_los)
-    return cfg.c_nlos * state.distance ** (-cfg.alpha_nlos)
+def path_loss(dist, los, cfg: NetworkConfig):
+    """Distance-dependent channel gain of each link (no small-scale fading).
+
+    ``los`` selects the LOS or NLOS law per entry; distances below the model
+    cutoff ``r_min`` are clamped to it.
+    """
+    d = np.maximum(dist, cfg.r_min)
+    return np.where(los, cfg.c_los * d**-cfg.alpha_los, cfg.c_nlos * d**-cfg.alpha_nlos)
 
 
-def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Signed area of the triangle a-b-c (positive for counter-clockwise)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def segment_endpoints(
+    mid: np.ndarray, length: np.ndarray, orientation: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) arrays of both endpoints of segments given by their (n, 2)
+    midpoints, lengths and orientations [rad]."""
+    half = 0.5 * length[:, None] * np.column_stack((np.cos(orientation), np.sin(orientation)))
+    return mid - half, mid + half
 
 
-def _on_segment(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> bool:
-    # collinearity is established by the caller; check the bounding box only
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+def crossings(a: np.ndarray, b: np.ndarray, seg_p: np.ndarray, seg_q: np.ndarray) -> np.ndarray:
+    """(n_link, n_seg) matrix: whether link a[i] -> b[i] properly crosses the
+    segment seg_p[j] -- seg_q[j]. Touching an endpoint is not a crossing; it
+    has probability zero for segments drawn from a continuous law."""
 
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-def segment_blocks(tx, rx, seg: BlockageSegment) -> bool:
-    """True iff the tx-rx link crosses the blockage segment."""
-    a = np.asarray(tx, dtype=float)
-    b = np.asarray(rx, dtype=float)
-    if np.array_equal(a, b):
-        raise ValueError("tx and rx must be distinct points")
-    c, d = seg.endpoints
-
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-    # degenerate contact: some endpoint lies on the other segment
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+    ab = (b - a)[:, None, :]
+    pq = (seg_q - seg_p)[None, :, :]
+    d1 = cross(ab, seg_p[None, :, :] - a[:, None, :])
+    d2 = cross(ab, seg_q[None, :, :] - a[:, None, :])
+    d3 = cross(pq, a[:, None, :] - seg_p[None, :, :])
+    d4 = cross(pq, b[:, None, :] - seg_p[None, :, :])
+    return (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
 
 
 def blockage_density(beta: float, mean_length: float) -> float:

@@ -20,7 +20,7 @@ from riscov.montecarlo import (
     sinr_samples,
     wilson_interval,
 )
-from riscov.propagation import LinkKind
+from riscov.propagation import LinkKind, path_loss
 from riscov.sweeps import RIS_DENSITY_GRID, RIS_SIZE_GRID, UNIT_DENSITY
 
 NO_POINTS = np.empty((0, 2))
@@ -53,6 +53,19 @@ def test_deployment_validation():
             bs_points=NO_POINTS.copy(), ris_points=np.array([[1.0, 1.0]]),
             ris_normals=NO_ANGLES.copy(), user_points=NO_POINTS.copy(), radius=100.0,
         )
+    ends = np.zeros((3, 2))
+    valid = dict(
+        bs_points=NO_POINTS.copy(), ris_points=NO_POINTS.copy(),
+        ris_normals=NO_ANGLES.copy(), user_points=NO_POINTS.copy(), radius=100.0,
+    )
+    assert Deployment(**valid, blockage_segments=(ends, ends)).blockage_segments[0] is ends
+    # blockage segments are two (n, 2) endpoint arrays with the same n
+    for bad in (
+        (ends, ends, ends), (ends, np.zeros((2, 2))), (ends, np.zeros((3, 3))),
+        (ends[:, 0], ends[:, 0]), [ends, ends],
+    ):
+        with pytest.raises(ValueError):
+            Deployment(**valid, blockage_segments=bad)
 
 
 def test_default_radius(cfg):
@@ -191,6 +204,31 @@ def test_association_frequencies_structure(cfg):
     assert again == freq
 
 
+def test_serve_rule_is_the_typical_user_rule(cfg):
+    # every link LOS; the reflector at (50, 30) has its coated face toward -y
+    dep = Deployment(
+        bs_points=np.array([[100.0, 0.0], [-300.0, 200.0]]),
+        ris_points=np.array([[50.0, 30.0]]),
+        ris_normals=np.array([1.5 * math.pi]),
+        user_points=np.array([[90.0, 10.0], [0.0, 100.0], [-250.0, -50.0]]),
+        radius=500.0,
+    )
+    clear = cfg.replace(beta=0.0)
+    links = mc._link_states(dep, clear, np.random.default_rng(0))
+    users = np.vstack((np.zeros((1, 2)), dep.user_points))
+    d_ub = mc._distances(users, dep.bs_points)
+    d_ur = mc._distances(users, dep.ris_points)
+    serving_bs, serving_ris = mc._serve(
+        users, d_ub, np.ones(d_ub.shape, dtype=bool), d_ur, np.ones(d_ur.shape, dtype=bool),
+        dep, clear,
+    )
+    assert mc._associate(dep, clear, links) == (serving_bs[0], serving_ris[0]) == (0, 0)
+    # (90, 10) faces the reflector with its BS; (0, 100) is behind it; the
+    # BS serving (-250, -50) is behind it
+    np.testing.assert_array_equal(serving_bs, [0, 0, 0, 1])
+    np.testing.assert_array_equal(serving_ris, [0, 0, -1, -1])
+
+
 def test_geometric_blockage_calibrates_to_exponential(cfg):
     """Boolean segment fields reproduce p_los(x) = exp(-beta x) for real links."""
     trials = 4000
@@ -293,7 +331,7 @@ def _interference_loop(
         g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
         nu_at_user = spatial_frequency(mc._angles(dep.bs_points[others]), cfg)
         g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u)
-        ld = mc._pathloss(links.bs_dist[others], links.bs_los[others], cfg)
+        ld = path_loss(links.bs_dist[others], links.bs_los[others], cfg)
         total += float(np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u))
 
     active_bs = np.flatnonzero(bs_active)
@@ -305,7 +343,7 @@ def _interference_loop(
         vec = ris_j[None, :] - bs_pts
         nu_dep = spatial_frequency(mc._angles(vec), cfg)
         nu_inc = spatial_frequency(mc._angles(-vec), cfg)
-        lg = mc._pathloss(links.leg_dist[active_bs, j], links.leg_los[active_bs, j], cfg)
+        lg = path_loss(links.leg_dist[active_bs, j], links.leg_los[active_bs, j], cfg)
         incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs], cfg.n_bs) / cfg.n_bs
         nu_out = spatial_frequency(mc._angles(-ris_j), cfg)
         if ris_active[j]:
@@ -316,7 +354,7 @@ def _interference_loop(
             element = np.abs(np.exp(1j * (phase - psi[None, :])).sum(axis=1)) ** 2
         nu_at_user = spatial_frequency(mc._angles(ris_j), cfg)
         g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u) / cfg.n_u
-        lu = mc._pathloss(links.ris_dist[j], links.ris_los[j], cfg)
+        lu = path_loss(links.ris_dist[j], links.ris_los[j], cfg)
         total += float(lu * g_u * np.sum(incident * element))
     return total
 

@@ -7,13 +7,11 @@ import pytest
 
 from riscov.config import NetworkConfig
 from riscov.propagation import (
-    BlockageSegment,
-    LinkKind,
-    LinkState,
     blockage_density,
+    crossings,
     los_probability,
     path_loss,
-    segment_blocks,
+    segment_endpoints,
 )
 
 
@@ -26,57 +24,38 @@ def test_los_probability_values():
 
 
 def test_path_loss_hand_values(cfg):
-    los = path_loss(LinkState.los(100.0), cfg)
+    los, nlos = path_loss(np.array([100.0, 100.0]), np.array([True, False]), cfg)
     assert los == pytest.approx(cfg.c_los * 1e-4, rel=1e-12)
-    nlos = path_loss(LinkState.nlos(100.0), cfg)
     assert nlos == pytest.approx(cfg.c_nlos * 1e-8, rel=1e-12)
     # the NLOS law decays two extra orders per decade
     assert los / nlos == pytest.approx(1e4, rel=1e-12)
 
 
-def test_path_loss_below_cutoff(cfg):
-    with pytest.raises(ValueError):
-        path_loss(LinkState.los(0.5 * cfg.r_min), cfg)
-
-
-def test_link_state_validation():
-    with pytest.raises(ValueError):
-        LinkState(LinkKind.LOS, 0.0)
-    with pytest.raises(ValueError):
-        LinkState.nlos(float("inf"))
+def test_path_loss_clamps_below_cutoff(cfg):
+    below = path_loss(np.array([0.5 * cfg.r_min, 0.0]), np.array([True, False]), cfg)
+    at = path_loss(np.full(2, cfg.r_min), np.array([True, False]), cfg)
+    np.testing.assert_array_equal(below, at)
 
 
 def test_segment_endpoints():
-    seg = BlockageSegment(midpoint=(1.0, 2.0), length=2.0, orientation=0.0)
-    a, b = seg.endpoints
-    np.testing.assert_allclose(a, [0.0, 2.0])
-    np.testing.assert_allclose(b, [2.0, 2.0])
+    p, q = segment_endpoints(np.array([[1.0, 2.0]]), np.array([2.0]), np.array([0.0]))
+    np.testing.assert_allclose(p, [[0.0, 2.0]])
+    np.testing.assert_allclose(q, [[2.0, 2.0]])
 
 
-def test_segment_blocks_crossing():
-    seg = BlockageSegment(midpoint=(0.0, 0.0), length=2.0, orientation=math.pi / 2)
-    assert segment_blocks((-1.0, 0.2), (1.0, 0.2), seg)
-    # link passes above the segment tip
-    assert not segment_blocks((-1.0, 1.5), (1.0, 1.5), seg)
-    # link on the same side
-    assert not segment_blocks((0.5, 0.2), (1.5, 0.2), seg)
-
-
-def test_segment_blocks_endpoint_contact():
-    seg = BlockageSegment(midpoint=(0.0, 0.5), length=1.0, orientation=math.pi / 2)
-    # the link grazes the lower endpoint of the segment
-    assert segment_blocks((-1.0, 0.0), (1.0, 0.0), seg)
-
-
-def test_segment_blocks_degenerate_link():
-    seg = BlockageSegment(midpoint=(0.0, 0.0), length=1.0, orientation=0.0)
-    with pytest.raises(ValueError):
-        segment_blocks((1.0, 1.0), (1.0, 1.0), seg)
-
-
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        BlockageSegment(midpoint=(0.0, 0.0), length=0.0, orientation=0.0)
+def test_crossings_hand_cases():
+    # one vertical segment of length 2 centred on the origin
+    seg_p, seg_q = segment_endpoints(
+        np.zeros((1, 2)), np.array([2.0]), np.array([math.pi / 2])
+    )
+    a = np.array([[-1.0, 0.2], [-1.0, 1.5], [0.5, 0.2]])
+    b = np.array([[1.0, 0.2], [1.0, 1.5], [1.5, 0.2]])
+    # crossing, passing above the segment tip, short link on one side
+    np.testing.assert_array_equal(crossings(a, b, seg_p, seg_q), [[True], [False], [False]])
+    # no segments: an empty column per link
+    none = crossings(a, b, np.empty((0, 2)), np.empty((0, 2)))
+    assert none.shape == (3, 0)
+    assert not none.any(axis=1).any()
 
 
 def test_blockage_density_matches_decay_rate():
@@ -97,26 +76,14 @@ def test_blockage_crossing_rate_empirical():
     density = blockage_density(beta, mean_len)
     window = 260.0  # covers the link plus the longest possible segment reach
     area = (2.0 * window) ** 2
-    crossings = 0
+    hits = 0
     trials = 3000
-    tx, rx = np.array([-x / 2, 0.0]), np.array([x / 2, 0.0])
+    tx, rx = np.array([[-x / 2, 0.0]]), np.array([[x / 2, 0.0]])
     for _ in range(trials):
         count = rng.poisson(density * area)
         mids = rng.uniform(-window, window, size=(count, 2))
         angles = rng.uniform(0.0, math.pi, size=count)
         lengths = rng.uniform(5.0, 15.0, size=count)
-        half = 0.5 * lengths[:, None] * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=1
-        )
-        p, q = mids - half, mids + half
-
-        def cross2(u, v):
-            return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-        d1 = cross2(rx - tx, p - tx)
-        d2 = cross2(rx - tx, q - tx)
-        d3 = cross2(q - p, tx - p)
-        d4 = cross2(q - p, rx - p)
-        crossings += int(np.sum((d1 * d2 < 0) & (d3 * d4 < 0)))
-    mean_crossings = crossings / trials
+        hits += int(crossings(tx, rx, *segment_endpoints(mids, lengths, angles)).sum())
+    mean_crossings = hits / trials
     assert mean_crossings == pytest.approx(beta * x, rel=0.05)
