@@ -104,9 +104,15 @@ def default_radius(cfg: NetworkConfig) -> float:
     return 5.0 / math.sqrt(cfg.lambda_bs * math.pi)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # counter-based: every (seed, trial) pair owns an independent stream
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+# stream keys under one seed: sample_deployment draws from the root key (),
+# trial t of sinr_samples from (t,), and realize_sinr from a key no trial
+# uses, so a deployment and its realization never share uniforms
+_REALIZE_KEY = (0, 0)
+
+
+def _rng(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:
+    # counter-based: every (seed, key) pair owns an independent stream
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -155,8 +161,7 @@ def sample_deployment(
         radius = default_radius(cfg)
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _sample(cfg, radius, rng, geometric_blockage)
+    return _sample(cfg, radius, _rng(seed), geometric_blockage)
 
 
 # -- one realization ----------------------------------------------------------
@@ -480,8 +485,7 @@ def realize_sinr(
     bernoulli_activity: bool = False,
 ) -> SinrSample:
     """Realize link states, beams and activity on a fixed deployment."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _realize(dep, cfg, rng, draw_serving_gains, bernoulli_activity)
+    return _realize(dep, cfg, _rng(seed, _REALIZE_KEY), draw_serving_gains, bernoulli_activity)
 
 
 _STATE_CODE = {LinkKind.LOS: 0, LinkKind.NLOS: 1, None: -1}
@@ -508,7 +512,7 @@ def sinr_samples(
     sinr = np.zeros(trials)
     codes = np.zeros((trials, 3), dtype=np.int8)
     for t in range(trials):
-        rng = _trial_rng(seed, t)
+        rng = _rng(seed, (t,))
         dep = _sample(cfg, radius, rng, geometric_blockage)
         if dep.bs_points.shape[0] == 0:
             codes[t] = (1, -1, -1)
@@ -591,7 +595,7 @@ def association_frequencies(
     counts = {key: 0 for key in ("d_los", "u_los", "u_nlos", "g_los")}
     done = 0
     for t in range(trials):
-        rng = _trial_rng(seed, t)
+        rng = _rng(seed, (t,))
         dep = _sample(cfg, radius, rng, geometric_blockage=False)
         if dep.bs_points.shape[0] == 0:
             continue

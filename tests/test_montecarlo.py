@@ -109,6 +109,28 @@ def test_trials_are_counter_indexed(cfg):
     assert short.sinr.tobytes() == long.sinr[:25].tobytes()
 
 
+def test_realization_does_not_reuse_deployment_draws(cfg, monkeypatch):
+    # a deployment and its realization drawn with the same seed: no LOS
+    # draw of the realization may be one of the deployment's radius
+    # uniforms (|x| / radius)^2
+    dep = sample_deployment(cfg, seed=3)
+    los_draw, drawn = mc._los_draw, []
+
+    def recording(rng, dist, beta):
+        drawn.append(copy.deepcopy(rng).random(dist.shape).ravel())
+        return los_draw(rng, dist, beta)
+
+    monkeypatch.setattr(mc, "_los_draw", recording)
+    realize_sinr(dep, cfg, seed=3)
+    drawn = np.sort(np.concatenate(drawn))
+    points = np.vstack((dep.bs_points, dep.ris_points, dep.user_points))
+    radius_u = np.sum(points**2, axis=1) / dep.radius**2
+    assert drawn.size > 1000 and radius_u.size > 100
+    above = np.clip(np.searchsorted(drawn, radius_u), 1, drawn.size - 1)
+    gap = np.minimum(np.abs(drawn[above] - radius_u), np.abs(drawn[above - 1] - radius_u))
+    assert gap.min() > 1e-12
+
+
 def test_single_bs_noise_limited_closed_form(cfg):
     distance = 120.0
     dep = _single_bs_deployment(distance)
