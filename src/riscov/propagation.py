@@ -27,7 +27,8 @@ def path_loss(dist, los, cfg: NetworkConfig):
     cutoff ``r_min`` are clamped to it.
     """
     d = np.maximum(dist, cfg.r_min)
-    return np.where(los, cfg.c_los * d**-cfg.alpha_los, cfg.c_nlos * d**-cfg.alpha_nlos)
+    exponent = np.where(los, -cfg.alpha_los, -cfg.alpha_nlos)
+    return np.where(los, cfg.c_los, cfg.c_nlos) * d**exponent
 
 
 def segment_endpoints(
