@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .analytics import CoverageResult, active_prob_bs, active_prob_ris
@@ -288,8 +289,6 @@ def _activity(
         return bs_active, ris_active
 
     users = dep.user_points
-    if users.shape[0] == 0:
-        return bs_active, ris_active
     # other users associate exactly like the typical one; their link states
     # stay analytic draws even in geometric mode (they only set cell
     # occupancy, not any path toward the origin)
@@ -467,13 +466,11 @@ def _realize(
     sinr = signal / (interference + noise)
 
     rho = LinkKind.LOS if links.bs_los[serving_bs] else LinkKind.NLOS
-    if serving_ris is None:
-        case = AssociationCase(rho, None)
-        leg = None
-    else:
+    xi = leg = None
+    if serving_ris is not None:
         xi = LinkKind.LOS if links.ris_los[serving_ris] else LinkKind.NLOS
-        case = AssociationCase(rho, xi)
         leg = LinkKind.LOS if links.leg_los[serving_bs, serving_ris] else LinkKind.NLOS
+    case = AssociationCase(rho, xi)
     return SinrSample(float(sinr), case, float(signal), float(interference), noise, leg)
 
 

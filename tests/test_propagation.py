@@ -31,7 +31,8 @@ def test_path_loss_hand_values(cfg):
     assert los / nlos == pytest.approx(1e4, rel=1e-12)
 
 
-def test_path_loss_clamps_below_cutoff(cfg):
+def test_path_loss_below_cutoff(cfg):
+    # distances below the model cutoff r_min are clamped to it
     below = path_loss(np.array([0.5 * cfg.r_min, 0.0]), np.array([True, False]), cfg)
     at = path_loss(np.full(2, cfg.r_min), np.array([True, False]), cfg)
     np.testing.assert_array_equal(below, at)
@@ -43,7 +44,7 @@ def test_segment_endpoints():
     np.testing.assert_allclose(q, [[2.0, 2.0]])
 
 
-def test_crossings_hand_cases():
+def test_segment_blocks_crossing():
     # one vertical segment of length 2 centred on the origin
     seg_p, seg_q = segment_endpoints(
         np.zeros((1, 2)), np.array([2.0]), np.array([math.pi / 2])
