@@ -11,6 +11,13 @@ class IntegrationError(RuntimeError):
     """A numerical integral failed its convergence check."""
 
 
+def refined(coarse, fine, what: str, rel: float, floor: float = 0.0, abs_tol: float = 0.0):
+    """`fine` if |fine - coarse| <= abs_tol + rel*max(|fine|, floor), else raise."""
+    if abs(fine - coarse) > abs_tol + rel * max(abs(fine), floor):
+        raise IntegrationError(f"{what} did not converge: {coarse} vs {fine}")
+    return fine
+
+
 @lru_cache(maxsize=16)
 def gauss_legendre_01(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights shifted to (0, 1), read-only."""

@@ -20,16 +20,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import IntegrationError, halfline_nodes, tan_halfline_nodes
+from ._quad import halfline_nodes, refined, tan_halfline_nodes
 from .association import (
     AssociationCase,
     bs_ris_distance,
-    equivalent_los_distance,
-    equivalent_nlos_distance,
+    equivalent_distance,
+    path_law,
     ris_case_density,
     ris_joint_expectation,
     serving_bs_density,
     side_condition,
+    state_weight,
 )
 from .beamforming import (
     mean_direct_interference_gain,
@@ -187,10 +188,10 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
     if cfg.beta > 0.0 and cfg.alpha_nlos <= 1.0:
         raise ValueError("ambient reflected power diverges: alpha_nlos <= 1")
 
+    laws = [(state, path_law(state, cfg)) for state in _STATES]
+
     def integrand(z):
-        los = cfg.c_los * z**-cfg.alpha_los * np.exp(-cfg.beta * z)
-        nlos = cfg.c_nlos * z**-cfg.alpha_nlos * -np.expm1(-cfg.beta * z)
-        return los + nlos
+        return sum(c * z**-alpha * state_weight(state, z, cfg.beta) for state, (c, alpha) in laws)
 
     scale = max(1.0 / cfg.beta if cfg.beta > 0.0 else 10.0 * cfg.r_min, 10.0 * cfg.r_min)
 
@@ -198,9 +199,8 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
         r, w = halfline_nodes(count, scale, cfg.r_min)
         return float(np.sum(w * integrand(r)))
 
-    total, check = integral(384), integral(768)
-    if abs(total - check) > 1e-9 * max(abs(check), 1e-30):
-        raise IntegrationError("ambient reflected power integral did not converge")
+    check = refined(integral(384), integral(768), "ambient reflected power integral",
+                    1e-9, floor=1e-30)
     return float(np.pi * cfg.lambda_bs * cfg.p_bs_watt * check)
 
 
@@ -227,12 +227,6 @@ def _set_parameters(set_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
     return float(density), float(power_gain)
 
 
-def _state_parameters(state: LinkKind, cfg: NetworkConfig) -> tuple[float, float]:
-    if state is LinkKind.LOS:
-        return cfg.c_los, cfg.alpha_los
-    return cfg.c_nlos, cfg.alpha_nlos
-
-
 def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
     """Tables (A, B) with J(c) = sum_k A[k] * (1 - exp(-c * B[k])).
 
@@ -248,31 +242,14 @@ def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
     if state is LinkKind.LOS and cfg.beta > 0.0:
         scale = np.maximum(np.minimum(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
     r, w = halfline_nodes(nodes, scale, exclusion)
-    if state is LinkKind.LOS:
-        weight = np.exp(-cfg.beta * r)
-    else:
-        weight = -np.expm1(-cfg.beta * r)
-    _, exponent = _state_parameters(state, cfg)
-    return w * weight * r, r**-exponent
+    _, exponent = path_law(state, cfg)
+    return w * state_weight(state, r, cfg.beta) * r, r**-exponent
 
 
 def _j(c, table):
     """J(c) of one tail table; c broadcasts against the exclusion axes."""
     a, b = table
     return np.einsum("k...,k...->...", a, -np.expm1(-c * b))
-
-
-def _exclusion(factor_state: int, serving_state: int, d, cfg: NetworkConfig):
-    """Guard radius of one interferer state when the serving link is at d.
-
-    Interferers in the serving link's own state are excluded up to d, the
-    other state up to the distance of equal received power.
-    """
-    if factor_state == serving_state:
-        return d
-    if factor_state == 0:
-        return equivalent_los_distance(d, cfg)
-    return equivalent_nlos_distance(d, cfg)
 
 
 def laplace_interference(
@@ -294,12 +271,11 @@ def laplace_interference(
     density, power_gain = _set_parameters(set_kind, cfg)
     if s == 0.0 or density == 0.0 or power_gain == 0.0:
         return 1.0
-    intercept, _ = _state_parameters(state, cfg)
+    intercept, _ = path_law(state, cfg)
     c = s * power_gain * intercept
     total = _j(c, _tail_table(state, exclusion, cfg, 192))
-    check = _j(c, _tail_table(state, exclusion, cfg, 384))
-    if abs(total - check) > 1e-8 * max(abs(check), 1e-12):
-        raise IntegrationError("interference tail integral did not converge")
+    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384)),
+                    "interference tail integral", 1e-8, floor=1e-12)
     return float(np.exp(-density * check))
 
 
@@ -376,7 +352,7 @@ class _CoverageEvaluator:
         power = cfg.p_bs_watt
         xl = np.maximum(self.x, cfg.r_min)[:, None, None]
         yl = np.maximum(self.y, cfg.r_min)[None, :, None]
-        laws = [_state_parameters(state, cfg) for state in _STATES]
+        laws = [path_law(state, cfg) for state in _STATES]
         self.sig_direct = [power * gain_direct * (c * xl**-alpha) for c, alpha in laws]
         leg_bs = [c * self.z**-alpha for c, alpha in laws]
         leg_user = [c * yl**-alpha for c, alpha in laws]
@@ -405,7 +381,9 @@ class _CoverageEvaluator:
         for fstate, state in enumerate(_STATES):
             for side, d in distances.items():
                 for serving in range(2):
-                    excl = _exclusion(fstate, serving, d, cfg)
+                    # interferers in the serving link's own state are excluded
+                    # up to d, the other state up to equal received power
+                    excl = equivalent_distance(d, _STATES[serving], state, cfg)
                     self.tables[side, fstate, serving] = _tail_table(
                         state, excl, cfg, self.quad.q_tail
                     )
@@ -422,7 +400,7 @@ class _CoverageEvaluator:
         """
         expo = -(s * self.sigma2)
         for fstate in (0,) if los_only else (0, 1):
-            intercept, _ = _state_parameters(_STATES[fstate], self.cfg)
+            intercept, _ = path_law(_STATES[fstate], self.cfg)
             for kind, (density, power_gain) in self.sets.items():
                 side, serving = ("bs", irho) if kind == "bs" else ("ris", ixi)
                 table = self.tables[side, fstate, serving]

@@ -5,6 +5,10 @@ over the LOS/NLOS path-loss laws) and, for the reflected path, with the
 strongest eligible RIS. Eligibility requires the user to face the coated side
 and the user and serving BS to lie on the same side of the RIS; marginally
 that happens with probability (1/2)*C(x, y, upsilon).
+
+One serving-distance law, with a per-set radial intensity, serves both point
+sets: 2*pi*lambda_bs for base stations and pi*lambda_ris*C(x, y, upsilon) for
+reflectors.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import IntegrationError, tan_halfline_nodes
+from ._quad import refined, tan_halfline_nodes
 from .config import NetworkConfig
 from .propagation import LinkKind
 
@@ -57,73 +61,73 @@ def nlos_weighted_area(x, beta: float):
     return 0.5 * x**2 - los_weighted_area(x, beta)
 
 
-# -- equal-received-power radii ---------------------------------------------
+# -- link-state laws ---------------------------------------------------------
 
 
-def equivalent_nlos_distance(x, cfg: NetworkConfig):
-    """NLOS distance with the same received power as a LOS link at x."""
+def state_weight(state: LinkKind, r, beta: float):
+    """Probability that a link of length r is in `state`: exp(-beta*r) for LOS."""
+    if state is LinkKind.LOS:
+        return np.exp(-beta * r)
+    return -np.expm1(-beta * r)
+
+
+_WEIGHTED_AREA = {LinkKind.LOS: los_weighted_area, LinkKind.NLOS: nlos_weighted_area}
+_OTHER = {LinkKind.LOS: LinkKind.NLOS, LinkKind.NLOS: LinkKind.LOS}
+
+
+def path_law(state: LinkKind, cfg: NetworkConfig) -> tuple[float, float]:
+    """(intercept, exponent) of the path loss c * r^-alpha in `state`."""
+    if state is LinkKind.LOS:
+        return cfg.c_los, cfg.alpha_los
+    return cfg.c_nlos, cfg.alpha_nlos
+
+
+def equivalent_distance(x, source: LinkKind, target: LinkKind, cfg: NetworkConfig):
+    """Distance in state `target` with the received power of a `source` link at x."""
     x = np.asarray(x, dtype=float)
-    return (cfg.c_nlos / cfg.c_los) ** (1.0 / cfg.alpha_nlos) * x ** (
-        cfg.alpha_los / cfg.alpha_nlos
-    )
+    if source is target:
+        return x
+    c_s, alpha_s = path_law(source, cfg)
+    c_t, alpha_t = path_law(target, cfg)
+    return (c_t / c_s) ** (1.0 / alpha_t) * x ** (alpha_s / alpha_t)
 
 
-def equivalent_los_distance(x, cfg: NetworkConfig):
-    """LOS distance with the same received power as a NLOS link at x."""
-    x = np.asarray(x, dtype=float)
-    return (cfg.c_los / cfg.c_nlos) ** (1.0 / cfg.alpha_los) * x ** (
-        cfg.alpha_nlos / cfg.alpha_los
+def _serving_density(r, intensity, state: LinkKind, cfg: NetworkConfig):
+    """Density of the serving distance r to the nearest point in `state`.
+
+    `intensity` is the radial intensity of the point set; the serving point
+    must also beat every point of the other state, which are excluded up to
+    the equal-received-power radius.
+    """
+    r = np.asarray(r, dtype=float)
+    other = _OTHER[state]
+    own_area = _WEIGHTED_AREA[state](r, cfg.beta)
+    other_area = _WEIGHTED_AREA[other](equivalent_distance(r, state, other, cfg), cfg.beta)
+    return (
+        intensity
+        * state_weight(state, r, cfg.beta)
+        * r
+        * np.exp(-intensity * own_area)
+        * np.exp(-intensity * other_area)
     )
 
 
 # -- serving-BS distributions ------------------------------------------------
 
 
-def nearest_los_bs_pdf(x, cfg: NetworkConfig):
-    """Density of the distance to the nearest LOS BS (no NLOS competition)."""
-    x = np.asarray(x, dtype=float)
-    lam = cfg.lambda_bs
-    return (
-        _TWO_PI
-        * lam
-        * np.exp(-cfg.beta * x)
-        * x
-        * np.exp(-_TWO_PI * lam * los_weighted_area(x, cfg.beta))
-    )
-
-
 def serving_bs_density(x, state: LinkKind, cfg: NetworkConfig):
     """Unnormalized serving-BS distance density (mass = association prob)."""
-    x = np.asarray(x, dtype=float)
-    lam = cfg.lambda_bs
-    if state is LinkKind.LOS:
-        nearest = nearest_los_bs_pdf(x, cfg)
-        guard = np.exp(
-            -_TWO_PI * lam * nlos_weighted_area(equivalent_nlos_distance(x, cfg), cfg.beta)
-        )
-        return nearest * guard
-    blocked = -np.expm1(-cfg.beta * x)  # 1 - p(x)
-    nearest = (
-        _TWO_PI * lam * blocked * x * np.exp(-_TWO_PI * lam * nlos_weighted_area(x, cfg.beta))
-    )
-    guard = np.exp(
-        -_TWO_PI * lam * los_weighted_area(equivalent_los_distance(x, cfg), cfg.beta)
-    )
-    return nearest * guard
+    return _serving_density(x, _TWO_PI * cfg.lambda_bs, state, cfg)
 
 
 def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float,
-                        q: int = 192, rel_tol: float = 1e-6) -> float:
+                        q: int = 192) -> float:
     """Integrate a decaying density over (0, inf) with a convergence check."""
     totals = []
     for nodes in (q, 2 * q):
         x, w = tan_halfline_nodes(nodes, scale)
         totals.append(float(np.sum(w * density(x))))
-    if abs(totals[1] - totals[0]) > rel_tol * max(abs(totals[1]), 1e-3):
-        raise IntegrationError(
-            f"half-line mass integral did not converge: {totals[0]} vs {totals[1]}"
-        )
-    return totals[1]
+    return refined(totals[0], totals[1], "half-line mass integral", 1e-6, floor=1e-3)
 
 
 def _bs_length_scales(cfg: NetworkConfig) -> tuple[float, float]:
@@ -191,39 +195,14 @@ def bs_ris_distance(x, y, upsilon, r_min: float = 0.0):
     return np.maximum(np.sqrt(np.maximum(z2, 0.0)), r_min)
 
 
-def nearest_los_ris_pdf(x, y, upsilon, cfg: NetworkConfig):
-    """Density of the distance to the nearest eligible LOS RIS."""
-    y = np.asarray(y, dtype=float)
-    lam = cfg.lambda_ris
-    c = side_condition(x, y, upsilon)
-    return (
-        np.pi
-        * lam
-        * c
-        * np.exp(-cfg.beta * y)
-        * y
-        * np.exp(-np.pi * lam * c * los_weighted_area(y, cfg.beta))
-    )
-
-
 def ris_case_density(y, x, upsilon, state: LinkKind, cfg: NetworkConfig):
     """Unnormalized serving-RIS distance density for one link state.
 
     Conditioned on the serving-BS distance x and direction angle upsilon;
     integrates over y to the per-(x, upsilon) association probability.
     """
-    y = np.asarray(y, dtype=float)
-    lam = cfg.lambda_ris
-    c = side_condition(x, y, upsilon)
-    half = np.pi * lam * c
-    if state is LinkKind.LOS:
-        nearest = nearest_los_ris_pdf(x, y, upsilon, cfg)
-        guard = np.exp(-half * nlos_weighted_area(equivalent_nlos_distance(y, cfg), cfg.beta))
-        return nearest * guard
-    blocked = -np.expm1(-cfg.beta * y)
-    nearest = half * blocked * y * np.exp(-half * nlos_weighted_area(y, cfg.beta))
-    guard = np.exp(-half * los_weighted_area(equivalent_los_distance(y, cfg), cfg.beta))
-    return nearest * guard
+    intensity = np.pi * cfg.lambda_ris * side_condition(x, y, upsilon)
+    return _serving_density(y, intensity, state, cfg)
 
 
 # -- marginalized RIS-side expectations --------------------------------------
@@ -287,10 +266,7 @@ def _ris_masses(cfg: NetworkConfig) -> tuple[float, float]:
     mass_los = ris_joint_expectation(cfg, states=(LinkKind.LOS,))
     mass_nlos = ris_joint_expectation(cfg, states=(LinkKind.NLOS,))
     check_los = ris_joint_expectation(cfg, states=(LinkKind.LOS,), q_x=144, q_v=64, q_y=144)
-    if abs(check_los - mass_los) > 2e-4 + 1e-3 * abs(check_los):
-        raise IntegrationError(
-            f"RIS association mass did not converge: {mass_los} vs {check_los}"
-        )
+    refined(mass_los, check_los, "RIS association mass", 1e-3, abs_tol=2e-4)
     return mass_los, mass_nlos
 
 
@@ -325,7 +301,7 @@ def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
         return 0.0
 
     def los_kernel(x, y, v):
-        return np.exp(-cfg.beta * bs_ris_distance(x, y, v))
+        return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), cfg.beta)
 
     both_los = ris_joint_expectation(cfg, kernel=los_kernel, states=(LinkKind.LOS,))
     if state is LinkKind.LOS:

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0
 
-from ._quad import IntegrationError
+from ._quad import refined
 from .config import NetworkConfig
 
 _TWO_PI = 2.0 * math.pi
@@ -151,7 +151,7 @@ def _fejer_mean_grid(n: int, delta: float, k: int) -> float:
     return float(fejer_kernel(diff, n).mean())
 
 
-def _fejer_mean_two_angles(n: int, delta: float, rel_tol: float = 1e-8) -> float:
+def _fejer_mean_two_angles(n: int, delta: float) -> float:
     """Mean Fejér gain over two independent uniform angles.
 
     The integrand is periodic, so the uniform grid converges exponentially;
@@ -162,11 +162,7 @@ def _fejer_mean_two_angles(n: int, delta: float, rel_tol: float = 1e-8) -> float
     k = max(64, 16 * n)
     coarse = _fejer_mean_grid(n, delta, k)
     fine = _fejer_mean_grid(n, delta, 2 * k)
-    if abs(fine - coarse) > rel_tol * max(1.0, abs(fine)):
-        raise IntegrationError(
-            f"angle average for n={n} did not converge: {coarse} vs {fine}"
-        )
-    return fine
+    return refined(coarse, fine, f"angle average for n={n}", 1e-8, floor=1.0)
 
 
 def _fejer_mean_four_angles(n: int, delta: float) -> float:

@@ -20,7 +20,7 @@ from riscov.analytics import (
     laplace_interference,
     ris_interference_power,
 )
-from riscov.association import equivalent_los_distance, equivalent_nlos_distance
+from riscov.association import equivalent_distance
 from riscov.beamforming import mean_direct_interference_gain
 from riscov.config import NetworkConfig
 from riscov.propagation import LinkKind
@@ -264,9 +264,7 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
     def guard(state, serving, d):
         if state is serving:
             return d
-        if state is LinkKind.LOS:
-            return float(equivalent_los_distance(d, cfg))
-        return float(equivalent_nlos_distance(d, cfg))
+        return float(equivalent_distance(d, serving, state, cfg))
 
     nodes = [(21, 14, 2), (24, 20, 13), (26, 8, 7), (28, 26, 10)]
     for irho, rho in enumerate(states):

@@ -12,16 +12,15 @@ from riscov.association import (
     assoc_prob_ris,
     assoc_prob_via_ris,
     bs_ris_distance,
-    equivalent_los_distance,
-    equivalent_nlos_distance,
+    equivalent_distance,
     los_weighted_area,
-    nearest_los_bs_pdf,
-    nearest_los_ris_pdf,
     nlos_weighted_area,
+    ris_case_density,
     ris_joint_expectation,
     serving_bs_density,
     serving_bs_mixture_density,
     side_condition,
+    state_weight,
 )
 from riscov.propagation import LinkKind
 
@@ -43,17 +42,31 @@ def test_weighted_areas_sum_to_disk(cfg):
         assert total == pytest.approx(0.5 * x**2, rel=1e-12)
 
 
+def test_state_weights_partition(cfg):
+    r = np.linspace(0.0, 3000.0, 301)
+    for beta in (0.0, 1e-4, cfg.beta, 0.2):
+        total = state_weight(LinkKind.LOS, r, beta) + state_weight(LinkKind.NLOS, r, beta)
+        np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-15)
+
+
 def test_equivalent_distances_round_trip(cfg):
+    los, nlos = LinkKind.LOS, LinkKind.NLOS
     for x in (2.0, 50.0, 300.0):
-        z = equivalent_nlos_distance(x, cfg)
-        assert equivalent_los_distance(z, cfg) == pytest.approx(x, rel=1e-9)
+        z = equivalent_distance(x, los, nlos, cfg)
+        assert equivalent_distance(z, nlos, los, cfg) == pytest.approx(x, rel=1e-9)
         # an equal-power NLOS link is much shorter than the LOS one
         assert z < x or x < 1.0
+        # within one state the equal-power radius is the distance itself
+        assert equivalent_distance(x, los, los, cfg) == x
+        assert equivalent_distance(x, nlos, nlos, cfg) == x
 
 
 def test_nearest_los_bs_pdf_normalizes(cfg):
+    # a vanishing NLOS intercept removes the NLOS guard, which leaves the
+    # density of the distance to the nearest LOS BS
+    no_guard = cfg.replace(c_nlos=1e-30)
     total, _ = integrate.quad(
-        lambda x: nearest_los_bs_pdf(x, cfg), 0.0, 2000.0, limit=200
+        lambda x: serving_bs_density(x, LinkKind.LOS, no_guard), 0.0, 2000.0, limit=200
     )
     # finite LOS intensity: total mass 1 - exp(-2 pi lambda / beta^2)
     expected = -math.expm1(-math.pi * cfg.lambda_bs * 2.0 / cfg.beta**2)
@@ -119,16 +132,18 @@ def test_bs_ris_distance_law_of_cosines():
 
 
 def test_nearest_los_ris_pdf_mass(cfg):
-    # conditional on (x, ups): total mass is the LOS-reflector hit probability
+    # conditional on (x, ups): total mass is the LOS-reflector hit probability;
+    # a vanishing NLOS intercept removes the NLOS guard
     x, ups = 150.0, 1.3
+    no_guard = cfg.replace(c_nlos=1e-30)
     mass, _ = integrate.quad(
-        lambda y: nearest_los_ris_pdf(x, y, ups, cfg), 0.0, 3000.0, limit=400
+        lambda y: ris_case_density(y, x, ups, LinkKind.LOS, no_guard), 0.0, 3000.0, limit=400
     )
     assert 0.0 < mass < 1.0
     # doubling the density increases the hit probability
-    dense = cfg.replace(lambda_ris=2.0 * cfg.lambda_ris)
+    dense = no_guard.replace(lambda_ris=2.0 * cfg.lambda_ris)
     mass2, _ = integrate.quad(
-        lambda y: nearest_los_ris_pdf(x, y, ups, dense), 0.0, 3000.0, limit=400
+        lambda y: ris_case_density(y, x, ups, LinkKind.LOS, dense), 0.0, 3000.0, limit=400
     )
     assert mass2 > mass
 
