@@ -276,20 +276,6 @@ def assoc_prob_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     return mass_los if state is LinkKind.LOS else mass_nlos
 
 
-def assoc_prob_no_ris(cfg: NetworkConfig) -> float:
-    """Mass the serving-RIS densities fail to capture.
-
-    The case densities evaluate C inside their voids at the serving distance
-    rather than integrating it, so they undercount far serving RISs; the
-    remainder behaves like "no usable reflected path" and is treated as
-    direct-only by the coverage engine.
-    """
-    if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
-        return 1.0
-    mass_los, mass_nlos = _ris_masses(cfg)
-    return max(0.0, 1.0 - mass_los - mass_nlos)
-
-
 def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     """Probability the whole reflected path is LOS, or its complement.
 
