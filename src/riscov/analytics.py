@@ -137,11 +137,16 @@ def gcq_nodes(qspec: QuadratureSpec) -> GcqNodes:
 # -- cell-load probabilities -------------------------------------------------
 
 
+def _empty_cell_prob(load):
+    """Probability that a cell with mean load `load` users is empty (3.5-moment fit)."""
+    return (1.0 + load) ** -3.5
+
+
 def active_prob_bs(cfg: NetworkConfig) -> float:
     """Probability a BS cell holds at least one user (3.5-moment fit)."""
     if cfg.lambda_bs <= 0.0:
         return 0.0
-    return 1.0 - (1.0 + cfg.lambda_u / cfg.lambda_bs) ** -3.5
+    return 1.0 - _empty_cell_prob(cfg.lambda_u / cfg.lambda_bs)
 
 
 @lru_cache(maxsize=64)
@@ -151,13 +156,14 @@ def _active_prob_ris_cached(cfg: NetworkConfig) -> float:
     # process with density lambda_ris / 2, hence the 2/c load scaling
     def idle_kernel(x, y, v):
         c = side_condition(x, y, v)
-        return (1.0 + 2.0 * cfg.lambda_u / (c * cfg.lambda_ris)) ** -3.5
+        return _empty_cell_prob(2.0 * cfg.lambda_u / (c * cfg.lambda_ris))
 
+    # the kernel lies in [0, 1], so 0 <= idle_mass <= total_mass
     idle_mass = ris_joint_expectation(cfg, kernel=idle_kernel)
     total_mass = ris_joint_expectation(cfg)
     if total_mass <= 0.0:
         return 0.0
-    return float(np.clip(1.0 - idle_mass / total_mass, 0.0, 1.0))
+    return 1.0 - idle_mass / total_mass
 
 
 def active_prob_ris(cfg: NetworkConfig) -> float:

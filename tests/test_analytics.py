@@ -1,5 +1,6 @@
 """Semianalytical engine: quadrature tables, Laplace factors and coverage."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,16 @@ def test_active_prob_ris_range(cfg):
     sparse = active_prob_ris(cfg.replace(lambda_ris=50.0 * cfg.lambda_ris))
     assert sparse < p
     assert active_prob_ris(cfg.replace(lambda_ris=0.0)) == 0.0
+
+
+def test_active_prob_ris_extreme_densities(cfg):
+    # the occupancy is a mass ratio in [0, 1] with no clipping behind it
+    unit = 1.0 / (math.pi * 500.0**2)
+    for lambda_u, lambda_ris, beta in itertools.product((1e-6, 1e4), (0.1, 1e3), (1e-4, 0.1)):
+        p = active_prob_ris(
+            cfg.replace(lambda_u=lambda_u * unit, lambda_ris=lambda_ris * unit, beta=beta)
+        )
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 def test_ris_interference_power_matches_quadrature(cfg):
