@@ -363,8 +363,7 @@ class _CoverageEvaluator:
         leg_bs = [c * self.z**-alpha for c, alpha in laws]
         leg_user = [c * yl**-alpha for c, alpha in laws]
         # reflected signal: the BS->reflector leg state is mixed per node
-        blocked = -np.expm1(-cfg.beta * self.z)
-        leg_prob = (1.0 - blocked, blocked)
+        leg_prob = [state_weight(state, self.z, cfg.beta) for state in _STATES]
         self.reflected = {}
         for irho, ixi in itertools.product(range(2), repeat=2):
             amp_direct = np.sqrt(self.sig_direct[irho])
