@@ -7,7 +7,9 @@ distance, reflected-link distance and the angle between them) on a
 Gauss-Chebyshev quadrature grid.  Interferers enter through four thinned
 point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the latter
 split again into active and idle) whose Laplace transforms share one
-half-line integral template.
+half-line integral template.  The evaluator tabulates each side's summed
+exponent once, in u = ln s, so a threshold costs two table lookups per
+Laplace product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import halfline_nodes, refined, tan_halfline_nodes
+from ._quad import gauss_legendre_01, halfline_nodes, refined, tan_halfline_nodes
 from .association import (
     AssociationCase,
     bs_ris_distance,
@@ -233,13 +235,21 @@ def _set_parameters(set_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
     return float(density), float(power_gain)
 
 
+# inner end of the void-free log map, in units of r_min; the disc it leaves
+# out holds at most (floor*r_min)^2/2 of J per unit density at any c
+_VOID_FREE_FLOOR = 1e-9
+# log-map nodes of a void-free table per node of its half-line part
+_VOID_FREE_NODES = 8
+
+
 def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
     """Tables (A, B) with J(c) = sum_k A[k] * (1 - exp(-c * B[k])).
 
     J(c) integrates the state-thinning weight times (1 - exp(-c*r^-alpha))*r
     over r beyond `exclusion`: the exponent of one interfering set's Laplace
     transform per unit density.  The node axis comes first; the other axes
-    follow `exclusion`.
+    follow `exclusion`.  An all-zero `exclusion` (no void) adds a rule in
+    ln r below the map scale.
     """
     exclusion = np.asarray(exclusion, dtype=float)
     # support is bounded by the blockage decay for LOS sets and by the
@@ -247,15 +257,167 @@ def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
     scale = np.maximum(3.0 * exclusion, 100.0 * cfg.r_min)
     if state is LinkKind.LOS and cfg.beta > 0.0:
         scale = np.maximum(np.minimum(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
-    r, w = halfline_nodes(nodes, scale, exclusion)
+    if exclusion.any():
+        r, w = halfline_nodes(nodes, scale, exclusion)
+    else:
+        # without a void the knee of the integrand sits at r = c^(1/alpha),
+        # anywhere in (0, scale) as c ranges over the tables: Gauss-Legendre
+        # in ln r covers that stretch, the half-line map the rest
+        t, w_log = gauss_legendre_01(_VOID_FREE_NODES * nodes)
+        extra = (1,) * exclusion.ndim
+        lo, hi = math.log(_VOID_FREE_FLOOR * cfg.r_min), np.log(scale)
+        r_log = np.exp(lo + (hi - lo) * t.reshape(-1, *extra))
+        r_out, w_out = halfline_nodes(nodes, scale, scale)
+        r = np.concatenate([r_log, r_out])
+        w = np.concatenate([(hi - lo) * w_log.reshape(-1, *extra) * r_log, w_out])
     _, exponent = path_law(state, cfg)
     return w * state_weight(state, r, cfg.beta) * r, r**-exponent
 
 
-def _j(c, table):
-    """J(c) of one tail table; c broadcasts against the exclusion axes."""
+def _j(c, table, derivatives: bool = False):
+    """J(c) of one tail table; c broadcasts against the exclusion axes.
+
+    With `derivatives`, also J_u = sum A*x*exp(-x) and J_uu = sum
+    A*x*(1-x)*exp(-x), the derivatives in u = ln c, where x = c*B.
+    """
     a, b = table
-    return np.einsum("k...,k...->...", a, -np.expm1(-c * b))
+    x = c * b
+    em1 = np.expm1(-x)
+    value = -np.einsum("k...,k...->...", a, em1)
+    if not derivatives:
+        return value
+    # exp(-x) = 1 + expm1(-x); the rounding this leaves near x = 40 is tiny
+    # against J, the scale any error in the derivatives is felt on
+    em1 += 1.0
+    em1 *= x
+    first = np.einsum("k...,k...->...", a, em1)
+    x -= 1.0
+    em1 *= x
+    return value, first, -np.einsum("k...,k...->...", a, em1)
+
+
+# -- interference exponent tables --------------------------------------------
+
+# step of the u = ln s lattice every exponent table sits on
+_TABLE_STEP = 0.1
+# below a column's lattice every node has c*B <= this, so the two-term series
+# of J is within (c*B)^2/6 < 2e-11 relative
+_SERIES_EDGE = 1e-5
+# above it every node with weight has c*B >= this: J is saturated to exp(-40)
+_SATURATION_EDGE = 40.0
+# elements of one (nodes, lattice points) temporary while filling a table
+_CHUNK = 1 << 16
+# the build check holds every table to this relative error at its midpoints;
+# exponents under the floor are invisible in exp(-L) and reach subnormals
+_TABLE_RTOL = 1e-9
+_TABLE_FLOOR = 1e-250
+
+
+# quintic Hermite weights of (f0, h*f0', h^2*f0'', f1, h*f1', h^2*f1'') on
+# t in [0, 1], one row each, in powers 1, t, ..., t^5
+_HERMITE = np.array([
+    [1.0, 0.0, 0.0, -10.0, 15.0, -6.0],
+    [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],
+    [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],
+    [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],
+    [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],
+    [0.0, 0.0, 0.0, 0.5, -1.0, 0.5],
+])
+
+
+def _hermite_basis(t):
+    """The six Hermite weights at t, stacked on a first axis."""
+    t = np.asarray(t, dtype=float)
+    powers = np.empty((6,) + t.shape)
+    powers[0] = 1.0
+    powers[1] = t
+    for p in range(2, 6):
+        powers[p] = powers[p - 1] * t
+    return (_HERMITE @ powers.reshape(6, -1)).reshape(powers.shape)
+
+
+class _ExponentTable:
+    """One side's interference exponent L(u) = sum density * J(e^u * scale).
+
+    `terms` lists (density, scale, tail table) triples whose tail tables share
+    one exclusion shape; each exclusion node is a column with its own run of
+    lattice nodes u = k*_TABLE_STEP, stored one after the other.  Between
+    nodes L is quintic Hermite from its value and first two u-derivatives;
+    with x = c*B these are J_u = sum A*x*exp(-x) and J_uu = sum
+    A*x*(1-x)*exp(-x).  Below a column's run L is the two-term series
+    s*S1 - s^2*S2/2, above it the saturated sum(A*density).
+    """
+
+    def __init__(self, terms):
+        shape = terms[0][2][0].shape[1:]  # the exclusion shape of the tail tables
+        self.col = np.arange(math.prod(shape)).reshape(shape)
+        self.terms = [(d, sc, (a.reshape(len(a), -1), b.reshape(len(b), -1)))
+                      for d, sc, (a, b) in terms if d > 0.0 and sc > 0.0]
+        size = self.col.size
+        lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
+        s1, s2, sat = np.zeros((3, size))
+        for d, sc, (a, b) in self.terms:
+            with np.errstate(divide="ignore"):
+                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
+                b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
+                hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
+            s1 += d * sc * np.sum(a * b, axis=0)
+            s2 += d * sc**2 * np.sum(a * b * b, axis=0)
+            sat += d * np.sum(a, axis=0)
+        h = _TABLE_STEP
+        # a column no term reaches is zero everywhere: two zero nodes
+        empty = ~(hi > lo)
+        k_lo = np.floor(np.where(empty, 0.0, lo) / h).astype(np.intp)
+        count = np.ceil(np.where(empty, h, hi) / h).astype(np.intp) - k_lo + 1
+        offset = np.cumsum(count) - count
+        # per-column constants, shaped like the exclusions
+        self.k_lo, self.count, self.offset = (v.reshape(shape) for v in (k_lo, count, offset))
+        self.s1, self.s2, self.sat = (v.reshape(shape) for v in (s1, s2, sat))
+        self.s_edge = np.exp(self.k_lo * h)
+
+        node_col = np.repeat(np.arange(size), count)
+        node_k = np.arange(count.sum()) - np.repeat(offset, count) + np.repeat(k_lo, count)
+        f, df, ddf = self._exact(node_k * h, node_col, derivatives=True)
+        # (f, h*f', h^2*f'') per node; interval j reads the six values from j
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            np.stack([f, h * df, h * h * ddf], axis=-1).ravel(), 6
+        )[::3]
+        # build check: the interpolant against the exact sum at every midpoint
+        left = np.flatnonzero(np.diff(node_col, append=-1) == 0)
+        exact = self._exact((node_k[left] + 0.5) * h, node_col[left])[0]
+        interp = self.windows[left] @ _hermite_basis(0.5)
+        rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
+        worst = int(np.argmax(rel))
+        self.residual = float(rel[worst])
+        refined(float(interp[worst]), float(exact[worst]),
+                "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
+
+    def _exact(self, u, cols, derivatives: bool = False):
+        """(L,) or (L, L_u, L_uu) from `_j` at each (u, column) pair."""
+        out = np.zeros((3 if derivatives else 1, len(u)))
+        for d, sc, (a, b) in self.terms:
+            chunk = max(1, _CHUNK // len(a))
+            for start in range(0, len(u), chunk):
+                part = slice(start, start + chunk)
+                table = (a[:, cols[part]], b[:, cols[part]])
+                out[:, part] += d * np.array(_j(np.exp(u[part]) * sc, table, derivatives),
+                                             ndmin=2)
+        return out
+
+    def __call__(self, s, k, basis):
+        """L at s = exp(u) where u/_TABLE_STEP = k + t and basis is
+        `_hermite_basis(t)`; s, k and basis[0] broadcast against the columns."""
+        i = k - self.k_lo
+        nodes = self.windows.take(self.offset + np.clip(i, 0, self.count - 2), axis=0)
+        value = np.einsum("...m,m...->...", nodes, basis)
+        below = i < 0
+        if below.any():
+            sb = np.minimum(s, self.s_edge)
+            value = np.where(below, sb * (self.s1 - 0.5 * sb * self.s2), value)
+        above = i >= self.count - 1
+        if above.any():
+            value = np.where(above, self.sat, value)
+        return value
 
 
 def laplace_interference(
@@ -288,12 +450,15 @@ def laplace_interference(
 # -- coverage evaluator ------------------------------------------------------
 
 class _CoverageEvaluator:
-    """Precomputed grids and factor tables for one (cfg, quad) pair.
+    """Precomputed grids and exponent tables for one (cfg, quad) pair.
 
-    Building the evaluator costs a few hundred ms; evaluating one threshold
-    re-uses every geometry-dependent tensor and only re-exponentiates.
-    Arrays live on the (x, y, angle) grid, with size-1 axes where a quantity
-    does not depend on that coordinate.
+    Building the evaluator fills, for each side (base stations over the x
+    exclusions, reflectors over the y exclusions) and serving state, one
+    `_ExponentTable` of the interference exponent in u = ln s; the NLOS-free
+    set is filled on the first `coverage_small_beta` call.  Evaluating one
+    threshold then forms s = gamma*T/signal on the grid and looks each side
+    up once per Laplace product.  Arrays live on the (x, y, angle) grid, with
+    size-1 axes where a quantity does not depend on that coordinate.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -396,6 +561,27 @@ class _CoverageEvaluator:
                 self.tables["ris", fstate, None] = _tail_table(
                     state, np.zeros((1, 1, 1)), cfg, self.quad.q_tail
                 )
+        self.exponents = {}
+        self._exponent_tables(los_only=False)
+
+    def _exponent_tables(self, los_only: bool) -> dict:
+        """Each side's exponent table, keyed (side, serving state); the
+        los_only set is filled on first use (two sweep threads may both fill
+        it, with equal results)."""
+        if los_only not in self.exponents:
+            fstates = (0,) if los_only else (0, 1)
+            self.exponents[los_only] = {
+                (side, serving): _ExponentTable([
+                    (density, power_gain * path_law(_STATES[f], self.cfg)[0],
+                     self.tables[side, f, serving])
+                    for f in fstates
+                    for kind, (density, power_gain) in self.sets.items()
+                    if (kind == "bs") == (side == "bs")
+                ])
+                for side, fstate, serving in self.tables
+                if fstate == 0
+            }
+        return self.exponents[los_only]
 
     def _log_laplace(self, s, irho: int, ixi: int | None, los_only: bool):
         """Log of the interference Laplace product times exp(-s*sigma2) at s.
@@ -403,13 +589,14 @@ class _CoverageEvaluator:
         irho and ixi are the serving BS and reflector states; ixi None takes
         the reflector sets without a void.  los_only drops the NLOS factors.
         """
-        expo = -(s * self.sigma2)
-        for fstate in (0,) if los_only else (0, 1):
-            intercept, _ = path_law(_STATES[fstate], self.cfg)
-            for kind, (density, power_gain) in self.sets.items():
-                side, serving = ("bs", irho) if kind == "bs" else ("ris", ixi)
-                table = self.tables[side, fstate, serving]
-                expo = expo - density * _j(s * power_gain * intercept, table)
+        tables = self._exponent_tables(los_only)
+        u = np.log(s) / _TABLE_STEP
+        k = np.floor(u)
+        basis = _hermite_basis(u - k)
+        k = k.astype(np.intp)
+        expo = -(s * self.sigma2) - tables["bs", irho](s, k, basis)
+        if self.has_ris:
+            expo = expo - tables["ris", ixi](s, k, basis)
         return expo
 
     # public evaluation
@@ -460,6 +647,9 @@ class _CoverageEvaluator:
             "los_only_interference": los_only,
             "clamped": clamped,
             "raw_total": float(total),
+            "table_residual": max(
+                table.residual for table in self._exponent_tables(los_only).values()
+            ),
         }
         engine = "analytic-small-beta" if los_only else "analytic"
         return CoverageResult(result_total, by_case, engine, meta)

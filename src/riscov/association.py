@@ -235,6 +235,10 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     return xg, vg, y, weight_xv, wy
 
 
+# grid points per block of ris_joint_expectation's kernel evaluations
+_GRID_BLOCK = 1 << 16
+
+
 def ris_joint_expectation(
     cfg: NetworkConfig,
     kernel: Callable | None = None,
@@ -252,12 +256,19 @@ def ris_joint_expectation(
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
         return 0.0
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
+    # a block of x rows at a time keeps the kernel's temporaries small; the
+    # y sums are per row, so the blocks change no bit of the result
+    rows = max(1, _GRID_BLOCK // (q_v * q_y))
     total = 0.0
     for state in states:
-        g = ris_case_density(y, xg, vg, state, cfg)
-        if kernel is not None:
-            g = g * kernel(xg, y, vg)
-        total += float(np.sum(weight_xv * np.sum(wy * g, axis=-1)))
+        inner = np.empty(weight_xv.shape)
+        for start in range(0, q_x, rows):
+            part = slice(start, start + rows)
+            g = ris_case_density(y[part], xg[part], vg, state, cfg)
+            if kernel is not None:
+                g = g * kernel(xg[part], y[part], vg)
+            inner[part] = np.sum(wy[part] * g, axis=-1)
+        total += float(np.sum(weight_xv * inner))
     return total
 
 

@@ -2,10 +2,11 @@
 
 Each test prints one `criterion N (...): PASS/FAIL ...` line with the
 measured numbers before asserting, so the full scorecard is visible in the
-test log (run pytest with `-rP`). Criterion 1 currently fails: the
-analytic serving-reflector void uses the serving reflector's side condition
-instead of the angle-averaged one, which leaves reflector association mass
-uncounted and drags +5/+10 dB coverage down; see the README notes.
+test log (run pytest with `-rP`). Criterion 1 currently fails at +5/+10 dB.
+The reflector void is not the cause: combined and direct-only coverage at
++10 dB differ by only 6.2e-5. The analytic engine puts each interferer set's
+mean gain inside the Laplace exponent, which overstates interference more as
+the threshold grows (ROADMAP open item 2); see the README notes.
 """
 
 import math

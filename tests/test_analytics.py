@@ -5,11 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from riscov import analytics
+from riscov._quad import IntegrationError
 from riscov.analytics import (
+    _TABLE_STEP,
     QuadratureSpec,
+    _CoverageEvaluator,
     _get_evaluator,
+    _j,
+    _tail_table,
     active_prob_bs,
     active_prob_ris,
     alzer_epsilon,
@@ -21,12 +28,13 @@ from riscov.analytics import (
     laplace_interference,
     ris_interference_power,
 )
-from riscov.association import equivalent_distance
+from riscov.association import equivalent_distance, path_law, state_weight
 from riscov.beamforming import mean_direct_interference_gain
 from riscov.config import NetworkConfig
 from riscov.propagation import LinkKind
 
 TINY_DENSITY = 1e-12
+STATES = (LinkKind.LOS, LinkKind.NLOS)
 
 
 def test_alzer_epsilon_values():
@@ -141,6 +149,44 @@ def test_laplace_monotone_properties(cfg):
     # a denser network adds them
     dense = cfg.replace(lambda_bs=2.0 * cfg.lambda_bs)
     assert laplace_interference("bs", LinkKind.LOS, s, 50.0, dense) < base
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_laplace_without_void_converges(cfg, state):
+    """Exclusion 0 passes the transform's own doubling check over the whole
+    range: base stations from s = 1e-6 to 1e4, reflectors to 1e12."""
+    for kind, top in (("bs", 4), ("ris", 12)):
+        for s in np.logspace(-6.0, top, top + 7):
+            value = laplace_interference(kind, state, s, 0.0, cfg)
+            assert 0.0 < value <= 1.0
+
+
+def _void_free_reference(cfg, state, c):
+    """J(c) without a void by adaptive quadrature in ln r, split around the knee."""
+    _, alpha = path_law(state, cfg)
+
+    def integrand(v):
+        r = math.exp(v)
+        return state_weight(state, r, cfg.beta) * -math.expm1(-c * r**-alpha) * r * r
+
+    knee = math.log(c) / alpha
+    edges = np.linspace(min(knee, 0.0) - 25.0, max(knee, math.log(1e4)) + 30.0, 121)
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_void_free_tail_table_matches_quadrature(cfg, state):
+    # the knee of the integrand sits at c^(1/alpha): 1 mm to 1 km for LOS,
+    # 3 cm to 30 m for NLOS
+    table = _tail_table(state, 0.0, cfg, QuadratureSpec().q_tail)
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        assert _j(c, table) == pytest.approx(_void_free_reference(cfg, state, c), rel=1e-8)
+    if state is LinkKind.LOS:
+        # the half-line rule alone gave 0.00802 here
+        assert _j(1e-3, table) == pytest.approx(0.0076936, rel=1e-5)
 
 
 def _laplace_sampling_oracle(cfg, state, s, exclusion, draws, seed):
@@ -295,6 +341,110 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
                             kind, state, s_node, guard(state, xi, y), cfg
                         ))
                 assert expo[i, j, k] == pytest.approx(expected, rel=1e-9)
+
+
+def _exact_log_laplace(ev, s, irho, ixi, los_only):
+    """The evaluator's Laplace exponent summed straight from its tail tables."""
+    expo = -(s * ev.sigma2)
+    for fstate in (0,) if los_only else (0, 1):
+        intercept, _ = path_law(STATES[fstate], ev.cfg)
+        for kind, (density, power_gain) in ev.sets.items():
+            side, serving = ("bs", irho) if kind == "bs" else ("ris", ixi)
+            table = ev.tables[side, fstate, serving]
+            expo = expo - density * _j(s * power_gain * intercept, table)
+    return expo
+
+
+def _exact_evaluator(cfg, quad):
+    """A fresh evaluator whose Laplace exponent skips the exponent tables."""
+    ev = _CoverageEvaluator(cfg, quad)
+    ev._log_laplace = lambda s, irho, ixi, los_only: _exact_log_laplace(
+        ev, s, irho, ixi, los_only
+    )
+    return ev
+
+
+def _serving_pairs(ev):
+    return [(irho, ixi) for irho in (0, 1) for ixi in ((0, 1, None) if ev.has_ris else (None,))]
+
+
+def test_log_laplace_beyond_table_edges(cfg):
+    """s below every table takes the two-term series, s above it saturates."""
+    ev = _get_evaluator(cfg, QuadratureSpec())
+    for los_only in (False, True):
+        tables = ev._exponent_tables(los_only)
+        k_lo = min(table.k_lo.min() for table in tables.values())
+        k_hi = max((table.k_lo + table.count).max() for table in tables.values())
+        edges = np.array([k_lo - 30.0, k_lo - 0.5, k_hi + 0.5, k_hi + 30.0])
+        s = np.exp(_TABLE_STEP * edges)[None, None, :]
+        for irho, ixi in _serving_pairs(ev):
+            got = ev._log_laplace(s, irho, ixi, los_only)
+            want = _exact_log_laplace(ev, s, irho, ixi, los_only)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_coverage_tables_match_exact_sum(cfg, light_quad):
+    # at 1e-6 some s fall below the base-station and reflector tables; no s
+    # of an evaluate grid gets above them (test_log_laplace_beyond_table_edges)
+    tabled = _CoverageEvaluator(cfg, light_quad)
+    exact = _exact_evaluator(cfg, light_quad)
+    for threshold in (1e-6, 1.0, 1e6):
+        for direct in (False, True):
+            got = tabled.evaluate(threshold, direct_signal=direct)
+            want = exact.evaluate(threshold, direct_signal=direct)
+            assert got.total == pytest.approx(want.total, abs=1e-9)
+            assert got.by_case == pytest.approx(want.by_case, abs=1e-9)
+    assert 0.0 < got.meta["table_residual"] < 1e-9
+
+
+def test_small_beta_tables_built_lazily(cfg, light_quad):
+    weak = cfg.replace(beta=0.001)
+    tabled = _CoverageEvaluator(weak, light_quad)
+    assert True not in tabled.exponents
+    exact = _exact_evaluator(weak, light_quad)
+    for threshold in (1e-6, 1.0, 1e6):
+        got = tabled.evaluate(threshold, los_only=True)
+        want = exact.evaluate(threshold, los_only=True)
+        assert got.total == pytest.approx(want.total, abs=1e-9)
+        assert got.by_case == pytest.approx(want.by_case, abs=1e-9)
+    assert True in tabled.exponents
+    assert 0.0 < got.meta["table_residual"] < 1e-9
+
+
+def test_table_check_rejects_coarse_lattice(cfg, light_quad, monkeypatch):
+    # a tenfold step leaves the quintic interpolant ~1e-4 off at the midpoints
+    monkeypatch.setattr(analytics, "_TABLE_STEP", 1.0)
+    with pytest.raises(IntegrationError, match="interference exponent table"):
+        _CoverageEvaluator(cfg, light_quad)
+
+
+UNIT = 1.0 / (math.pi * 500.0**2)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    beta=st.floats(1e-3, 0.05),
+    alpha_los=st.floats(2.0, 3.0),
+    alpha_nlos=st.floats(3.0, 5.0),
+    lambda_bs=st.floats(1.0, 40.0),
+    lambda_ris=st.sampled_from([0.0, 1.0, 10.0, 40.0]),
+    log_threshold=st.floats(-3.0, 3.0),
+)
+def test_log_laplace_matches_exact_sum(
+    beta, alpha_los, alpha_nlos, lambda_bs, lambda_ris, log_threshold
+):
+    cfg = NetworkConfig(
+        beta=beta, alpha_los=alpha_los, alpha_nlos=alpha_nlos,
+        lambda_bs=lambda_bs * UNIT, lambda_ris=lambda_ris * UNIT,
+    )
+    ev = _CoverageEvaluator(cfg, QuadratureSpec(q1=8, q2=8, q3=4, q_tail=16))
+    for irho, ixi in _serving_pairs(ev):
+        sig = ev.reflected[irho, ixi][0][1] if ixi is not None else ev.sig_direct[irho]
+        for scale, los_only in itertools.product((1.0, 1e-4, 1e4), (False, True)):
+            s = scale * 10.0**log_threshold / sig
+            got = ev._log_laplace(s, irho, ixi, los_only)
+            want = _exact_log_laplace(ev, s, irho, ixi, los_only)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_no_reflectors_identity(cfg):
