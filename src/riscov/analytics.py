@@ -161,8 +161,7 @@ def _active_prob_ris_cached(cfg: NetworkConfig) -> float:
         return _empty_cell_prob(2.0 * cfg.lambda_u / (c * cfg.lambda_ris))
 
     # the kernel lies in [0, 1], so 0 <= idle_mass <= total_mass
-    idle_mass = ris_joint_expectation(cfg, kernel=idle_kernel)
-    total_mass = ris_joint_expectation(cfg)
+    idle_mass, total_mass = ris_joint_expectation(cfg, (idle_kernel, None))
     if total_mass <= 0.0:
         return 0.0
     return 1.0 - idle_mass / total_mass
@@ -242,21 +241,25 @@ _VOID_FREE_FLOOR = 1e-9
 _VOID_FREE_NODES = 8
 
 
-def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
+def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int,
+                knee: float = 0.0):
     """Tables (A, B) with J(c) = sum_k A[k] * (1 - exp(-c * B[k])).
 
     J(c) integrates the state-thinning weight times (1 - exp(-c*r^-alpha))*r
     over r beyond `exclusion`: the exponent of one interfering set's Laplace
     transform per unit density.  The node axis comes first; the other axes
     follow `exclusion`.  An all-zero `exclusion` (no void) adds a rule in
-    ln r below the map scale.
+    ln r below the map scale.  `knee`, the c^(1/alpha) of a table serving
+    one c, is a floor on the map scale wherever blockage does not bound it.
     """
     exclusion = np.asarray(exclusion, dtype=float)
     # support is bounded by the blockage decay for LOS sets and by the
-    # pathloss rolloff otherwise; the map reaches far past `scale` anyway
+    # pathloss rolloff at the knee otherwise; the map reaches far past `scale`
     scale = np.maximum(3.0 * exclusion, 100.0 * cfg.r_min)
     if state is LinkKind.LOS and cfg.beta > 0.0:
         scale = np.maximum(np.minimum(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
+    else:
+        scale = np.maximum(scale, knee)
     if exclusion.any():
         r, w = halfline_nodes(nodes, scale, exclusion)
     else:
@@ -350,10 +353,9 @@ class _ExponentTable:
 
     def __init__(self, terms):
         shape = terms[0][2][0].shape[1:]  # the exclusion shape of the tail tables
-        self.col = np.arange(math.prod(shape)).reshape(shape)
         self.terms = [(d, sc, (a.reshape(len(a), -1), b.reshape(len(b), -1)))
                       for d, sc, (a, b) in terms if d > 0.0 and sc > 0.0]
-        size = self.col.size
+        size = math.prod(shape)
         lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
         s1, s2, sat = np.zeros((3, size))
         for d, sc, (a, b) in self.terms:
@@ -393,15 +395,19 @@ class _ExponentTable:
                 "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
 
     def _exact(self, u, cols, derivatives: bool = False):
-        """(L,) or (L, L_u, L_uu) from `_j` at each (u, column) pair."""
+        """(L,) or (L, L_u, L_uu) from `_j` at each (u, column) pair; `cols`
+        is sorted, so each column's pairs form one run, which `_j` reads with
+        a (nodes, 1) slice of the tail tables, _CHUNK elements at a time."""
         out = np.zeros((3 if derivatives else 1, len(u)))
+        runs = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
         for d, sc, (a, b) in self.terms:
             chunk = max(1, _CHUNK // len(a))
-            for start in range(0, len(u), chunk):
-                part = slice(start, start + chunk)
-                table = (a[:, cols[part]], b[:, cols[part]])
-                out[:, part] += d * np.array(_j(np.exp(u[part]) * sc, table, derivatives),
-                                             ndmin=2)
+            for col, (first, last) in enumerate(zip(runs[:-1], runs[1:])):
+                table = (a[:, col:col + 1], b[:, col:col + 1])
+                for start in range(first, last, chunk):
+                    part = slice(start, min(start + chunk, last))
+                    out[:, part] += d * np.array(_j(np.exp(u[part]) * sc, table, derivatives),
+                                                 ndmin=2)
         return out
 
     def __call__(self, s, k, basis):
@@ -439,10 +445,11 @@ def laplace_interference(
     density, power_gain = _set_parameters(set_kind, cfg)
     if s == 0.0 or density == 0.0 or power_gain == 0.0:
         return 1.0
-    intercept, _ = path_law(state, cfg)
+    intercept, alpha = path_law(state, cfg)
     c = s * power_gain * intercept
-    total = _j(c, _tail_table(state, exclusion, cfg, 192))
-    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384)),
+    knee = c ** (1.0 / alpha)
+    total = _j(c, _tail_table(state, exclusion, cfg, 192, knee))
+    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384, knee)),
                     "interference tail integral", 1e-8, floor=1e-12)
     return float(np.exp(-density * check))
 

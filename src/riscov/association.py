@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -235,48 +235,51 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     return xg, vg, y, weight_xv, wy
 
 
-# grid points per block of ris_joint_expectation's kernel evaluations
-_GRID_BLOCK = 1 << 16
+# grid points per block of ris_joint_expectation's kernel evaluations; the
+# kernels' values stay alive while each state's density is evaluated
+_GRID_BLOCK = 1 << 15
 
 
 def ris_joint_expectation(
     cfg: NetworkConfig,
-    kernel: Callable | None = None,
+    kernels: Sequence[Callable | None],
     states: tuple[LinkKind, ...] = (LinkKind.LOS, LinkKind.NLOS),
     q_x: int = 96,
     q_v: int = 48,
     q_y: int = 96,
-) -> float:
-    """Mass-weighted integral over the serving-RIS joint distribution.
+) -> tuple[float, ...]:
+    """Mass-weighted integrals over the serving-RIS joint distribution.
 
-    Computes sum over the requested RIS states of
+    For each of `kernels`, in order, the sum over the requested RIS states of
     E_x E_upsilon [ integral g_state(y; x, upsilon) * kernel(x, y, upsilon) dy ]
-    where g_state is the unnormalized case density; kernel None means 1.
+    where g_state is the unnormalized case density; a kernel None means 1.
+    One grid pass serves every kernel, each total bitwise its lone pass's.
     """
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
-        return 0.0
+        return (0.0,) * len(kernels)
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
-    # a block of x rows at a time keeps the kernel's temporaries small; the
+    # a block of x rows at a time keeps the kernels' temporaries small; the
     # y sums are per row, so the blocks change no bit of the result
     rows = max(1, _GRID_BLOCK // (q_v * q_y))
-    total = 0.0
-    for state in states:
-        inner = np.empty(weight_xv.shape)
-        for start in range(0, q_x, rows):
-            part = slice(start, start + rows)
+    inner = np.empty((len(kernels), len(states)) + weight_xv.shape)
+    for start in range(0, q_x, rows):
+        part = slice(start, start + rows)
+        values = [None if k is None else k(xg[part], y[part], vg) for k in kernels]
+        for i, state in enumerate(states):
             g = ris_case_density(y[part], xg[part], vg, state, cfg)
-            if kernel is not None:
-                g = g * kernel(xg[part], y[part], vg)
-            inner[part] = np.sum(wy[part] * g, axis=-1)
-        total += float(np.sum(weight_xv * inner))
-    return total
+            for j, value in enumerate(values):
+                inner[j, i, part] = np.sum(wy[part] * (g if value is None else g * value),
+                                           axis=-1)
+    return tuple(sum((float(np.sum(weight_xv * one)) for one in per_state), 0.0)
+                 for per_state in inner)
 
 
 @lru_cache(maxsize=128)
 def _ris_masses(cfg: NetworkConfig) -> tuple[float, float]:
-    mass_los = ris_joint_expectation(cfg, states=(LinkKind.LOS,))
-    mass_nlos = ris_joint_expectation(cfg, states=(LinkKind.NLOS,))
-    check_los = ris_joint_expectation(cfg, states=(LinkKind.LOS,), q_x=144, q_v=64, q_y=144)
+    (mass_los,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.LOS,))
+    (mass_nlos,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.NLOS,))
+    (check_los,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.LOS,),
+                                         q_x=144, q_v=64, q_y=144)
     refined(mass_los, check_los, "RIS association mass", 1e-3, abs_tol=2e-4)
     return mass_los, mass_nlos
 
@@ -300,7 +303,7 @@ def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     def los_kernel(x, y, v):
         return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), cfg.beta)
 
-    both_los = ris_joint_expectation(cfg, kernel=los_kernel, states=(LinkKind.LOS,))
+    (both_los,) = ris_joint_expectation(cfg, (los_kernel,), states=(LinkKind.LOS,))
     if state is LinkKind.LOS:
         return both_los
     return 1.0 - both_los

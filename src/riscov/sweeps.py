@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import montecarlo
@@ -100,37 +100,15 @@ class SweepTable:
     def to_csv(self) -> str:
         lines = [",".join(_CSV_FIELDS)]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.sweep_param,
-                        _num(r.sweep_value),
-                        r.metric,
-                        r.engine,
-                        _num(r.value),
-                        "" if r.ci_low is None else _num(r.ci_low),
-                        "" if r.ci_high is None else _num(r.ci_high),
-                    )
-                )
-            )
+            lines.append(",".join(_cell(getattr(r, name)) for name in _CSV_FIELDS))
         return "\n".join(lines) + "\n"
 
     def to_jsonl(self) -> str:
         lines = []
         for r in self.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "sweep_param": r.sweep_param,
-                        "sweep_value": r.sweep_value,
-                        "metric": r.metric,
-                        "engine": r.engine,
-                        "value": None if math.isnan(r.value) else r.value,
-                        "ci_low": r.ci_low,
-                        "ci_high": r.ci_high,
-                    }
-                )
-            )
+            record = asdict(r)
+            record["value"] = None if math.isnan(r.value) else r.value
+            lines.append(json.dumps(record))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> list[Path]:
@@ -155,9 +133,11 @@ class SweepTable:
         return [t for t, _ in targets]
 
 
-def _num(value: float) -> str:
+def _cell(value) -> str:
+    if value is None:
+        return ""
     # repr gives the shortest round-trip form, stable across runs
-    return repr(float(value))
+    return value if isinstance(value, str) else repr(float(value))
 
 
 # -- sweep grids -------------------------------------------------------------
@@ -245,8 +225,12 @@ def run_sweep(
     Density and size sweeps hold the threshold fixed at `threshold_db`; the
     sampling engine draws `trials` deployments per grid point (one shared
     batch across all thresholds of a sinr-threshold sweep) and reports Wilson
-    intervals. Grid points are dispatched to a worker pool when `workers` > 1
-    and the table is ordered deterministically regardless.
+    intervals. The grid is walked point by point, each point's metrics and
+    engines in turn (failed rows enter `errors` in that order, after any
+    analytic-only notes): a point's metrics use at most three configurations,
+    its own, p2's and p_t's, so the 8-entry evaluator cache still holds one
+    when a later metric (ee after p1) asks again. Points go to a worker pool
+    when `workers` > 1; the table is ordered deterministically regardless.
     """
     requested = tuple(dict.fromkeys(engines))
     unknown = [e for e in requested if e not in ENGINES]
@@ -279,13 +263,13 @@ def run_sweep(
                         mc_cfg, trials, seed=seed
                     )
 
-    tasks = []
-    for metric in metrics:
-        for engine in requested:
-            if engine == "montecarlo" and metric not in _MC_METRICS:
-                continue
-            for param, value, point_cfg, threshold in points:
-                tasks.append((metric, engine, param, value, point_cfg, threshold))
+    tasks = [
+        (metric, engine, param, value, point_cfg, threshold)
+        for param, value, point_cfg, threshold in points
+        for metric in metrics
+        for engine in requested
+        if engine == "analytic" or metric in _MC_METRICS
+    ]
 
     def run_task(task):
         metric, engine, param, value, point_cfg, threshold = task

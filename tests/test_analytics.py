@@ -161,6 +161,18 @@ def test_laplace_without_void_converges(cfg, state):
             assert 0.0 < value <= 1.0
 
 
+@pytest.mark.parametrize("exclusion", [0.0, 50.0])
+@pytest.mark.parametrize("state", STATES)
+def test_laplace_converges_at_large_s(cfg, state, exclusion):
+    """The transform passes its doubling check up to s = 1e40, where the
+    NLOS knee c^(1/alpha) lies far beyond the exclusion, and never rises."""
+    for kind in ("bs", "ris"):
+        values = [laplace_interference(kind, state, s, exclusion, cfg)
+                  for s in np.logspace(-6.0, 40.0, 47)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(values, values[1:]))
+
+
 def _void_free_reference(cfg, state, c):
     """J(c) without a void by adaptive quadrature in ln r, split around the knee."""
     _, alpha = path_law(state, cfg)

@@ -1,5 +1,6 @@
 """Association probabilities, serving-distance densities and side geometry."""
 
+import itertools
 import math
 
 import numpy as np
@@ -153,7 +154,29 @@ def test_ris_masses_partition(cfg):
     assert a_ul > 0.0 and a_un > 0.0
     assert a_ul + a_un <= 1.0 + 1e-9
     # the joint-expectation identity the masses are built from
-    assert ris_joint_expectation(cfg) == pytest.approx(a_ul + a_un, rel=1e-9)
+    (total,) = ris_joint_expectation(cfg, (None,))
+    assert total == pytest.approx(a_ul + a_un, rel=1e-9)
+
+
+def test_joint_expectation_kernels_share_one_pass(cfg):
+    """Each total of a multi-kernel pass is bitwise its single-kernel pass,
+    on the default configuration and at extreme densities and blockage."""
+    unit = 1.0 / (math.pi * 500.0**2)
+    configs = [cfg] + [
+        cfg.replace(lambda_u=lambda_u * unit, lambda_ris=lambda_ris * unit, beta=beta)
+        for lambda_u, lambda_ris, beta in itertools.product((1e-6, 1e4), (0.1, 1e3),
+                                                            (1e-4, 0.1))
+    ]
+    for case in configs:
+        def occupancy(x, y, v):
+            load = 2.0 * case.lambda_u / (side_condition(x, y, v) * case.lambda_ris)
+            return (1.0 + load) ** -3.5
+
+        pair = ris_joint_expectation(case, (occupancy, None))
+        assert pair == ris_joint_expectation(case, (occupancy,)) + ris_joint_expectation(
+            case, (None,)
+        )
+        assert 0.0 <= pair[0] <= pair[1]
 
 
 def test_reflected_path_state_split(cfg):

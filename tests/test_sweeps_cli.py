@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from riscov import cli, sweeps
+from riscov import analytics, cli, sweeps
 from riscov.sweeps import (
     CheckResult,
     SweepRow,
@@ -94,6 +94,26 @@ def test_sweep_byte_stability(cfg, light_quad):
     # parallel dispatch must not change the table either
     third = run_sweep("ris-size", cfg, workers=4, **kwargs).to_csv()
     assert first == third
+
+
+def test_tradeoff_sweep_builds_each_config_once(cfg, light_quad):
+    # p1 and ee share each point's evaluator, p_t has its own: 18 builds
+    analytics._get_evaluator.cache_clear()
+    fresh = cfg.replace(beta=cfg.beta * 1.0137)
+    run_sweep("ris-density-tradeoff", fresh, metrics=("p1", "p_t", "ee"), quad=light_quad)
+    info = analytics._get_evaluator.cache_info()
+    assert (info.misses, info.hits) == (18, 9)
+
+
+def test_tradeoff_sweep_parallel_matches_serial(cfg, light_quad):
+    # each run starts from an empty evaluator cache, so the pool builds too
+    fresh = cfg.replace(beta=cfg.beta * 1.0173)
+    tables = []
+    for workers in (1, 2):
+        analytics._get_evaluator.cache_clear()
+        tables.append(run_sweep("ris-density-tradeoff", fresh, metrics=("p1", "p_t", "ee"),
+                                quad=light_quad, workers=workers).to_csv())
+    assert tables[0] == tables[1]
 
 
 def test_sweep_error_rows_become_nan(cfg, light_quad, monkeypatch):
