@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -307,7 +310,11 @@ _TABLE_STEP = 0.1
 # of J is within (c*B)^2/6 < 2e-11 relative
 _SERIES_EDGE = 1e-5
 # above it every node with weight has c*B >= this: J is saturated to exp(-40)
+# and exp(-x) rounds to zero, so `_j` returns sum(A) and zero derivatives
 _SATURATION_EDGE = 40.0
+# below it one term takes the two-term series in the fill: J, J_u and J_uu
+# are then within (c*B)^2/6, (c*B)^2/2 and 3*(c*B)^2/2 < 4e-13 relative
+_TERM_SERIES_EDGE = 5e-7
 # elements of one (nodes, lattice points) temporary while filling a table
 _CHUNK = 1 << 16
 # the build check holds every table to this relative error at its midpoints;
@@ -339,6 +346,21 @@ def _hermite_basis(t):
     return (_HERMITE @ powers.reshape(6, -1)).reshape(powers.shape)
 
 
+class _Term(NamedTuple):
+    """One (density, scale, tail table) summand of an `_ExponentTable`, with
+    per column the u range where `_j` is needed, and the series sums
+    sum(A*B), sum(A*B^2) and the saturated `_j` value that stand in outside."""
+
+    density: float
+    scale: float
+    table: tuple
+    live_lo: np.ndarray
+    live_hi: np.ndarray
+    ab: np.ndarray
+    abb: np.ndarray
+    sat: np.ndarray
+
+
 class _ExponentTable:
     """One side's interference exponent L(u) = sum density * J(e^u * scale).
 
@@ -353,19 +375,30 @@ class _ExponentTable:
 
     def __init__(self, terms):
         shape = terms[0][2][0].shape[1:]  # the exclusion shape of the tail tables
-        self.terms = [(d, sc, (a.reshape(len(a), -1), b.reshape(len(b), -1)))
-                      for d, sc, (a, b) in terms if d > 0.0 and sc > 0.0]
         size = math.prod(shape)
         lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
         s1, s2, sat = np.zeros((3, size))
-        for d, sc, (a, b) in self.terms:
+        self.terms = []
+        for d, sc, (a, b) in terms:
+            if not (d > 0.0 and sc > 0.0):
+                continue
+            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
             with np.errstate(divide="ignore"):
-                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
+                b_max = b.max(axis=0)
                 b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
-                hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
-            s1 += d * sc * np.sum(a * b, axis=0)
-            s2 += d * sc**2 * np.sum(a * b * b, axis=0)
+                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b_max)))
+                live_hi = np.log(_SATURATION_EDGE / (sc * b_live))
+                hi = np.maximum(hi, live_hi)
+            ab, abb = np.sum(a * b, axis=0), np.sum(a * b * b, axis=0)
+            s1 += d * sc * ab
+            s2 += d * sc**2 * abb
             sat += d * np.sum(a, axis=0)
+            # the saturated value as `_j` sums it; two lattice points, because
+            # numpy adds up a lone contiguous column in another order
+            term_sat = np.array([_j(np.full(2, np.inf), (a[:, i:i + 1], b[:, i:i + 1]))[0]
+                                 for i in range(size)])
+            self.terms.append(_Term(d, sc, (a, b), np.log(_TERM_SERIES_EDGE / (sc * b_max)),
+                                    live_hi, ab, abb, term_sat))
         h = _TABLE_STEP
         # a column no term reaches is zero everywhere: two zero nodes
         empty = ~(hi > lo)
@@ -395,17 +428,37 @@ class _ExponentTable:
                 "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
 
     def _exact(self, u, cols, derivatives: bool = False):
-        """(L,) or (L, L_u, L_uu) from `_j` at each (u, column) pair; `cols`
-        is sorted, so each column's pairs form one run, which `_j` reads with
-        a (nodes, 1) slice of the tail tables, _CHUNK elements at a time."""
+        """(L,) or (L, L_u, L_uu) at each (u, column) pair; `cols` is sorted
+        and u ascends within each column's run of pairs.
+
+        A term takes its two-term series below its live range and its
+        saturated value above it; inside, `_j` reads a (nodes, 1) slice of
+        the tail tables, _CHUNK elements at a time.
+        """
         out = np.zeros((3 if derivatives else 1, len(u)))
         runs = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
-        for d, sc, (a, b) in self.terms:
+        for term in self.terms:
+            d, sc, (a, b) = term.density, term.scale, term.table
+            below = u < term.live_lo[cols]
+            above = u > term.live_hi[cols]
+            i = np.flatnonzero(below)
+            c = np.exp(u[i]) * sc
+            first, second = c * term.ab[cols[i]], c * c * term.abb[cols[i]]
+            out[0, i] += d * (first - 0.5 * second)
+            if derivatives:
+                out[1, i] += d * (first - second)
+                out[2, i] += d * (first - 2.0 * second)
+            i = np.flatnonzero(above)
+            out[0, i] += d * term.sat[cols[i]]
+            # below is a prefix and above a suffix of each run
+            n_below = np.diff(np.concatenate(([0], np.cumsum(below)))[runs])
+            n_above = np.diff(np.concatenate(([0], np.cumsum(above)))[runs])
+            starts, stops = runs[:-1] + n_below, runs[1:] - n_above
             chunk = max(1, _CHUNK // len(a))
-            for col, (first, last) in enumerate(zip(runs[:-1], runs[1:])):
+            for col in np.flatnonzero(stops > starts):
                 table = (a[:, col:col + 1], b[:, col:col + 1])
-                for start in range(first, last, chunk):
-                    part = slice(start, min(start + chunk, last))
+                for start in range(starts[col], stops[col], chunk):
+                    part = slice(start, min(start + chunk, stops[col]))
                     out[:, part] += d * np.array(_j(np.exp(u[part]) * sc, table, derivatives),
                                                  ndmin=2)
         return out
@@ -462,9 +515,13 @@ class _CoverageEvaluator:
     Building the evaluator fills, for each side (base stations over the x
     exclusions, reflectors over the y exclusions) and serving state, one
     `_ExponentTable` of the interference exponent in u = ln s; the NLOS-free
-    set is filled on the first `coverage_small_beta` call.  Evaluating one
-    threshold then forms s = gamma*T/signal on the grid and looks each side
-    up once per Laplace product.  Arrays live on the (x, y, angle) grid, with
+    set is filled on the first `coverage_small_beta` call.  The base-station
+    side (x grid, its weights `fdw`, tail and exponent tables) is built only
+    by the configuration's reflector-free twin; an evaluator with reflectors
+    holds the twin's evaluator as `base` and reads that side from it, so the
+    cache keeps one copy for both.  Evaluating one threshold then forms
+    s = gamma*T/signal on the grid and looks each side up once per Laplace
+    product; it keeps no result.  Arrays live on the (x, y, angle) grid, with
     size-1 axes where a quantity does not depend on that coordinate.
     """
 
@@ -475,47 +532,50 @@ class _CoverageEvaluator:
         self.quad = quad
         self.has_ris = cfg.lambda_ris > 0.0
         self.sigma2 = cfg.noise_power_watt
+        self._lock = threading.Lock()
+        # nothing on the base-station side depends on lambda_ris: a
+        # configuration with reflectors shares that side with its twin
+        # without them, whose evaluator comes from (and lands in) the cache;
+        # None, not self, on the twin, so no cycle outlives the cache entry
+        self.base = _get_evaluator(cfg.replace(lambda_ris=0.0), quad) if self.has_ris else None
 
         nodes = gcq_nodes(quad)
-        # serving-BS distance grid, scaled to the nearest-point scale
-        sx = 0.6 / math.sqrt(cfg.lambda_bs)
-        self.x = sx * nodes.x
-        self.fdw = [
-            sx * nodes.wx * serving_bs_density(self.x, state, cfg) for state in _STATES
-        ]
         self.v = nodes.angle
         self.wv = nodes.w_angle
-        # serving-reflector grid; one global scale keeps the factor tables
-        # two-dimensional (exclusions depend on y alone)
         if self.has_ris:
+            self.x, self.fdw = self.base.x, self.base.fdw
+            # serving-reflector grid; one global scale keeps the factor tables
+            # two-dimensional (exclusions depend on y alone)
             sy = math.sqrt(2.0 / (np.pi * cfg.lambda_ris * 0.4))
             if cfg.beta > 0.0:
                 sy = min(sy, 3.0 / cfg.beta)
             sy = max(sy, 10.0 * cfg.r_min)
-        else:
-            sy = 1.0
-        self.y = sy * nodes.y
-        wy = sy * nodes.wy
+            self.y = sy * nodes.y
+            wy = sy * nodes.wy
 
-        xg = self.x[:, None, None]
-        yg = self.y[None, :, None]
-        vg = self.v[None, None, :]
-        self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
-        if self.has_ris:
+            xg = self.x[:, None, None]
+            yg = self.y[None, :, None]
+            vg = self.v[None, None, :]
+            self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
             self.gw = [
                 wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
                 for state in _STATES
             ]
+            mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
+            # conditional case masses cannot exceed one per (x, angle) node; far
+            # off the grid's natural scale the tan-map tail can overshoot, which
+            # would double-count signal mass, so rescale instead of clipping
+            over = np.maximum(mass, 1.0)
+            self.gw = [g / over[:, None, :] for g in self.gw]
+            self.remainder = np.clip(1.0 - mass / over, 0.0, 1.0)
         else:
-            shape = (quad.q1, quad.q2, quad.q3)
-            self.gw = [np.zeros(shape), np.zeros(shape)]
-        mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
-        # conditional case masses cannot exceed one per (x, angle) node; far
-        # off the grid's natural scale the tan-map tail can overshoot, which
-        # would double-count signal mass, so rescale instead of clipping
-        over = np.maximum(mass, 1.0)
-        self.gw = [g / over[:, None, :] for g in self.gw]
-        self.remainder = np.clip(1.0 - mass / over, 0.0, 1.0)
+            # serving-BS distance grid, scaled to the nearest-point scale
+            sx = 0.6 / math.sqrt(cfg.lambda_bs)
+            self.x = sx * nodes.x
+            self.fdw = [
+                sx * nodes.wx * serving_bs_density(self.x, state, cfg) for state in _STATES
+            ]
+            self.remainder = np.ones((quad.q1, quad.q3))
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
 
@@ -526,17 +586,21 @@ class _CoverageEvaluator:
 
     def _build_signal_tables(self) -> None:
         cfg = self.cfg
+        # the direct gain is not shared with the twin: beams aim at the
+        # reflected path only when there are reflectors
         gain_direct, gain_reflected = serving_gains(cfg)
         power = cfg.p_bs_watt
         xl = np.maximum(self.x, cfg.r_min)[:, None, None]
-        yl = np.maximum(self.y, cfg.r_min)[None, :, None]
         laws = [path_law(state, cfg) for state in _STATES]
         self.sig_direct = [power * gain_direct * (c * xl**-alpha) for c, alpha in laws]
+        self.reflected = {}
+        if not self.has_ris:
+            return
+        yl = np.maximum(self.y, cfg.r_min)[None, :, None]
         leg_bs = [c * self.z**-alpha for c, alpha in laws]
         leg_user = [c * yl**-alpha for c, alpha in laws]
         # reflected signal: the BS->reflector leg state is mixed per node
         leg_prob = [state_weight(state, self.z, cfg.beta) for state in _STATES]
-        self.reflected = {}
         for irho, ixi in itertools.product(range(2), repeat=2):
             amp_direct = np.sqrt(self.sig_direct[irho])
             amp = [np.sqrt(power * gain_reflected * leg * leg_user[ixi]) for leg in leg_bs]
@@ -549,12 +613,15 @@ class _CoverageEvaluator:
 
     def _build_factor_tables(self) -> None:
         cfg = self.cfg
-        kinds = _SET_KINDS if self.has_ris else _SET_KINDS[:1]
-        self.sets = {kind: _set_parameters(kind, cfg) for kind in kinds}
-        distances = {"bs": self.x[:, None, None]}
         if self.has_ris:
-            distances["ris"] = self.y[None, :, None]
-        self.tables = {}
+            self.sets = dict(self.base.sets)
+            self.sets.update((kind, _set_parameters(kind, cfg)) for kind in _SET_KINDS[1:])
+            self.tables = dict(self.base.tables)
+            distances = {"ris": self.y[None, :, None]}
+        else:
+            self.sets = {"bs": _set_parameters("bs", cfg)}
+            self.tables = {}
+            distances = {"bs": self.x[:, None, None]}
         for fstate, state in enumerate(_STATES):
             for side, d in distances.items():
                 for serving in range(2):
@@ -572,22 +639,28 @@ class _CoverageEvaluator:
         self._exponent_tables(los_only=False)
 
     def _exponent_tables(self, los_only: bool) -> dict:
-        """Each side's exponent table, keyed (side, serving state); the
-        los_only set is filled on first use (two sweep threads may both fill
-        it, with equal results)."""
-        if los_only not in self.exponents:
-            fstates = (0,) if los_only else (0, 1)
-            self.exponents[los_only] = {
-                (side, serving): _ExponentTable([
-                    (density, power_gain * path_law(_STATES[f], self.cfg)[0],
-                     self.tables[side, f, serving])
-                    for f in fstates
-                    for kind, (density, power_gain) in self.sets.items()
-                    if (kind == "bs") == (side == "bs")
-                ])
-                for side, fstate, serving in self.tables
-                if fstate == 0
-            }
+        """Each side's exponent table, keyed (side, serving state).
+
+        The los_only set is filled on first use, once even when sweep threads
+        ask together; the base-station tables come from the twin's evaluator.
+        """
+        with self._lock:
+            if los_only not in self.exponents:
+                fstates = (0,) if los_only else (0, 1)
+                own = "ris" if self.has_ris else "bs"
+                exponents = dict(self.base._exponent_tables(los_only)) if self.has_ris else {}
+                exponents.update({
+                    (side, serving): _ExponentTable([
+                        (density, power_gain * path_law(_STATES[f], self.cfg)[0],
+                         self.tables[side, f, serving])
+                        for f in fstates
+                        for kind, (density, power_gain) in self.sets.items()
+                        if (kind == "bs") == (side == "bs")
+                    ])
+                    for side, fstate, serving in self.tables
+                    if fstate == 0 and side == own
+                })
+                self.exponents[los_only] = exponents
         return self.exponents[los_only]
 
     def _log_laplace(self, s, irho: int, ixi: int | None, los_only: bool):
@@ -677,9 +750,75 @@ class _CoverageEvaluator:
         return float(np.sum(weight * acc))
 
 
-@lru_cache(maxsize=8)
-def _get_evaluator(cfg: NetworkConfig, quad: QuadratureSpec) -> _CoverageEvaluator:
-    return _CoverageEvaluator(cfg, quad)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _BuildOnce:
+    """A bounded LRU cache of `build(*key)` that builds each key once.
+
+    A caller asking for a key that is still being built waits for that build
+    and counts as a hit.  A failed build is not kept.  `cache_info()` and
+    `cache_clear()` behave as those of `functools.lru_cache`.
+    """
+
+    def __init__(self, build, maxsize: int):
+        self._build = build
+        self._maxsize = maxsize
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._done = OrderedDict()
+            self._building = {}
+            self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._done))
+
+    def __call__(self, *key):
+        with self._lock:
+            if key in self._done:
+                self._hits += 1
+                self._done.move_to_end(key)
+                return self._done[key]
+            pending = self._building.get(key)
+            if pending is not None:
+                self._hits += 1
+            else:
+                self._misses += 1
+                building = self._building[key] = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            value = self._build(*key)
+        except BaseException as exc:
+            with self._lock:
+                self._settle(key, building)
+            building.set_exception(exc)
+            raise
+        with self._lock:
+            self._settle(key, building)
+            self._done[key] = value
+            if len(self._done) > self._maxsize:
+                self._done.popitem(last=False)
+        building.set_result(value)
+        return value
+
+    def _settle(self, key, building: Future) -> None:
+        # a cache_clear() during the build may have let another caller in
+        if self._building.get(key) is building:
+            del self._building[key]
+
+
+# one sweep point asks for at most four configurations: its own, p2's and
+# their reflector-free twins (p_t's is the first twin)
+_get_evaluator = _BuildOnce(_CoverageEvaluator, maxsize=8)
 
 
 def _resolve_quad(quad: QuadratureSpec | None) -> QuadratureSpec:
@@ -728,12 +867,17 @@ def coverage_small_beta(
 
 
 def energy_efficiency(
-    threshold: float, cfg: NetworkConfig, quad: QuadratureSpec | None = None
+    threshold: float,
+    cfg: NetworkConfig,
+    quad: QuadratureSpec | None = None,
+    coverage: Callable[[bool], float] | None = None,
 ) -> EfficiencyResult:
     """Area spectral efficiency (bit/s/Hz per m^2) and energy efficiency.
 
     When active reflectors outnumber active BSs every BS serves through a
-    reflector; otherwise the surplus BSs serve direct links.
+    reflector; otherwise the surplus BSs serve direct links.  `coverage`,
+    if given, maps direct_signal to the coverage total of (threshold, cfg,
+    quad), so a caller that has it already need not evaluate it again.
     """
     quad = _resolve_quad(quad)
     p_bs = active_prob_bs(cfg)
@@ -742,10 +886,15 @@ def energy_efficiency(
     served_ris = cfg.lambda_ris * p_ris
     rate = math.log2(1.0 + threshold)
     if served_bs > 0.0:
-        ev = _get_evaluator(cfg, quad)
-        p_cov = ev.evaluate(threshold).total
+        if coverage is None:
+            ev = _get_evaluator(cfg, quad)
+
+            def coverage(direct_signal: bool) -> float:
+                return ev.evaluate(threshold, direct_signal=direct_signal).total
+
+        p_cov = coverage(False)
         if served_bs > served_ris:
-            p_dir = ev.evaluate(threshold, direct_signal=True).total
+            p_dir = coverage(True)
             spectral = (served_ris * p_cov + (served_bs - served_ris) * p_dir) * rate
         else:
             spectral = served_bs * p_cov * rate

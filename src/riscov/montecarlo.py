@@ -88,6 +88,8 @@ class SinrBatch:
     """SINR draws plus association codes for a block of independent trials.
 
     State codes: 0 LOS, 1 NLOS, -1 no serving RIS (for the RIS columns).
+    A trial whose disk holds no BS is coded as outage (sinr 0, NLOS, no
+    RIS); `empty_trials` counts them.
     """
 
     sinr: np.ndarray        # (trials,)
@@ -96,6 +98,7 @@ class SinrBatch:
     leg_state: np.ndarray   # (trials,) int8
     radius: float
     seed: int
+    empty_trials: int = 0
 
 
 def default_radius(cfg: NetworkConfig) -> float:
@@ -500,7 +503,8 @@ def sinr_samples(
 ) -> SinrBatch:
     """Independent SINR draws; trial t uses the (seed, t) counter stream.
 
-    Trials with an empty BS draw count as outage (sinr 0, NLOS direct case).
+    Trials with an empty BS draw count as outage (sinr 0, NLOS direct case);
+    the batch's `empty_trials` says how many.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -508,18 +512,20 @@ def sinr_samples(
         radius = default_radius(cfg)
     sinr = np.zeros(trials)
     codes = np.zeros((trials, 3), dtype=np.int8)
+    empty = 0
     for t in range(trials):
         rng = _rng(seed, (t,))
         dep = _sample(cfg, radius, rng, geometric_blockage)
         if dep.bs_points.shape[0] == 0:
             codes[t] = (1, -1, -1)
+            empty += 1
             continue
         sample = _realize(dep, cfg, rng, draw_serving_gains, bernoulli_activity)
         sinr[t] = sample.sinr
         codes[t, 0] = _STATE_CODE[sample.serving_case.bs_state]
         codes[t, 1] = _STATE_CODE[sample.serving_case.ris_state]
         codes[t, 2] = _STATE_CODE[sample.bs_ris_state]
-    return SinrBatch(sinr, codes[:, 0], codes[:, 1], codes[:, 2], radius, seed)
+    return SinrBatch(sinr, codes[:, 0], codes[:, 1], codes[:, 2], radius, seed, empty)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:

@@ -13,10 +13,12 @@ ase (area spectral efficiency) and ee (energy efficiency).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import montecarlo
@@ -191,17 +193,31 @@ def metric_config(metric: str, point_cfg: NetworkConfig) -> NetworkConfig:
     return point_cfg
 
 
+def _point_coverage(threshold: float, quad: QuadratureSpec | None):
+    """coverage(cfg, direct_signal) -> total at one sweep point's threshold,
+    each (configuration, signal) pair evaluated once."""
+    memo: dict[tuple[NetworkConfig, bool], float] = {}
+
+    def coverage(cfg: NetworkConfig, direct_signal: bool) -> float:
+        key = (cfg, direct_signal)
+        if key not in memo:
+            evaluate = coverage_direct if direct_signal else coverage_probability
+            memo[key] = evaluate(threshold, cfg, quad).total
+        return memo[key]
+
+    return coverage
+
+
 def _analytic_value(metric: str, threshold: float, point_cfg: NetworkConfig,
-                    quad: QuadratureSpec | None) -> float:
+                    quad: QuadratureSpec | None, coverage) -> float:
     cfg = metric_config(metric, point_cfg)
     if metric in ("p1", "p2", "p_t"):
-        return coverage_probability(threshold, cfg, quad).total
+        return coverage(cfg, False)
     if metric == "p_d":
-        return coverage_direct(threshold, cfg, quad).total
-    if metric == "ase":
-        return energy_efficiency(threshold, cfg, quad).ase
-    if metric == "ee":
-        return energy_efficiency(threshold, cfg, quad).ee
+        return coverage(cfg, True)
+    if metric in ("ase", "ee"):
+        res = energy_efficiency(threshold, cfg, quad, coverage=partial(coverage, cfg))
+        return res.ase if metric == "ase" else res.ee
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
@@ -227,10 +243,15 @@ def run_sweep(
     batch across all thresholds of a sinr-threshold sweep) and reports Wilson
     intervals. The grid is walked point by point, each point's metrics and
     engines in turn (failed rows enter `errors` in that order, after any
-    analytic-only notes): a point's metrics use at most three configurations,
-    its own, p2's and p_t's, so the 8-entry evaluator cache still holds one
-    when a later metric (ee after p1) asks again. Points go to a worker pool
-    when `workers` > 1; the table is ordered deterministically regardless.
+    analytic-only notes). Within a point each (configuration, signal)
+    coverage is evaluated once, so p1, ase and ee share one evaluate. A point
+    uses at most four evaluators: its own configuration's, p2's, and their
+    reflector-free twins, which also hold the base-station side of the
+    first two (p_t's is the first twin); the 8-entry evaluator cache keeps
+    them for the point's later metrics. Points go to a worker pool when
+    `workers` > 1, and an evaluator still being built by one worker is
+    waited for, not built again; the table is ordered deterministically
+    regardless.
     """
     requested = tuple(dict.fromkeys(engines))
     unknown = [e for e in requested if e not in ENGINES]
@@ -263,19 +284,10 @@ def run_sweep(
                         mc_cfg, trials, seed=seed
                     )
 
-    tasks = [
-        (metric, engine, param, value, point_cfg, threshold)
-        for param, value, point_cfg, threshold in points
-        for metric in metrics
-        for engine in requested
-        if engine == "analytic" or metric in _MC_METRICS
-    ]
-
-    def run_task(task):
-        metric, engine, param, value, point_cfg, threshold = task
+    def run_task(metric, engine, param, value, point_cfg, threshold, coverage):
         try:
             if engine == "analytic":
-                res = _analytic_value(metric, threshold, point_cfg, quad)
+                res = _analytic_value(metric, threshold, point_cfg, quad, coverage)
                 return SweepRow(param, value, metric, engine, res), None
             mc_cfg = metric_config(metric, point_cfg)
             cov = montecarlo.empirical_coverage(
@@ -290,12 +302,22 @@ def run_sweep(
             row = SweepRow(param, value, metric, engine, float("nan"))
             return row, f"{metric}/{engine} at {param}={value:g}: {exc}"
 
+    def run_point(point):
+        param, value, point_cfg, threshold = point
+        coverage = _point_coverage(threshold, quad)
+        return [
+            run_task(metric, engine, param, value, point_cfg, threshold, coverage)
+            for metric in metrics
+            for engine in requested
+            if engine == "analytic" or metric in _MC_METRICS
+        ]
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
+            per_point = list(pool.map(run_point, points))
     else:
-        results = [run_task(t) for t in tasks]
-    for row, err in results:
+        per_point = [run_point(p) for p in points]
+    for row, err in itertools.chain.from_iterable(per_point):
         table.rows.append(row)
         if err is not None:
             table.errors.append(err)

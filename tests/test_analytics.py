@@ -430,6 +430,57 @@ def test_table_check_rejects_coarse_lattice(cfg, light_quad, monkeypatch):
         _CoverageEvaluator(cfg, light_quad)
 
 
+def _full_sum(table, u, cols):
+    """(L, L_u, L_uu) with `_j` over every term at every (u, column) pair."""
+    out = np.zeros((3, len(u)))
+    for term in table.terms:
+        a, b = term.table
+        for col in np.unique(cols):
+            i = cols == col
+            out[:, i] += term.density * np.array(
+                _j(np.exp(u[i]) * term.scale, (a[:, col:col + 1], b[:, col:col + 1]), True)
+            )
+    return out
+
+
+def _fill_configs(cfg):
+    # the default and the extreme densities and blockage of
+    # test_joint_expectation_kernels_share_one_pass
+    unit = 1.0 / (math.pi * 500.0**2)
+    return [cfg] + [
+        cfg.replace(lambda_u=lambda_u * unit, lambda_ris=lambda_ris * unit, beta=beta)
+        for lambda_u, lambda_ris, beta in itertools.product((1e-6, 1e4), (0.1, 1e3),
+                                                            (1e-4, 0.1))
+    ]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_pruned_fill_matches_full_sum(cfg, light_quad, monkeypatch, index):
+    """Each term skips `_j` outside its own live range; the fill stays within
+    1e-12 of the full sum at every lattice node and midpoint."""
+    # at beta = 1e-4 the ambient reflected power fails its own node-doubling
+    # check; the fill only sees it as a scale, so the default's stands in
+    ambient = ris_interference_power(cfg)
+    monkeypatch.setattr(analytics, "ris_interference_power", lambda case: ambient)
+    ev = _CoverageEvaluator(_fill_configs(cfg)[index], light_quad)
+    pruned = 0
+    for los_only in (False, True):
+        for table in ev._exponent_tables(los_only).values():
+            count = table.count.ravel()
+            cols = np.repeat(np.arange(count.size), count)
+            k = (np.arange(count.sum()) - np.repeat(table.offset.ravel(), count)
+                 + np.repeat(table.k_lo.ravel(), count))
+            left = np.flatnonzero(np.diff(cols, append=-1) == 0)
+            for u, c in ((k * _TABLE_STEP, cols), ((k[left] + 0.5) * _TABLE_STEP, cols[left])):
+                got = table._exact(u, c, derivatives=True)
+                want = _full_sum(table, u, c)
+                scale = np.maximum(np.abs(want[0]), 1e-300)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+                pruned += sum(np.count_nonzero((u < term.live_lo[c]) | (u > term.live_hi[c]))
+                              for term in table.terms)
+    assert pruned > 0
+
+
 UNIT = 1.0 / (math.pi * 500.0**2)
 
 

@@ -103,6 +103,21 @@ def test_sinr_batch_determinism(cfg):
     assert np.array_equal(a.ris_state, b.ris_state)
 
 
+def test_empty_trials_counted(cfg):
+    # a 130 m disk holds no BS at the default density about half the time
+    radius, seed, trials = 130.0, 12, 60
+    batch = sinr_samples(cfg, trials, radius=radius, seed=seed)
+    empty = np.array([
+        mc._sample(cfg, radius, mc._rng(seed, (t,)), False).bs_points.shape[0] == 0
+        for t in range(trials)
+    ])
+    assert 0 < batch.empty_trials == empty.sum() < trials
+    # they are still coded as outage, the no-RIS NLOS case
+    assert np.all(batch.sinr[empty] == 0.0)
+    assert np.all(batch.bs_state[empty] == 1) and np.all(batch.ris_state[empty] == -1)
+    assert sinr_samples(cfg, 20, seed=seed).empty_trials == 0
+
+
 def test_trials_are_counter_indexed(cfg):
     # extending the batch must not disturb earlier trials
     short = sinr_samples(cfg, 25, seed=21)

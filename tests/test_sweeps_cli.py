@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -97,12 +101,115 @@ def test_sweep_byte_stability(cfg, light_quad):
 
 
 def test_tradeoff_sweep_builds_each_config_once(cfg, light_quad):
-    # p1 and ee share each point's evaluator, p_t has its own: 18 builds
+    # p1's build asks for its reflector-free twin (a miss), p_t then finds
+    # that twin (a hit), and ee reads p1's coverage from the point: 18 builds
     analytics._get_evaluator.cache_clear()
     fresh = cfg.replace(beta=cfg.beta * 1.0137)
     run_sweep("ris-density-tradeoff", fresh, metrics=("p1", "p_t", "ee"), quad=light_quad)
     info = analytics._get_evaluator.cache_info()
     assert (info.misses, info.hits) == (18, 9)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_tradeoff_sweep_evaluates_once_per_point(cfg, light_quad, monkeypatch):
+    # per point: p1 and ee share one evaluate of the point's configuration,
+    # p_t one of its twin, which also holds the point's base-station tables
+    evaluates = _count_calls(monkeypatch, analytics._CoverageEvaluator, "evaluate")
+    tables = _count_calls(monkeypatch, analytics._ExponentTable, "__init__")
+    fresh = cfg.replace(beta=cfg.beta * 1.0151)
+    run_sweep("ris-density-tradeoff", fresh, metrics=("p1", "p_t", "ee"), quad=light_quad)
+    assert sum(ev.has_ris for ev in evaluates) == 9
+    assert len(evaluates) == 18
+    assert len(tables) == 9 * (2 + 3)
+
+
+@pytest.mark.parametrize("kind", ["ris-density-tradeoff", "ris-density-fixed-bs"])
+def test_parallel_sweep_builds_as_often_as_serial(cfg, light_quad, monkeypatch, kind):
+    # the fixed-bs points all share one twin, which two workers ask for at once
+    builds = _count_calls(monkeypatch, analytics._CoverageEvaluator, "__init__")
+    counts = []
+    for workers, scale in ((1, 1.0191), (2, 1.0193)):
+        analytics._get_evaluator.cache_clear()
+        start = len(builds)
+        run_sweep(kind, cfg.replace(beta=cfg.beta * scale), metrics=("p1", "p_t", "ee"),
+                  quad=light_quad, workers=workers)
+        counts.append(len(builds) - start)
+    assert counts[0] == counts[1]
+
+
+def test_build_once_waits_for_a_build_in_flight():
+    started, release = threading.Event(), threading.Event()
+    built = []
+
+    def build(key):
+        built.append(key)
+        started.set()
+        release.wait(5.0)
+        return object()
+
+    cache = analytics._BuildOnce(build, maxsize=2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(cache, "k")
+        started.wait(5.0)
+        second = pool.submit(cache, "k")
+        deadline = time.monotonic() + 5.0
+        while cache.cache_info().hits == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        assert first.result(timeout=5.0) is second.result(timeout=5.0)
+    assert built == ["k"]
+    assert cache.cache_info() == (1, 1, 2, 1)
+    cache("a"), cache("b")  # evicts "k", the least recently used
+    assert cache.cache_info().currsize == 2
+    cache("k")
+    assert built == ["k", "a", "b", "k"]
+    cache.cache_clear()
+    assert cache.cache_info() == (0, 0, 2, 0)
+
+
+def test_build_once_stress_builds_each_key_once():
+    # more threads than cores and a short switch interval, so callers
+    # interleave inside the cache; a lost update would build a key twice
+    builds = []
+    cache = analytics._BuildOnce(lambda key: builds.append(key) or key, maxsize=64)
+    keys = [i % 16 for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=30.0) for f in [pool.submit(cache, k) for k in keys]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == keys
+    assert sorted(builds) == list(range(16))
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (16, len(keys) - 16)
+
+
+def test_build_once_keeps_no_failed_build():
+    attempts = []
+
+    def build(key):
+        attempts.append(key)
+        raise RuntimeError("no build")
+
+    cache = analytics._BuildOnce(build, maxsize=2)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no build"):
+            cache("k")
+    assert attempts == ["k", "k"]
+    assert cache.cache_info().currsize == 0
 
 
 def test_tradeoff_sweep_parallel_matches_serial(cfg, light_quad):
