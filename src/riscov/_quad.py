@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +41,25 @@ def halfline_nodes(k: int, scale, lower=0.0) -> tuple[np.ndarray, np.ndarray]:
     r = lower + scale * t / (1.0 - t)
     jac = scale / (1.0 - t) ** 2
     return r, w * jac
+
+
+def log_halfline_nodes(k_log: int, k: int, lower: float, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights over (lower, inf), lower > 0: ``k_log`` Gauss-Legendre
+    nodes in ln r up to ``scale``, where an r^-alpha integrand keeps its mass,
+    and `halfline_nodes` beyond; array ``scale`` gives one rule per element."""
+    t, w = (a.reshape(-1, *(1,) * np.ndim(scale)) for a in gauss_legendre_01(k_log))
+    lo, hi = math.log(lower), np.log(scale)
+    r = np.exp(lo + (hi - lo) * t)
+    r_out, w_out = halfline_nodes(k, scale, scale)
+    return np.concatenate([r, r_out]), np.concatenate([(hi - lo) * w * r, w_out])
+
+
+def fold_circle(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One node of each (v, 2*pi - v) pair, node i and node n-1-i, of a rule on
+    (0, 2*pi) at the pair's weight, and the node at pi of an odd rule: the
+    full rule's sum, to rounding, for an integrand that sees v via cos v."""
+    half, odd = divmod(len(nodes), 2)
+    return nodes[:half + odd], np.append(2.0 * weights[:half], weights[half:half + odd])
 
 
 def tan_halfline_nodes(q: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

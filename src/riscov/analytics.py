@@ -4,12 +4,14 @@ Coverage of the typical user is computed with the gamma-dummy (Alzer)
 approximation: an alternating binomial sum over products of interference
 Laplace transforms, averaged over the serving geometry (direct-link
 distance, reflected-link distance and the angle between them) on a
-Gauss-Chebyshev quadrature grid.  Interferers enter through four thinned
-point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the latter
-split again into active and idle) whose Laplace transforms share one
+Gauss-Chebyshev quadrature grid.  The angle enters only through its cosine,
+so the grid keeps one node of each (v, 2*pi - v) pair of the Chebyshev rule
+at double weight: the same sum, to rounding.  Interferers enter through four
+thinned point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the
+latter split again into active and idle) whose Laplace transforms share one
 half-line integral template.  The evaluator tabulates each side's summed
-exponent once, in u = ln s, so a threshold costs two table lookups per
-Laplace product.
+exponent once, in u = ln s, as per-interval polynomial coefficients, so a
+threshold costs two table lookups per Laplace product.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._quad import gauss_legendre_01, halfline_nodes, refined, tan_halfline_nodes
+from ._quad import fold_circle, halfline_nodes, log_halfline_nodes, refined, tan_halfline_nodes
 from .association import (
     AssociationCase,
     bs_ris_distance,
@@ -199,15 +201,13 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
         raise ValueError("ambient reflected power diverges: alpha_nlos <= 1")
 
     laws = [(state, path_law(state, cfg)) for state in _STATES]
-
-    def integrand(z):
-        return sum(c * z**-alpha * state_weight(state, z, cfg.beta) for state, (c, alpha) in laws)
-
-    scale = max(1.0 / cfg.beta if cfg.beta > 0.0 else 10.0 * cfg.r_min, 10.0 * cfg.r_min)
+    # the z^-alpha mass sits near r_min, the LOS tail reaches to 1/beta
+    scale = max(1.0 / cfg.beta if cfg.beta > 0.0 else 0.0, 10.0 * cfg.r_min)
 
     def integral(count):
-        r, w = halfline_nodes(count, scale, cfg.r_min)
-        return float(np.sum(w * integrand(r)))
+        z, w = log_halfline_nodes(count, count, cfg.r_min, scale)
+        return float(np.sum(w * sum(c * z**-alpha * state_weight(state, z, cfg.beta)
+                                    for state, (c, alpha) in laws)))
 
     check = refined(integral(384), integral(768), "ambient reflected power integral",
                     1e-9, floor=1e-30)
@@ -267,15 +267,9 @@ def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int,
         r, w = halfline_nodes(nodes, scale, exclusion)
     else:
         # without a void the knee of the integrand sits at r = c^(1/alpha),
-        # anywhere in (0, scale) as c ranges over the tables: Gauss-Legendre
-        # in ln r covers that stretch, the half-line map the rest
-        t, w_log = gauss_legendre_01(_VOID_FREE_NODES * nodes)
-        extra = (1,) * exclusion.ndim
-        lo, hi = math.log(_VOID_FREE_FLOOR * cfg.r_min), np.log(scale)
-        r_log = np.exp(lo + (hi - lo) * t.reshape(-1, *extra))
-        r_out, w_out = halfline_nodes(nodes, scale, scale)
-        r = np.concatenate([r_log, r_out])
-        w = np.concatenate([(hi - lo) * w_log.reshape(-1, *extra) * r_log, w_out])
+        # anywhere in (0, scale) as c ranges over the tables
+        r, w = log_halfline_nodes(_VOID_FREE_NODES * nodes, nodes,
+                                  _VOID_FREE_FLOOR * cfg.r_min, scale)
     _, exponent = path_law(state, cfg)
     return w * state_weight(state, r, cfg.beta) * r, r**-exponent
 
@@ -335,17 +329,6 @@ _HERMITE = np.array([
 ])
 
 
-def _hermite_basis(t):
-    """The six Hermite weights at t, stacked on a first axis."""
-    t = np.asarray(t, dtype=float)
-    powers = np.empty((6,) + t.shape)
-    powers[0] = 1.0
-    powers[1] = t
-    for p in range(2, 6):
-        powers[p] = powers[p - 1] * t
-    return (_HERMITE @ powers.reshape(6, -1)).reshape(powers.shape)
-
-
 class _Term(NamedTuple):
     """One (density, scale, tail table) summand of an `_ExponentTable`, with
     per column the u range where `_j` is needed, and the series sums
@@ -369,8 +352,9 @@ class _ExponentTable:
     lattice nodes u = k*_TABLE_STEP, stored one after the other.  Between
     nodes L is quintic Hermite from its value and first two u-derivatives;
     with x = c*B these are J_u = sum A*x*exp(-x) and J_uu = sum
-    A*x*(1-x)*exp(-x).  Below a column's run L is the two-term series
-    s*S1 - s^2*S2/2, above it the saturated sum(A*density).
+    A*x*(1-x)*exp(-x), and each interval keeps its quintic as a row of
+    coefficients in powers of t.  Below a column's run L is the two-term
+    series s*S1 - s^2*S2/2, above it the saturated sum(A*density).
     """
 
     def __init__(self, terms):
@@ -409,18 +393,20 @@ class _ExponentTable:
         self.k_lo, self.count, self.offset = (v.reshape(shape) for v in (k_lo, count, offset))
         self.s1, self.s2, self.sat = (v.reshape(shape) for v in (s1, s2, sat))
         self.s_edge = np.exp(self.k_lo * h)
+        # a query whose k lies in [k_in_lo, k_in_hi] is inside every run
+        self.k_in_lo, self.k_in_hi = self.k_lo.max(), (self.k_lo + self.count).min() - 2
 
         node_col = np.repeat(np.arange(size), count)
         node_k = np.arange(count.sum()) - np.repeat(offset, count) + np.repeat(k_lo, count)
         f, df, ddf = self._exact(node_k * h, node_col, derivatives=True)
-        # (f, h*f', h^2*f'') per node; interval j reads the six values from j
-        self.windows = np.lib.stride_tricks.sliding_window_view(
+        # (f, h*f', h^2*f'') per node; row j is the quintic of the six values from j
+        self.coef = np.lib.stride_tricks.sliding_window_view(
             np.stack([f, h * df, h * h * ddf], axis=-1).ravel(), 6
-        )[::3]
+        )[::3] @ _HERMITE
         # build check: the interpolant against the exact sum at every midpoint
         left = np.flatnonzero(np.diff(node_col, append=-1) == 0)
         exact = self._exact((node_k[left] + 0.5) * h, node_col[left])[0]
-        interp = self.windows[left] @ _hermite_basis(0.5)
+        interp = self._horner(left, 0.5)
         rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
         worst = int(np.argmax(rel))
         self.residual = float(rel[worst])
@@ -463,12 +449,23 @@ class _ExponentTable:
                                                  ndmin=2)
         return out
 
-    def __call__(self, s, k, basis):
-        """L at s = exp(u) where u/_TABLE_STEP = k + t and basis is
-        `_hermite_basis(t)`; s, k and basis[0] broadcast against the columns."""
+    def _horner(self, rows, t):
+        """Each interval of `rows` at its t, by Horner's rule."""
+        coef = self.coef.take(rows, axis=0)
+        value = coef[..., 5] * t
+        for p in range(4, 0, -1):
+            value += coef[..., p]
+            value *= t
+        value += coef[..., 0]
+        return value
+
+    def __call__(self, s, k, t):
+        """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1); s, k and
+        t broadcast against the columns."""
         i = k - self.k_lo
-        nodes = self.windows.take(self.offset + np.clip(i, 0, self.count - 2), axis=0)
-        value = np.einsum("...m,m...->...", nodes, basis)
+        if self.k_in_lo <= k.min() and k.max() <= self.k_in_hi:
+            return self._horner(self.offset + i, t)
+        value = self._horner(self.offset + np.minimum(np.maximum(i, 0), self.count - 2), t)
         below = i < 0
         if below.any():
             sb = np.minimum(s, self.s_edge)
@@ -540,8 +537,8 @@ class _CoverageEvaluator:
         self.base = _get_evaluator(cfg.replace(lambda_ris=0.0), quad) if self.has_ris else None
 
         nodes = gcq_nodes(quad)
-        self.v = nodes.angle
-        self.wv = nodes.w_angle
+        # every integrand sees the angle through its cosine only
+        self.v, self.wv = fold_circle(nodes.angle, nodes.w_angle)
         if self.has_ris:
             self.x, self.fdw = self.base.x, self.base.fdw
             # serving-reflector grid; one global scale keeps the factor tables
@@ -557,10 +554,8 @@ class _CoverageEvaluator:
             yg = self.y[None, :, None]
             vg = self.v[None, None, :]
             self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
-            self.gw = [
-                wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
-                for state in _STATES
-            ]
+            self.gw = [wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
+                       for state in _STATES]
             mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
             # conditional case masses cannot exceed one per (x, angle) node; far
             # off the grid's natural scale the tan-map tail can overshoot, which
@@ -575,7 +570,7 @@ class _CoverageEvaluator:
             self.fdw = [
                 sx * nodes.wx * serving_bs_density(self.x, state, cfg) for state in _STATES
             ]
-            self.remainder = np.ones((quad.q1, quad.q3))
+            self.remainder = np.ones((quad.q1, self.v.size))
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
 
@@ -604,9 +599,8 @@ class _CoverageEvaluator:
         for irho, ixi in itertools.product(range(2), repeat=2):
             amp_direct = np.sqrt(self.sig_direct[irho])
             amp = [np.sqrt(power * gain_reflected * leg * leg_user[ixi]) for leg in leg_bs]
-            self.reflected[irho, ixi] = [
-                (prob, (amp_direct + a) ** 2) for prob, a in zip(leg_prob, amp)
-            ]
+            self.reflected[irho, ixi] = [(prob, (amp_direct + a) ** 2)
+                                         for prob, a in zip(leg_prob, amp)]
 
     # tail tables, keyed by (side, factor state, serving state of that side);
     # the reflector tables with serving state None have no void
@@ -628,13 +622,11 @@ class _CoverageEvaluator:
                     # interferers in the serving link's own state are excluded
                     # up to d, the other state up to equal received power
                     excl = equivalent_distance(d, _STATES[serving], state, cfg)
-                    self.tables[side, fstate, serving] = _tail_table(
-                        state, excl, cfg, self.quad.q_tail
-                    )
+                    self.tables[side, fstate, serving] = _tail_table(state, excl, cfg,
+                                                                     self.quad.q_tail)
             if self.has_ris:
-                self.tables["ris", fstate, None] = _tail_table(
-                    state, np.zeros((1, 1, 1)), cfg, self.quad.q_tail
-                )
+                self.tables["ris", fstate, None] = _tail_table(state, np.zeros((1, 1, 1)), cfg,
+                                                               self.quad.q_tail)
         self.exponents = {}
         self._exponent_tables(los_only=False)
 
@@ -672,11 +664,10 @@ class _CoverageEvaluator:
         tables = self._exponent_tables(los_only)
         u = np.log(s) / _TABLE_STEP
         k = np.floor(u)
-        basis = _hermite_basis(u - k)
-        k = k.astype(np.intp)
-        expo = -(s * self.sigma2) - tables["bs", irho](s, k, basis)
+        t, k = u - k, k.astype(np.intp)
+        expo = -(s * self.sigma2) - tables["bs", irho](s, k, t)
         if self.has_ris:
-            expo = expo - tables["ris", ixi](s, k, basis)
+            expo = expo - tables["ris", ixi](s, k, t)
         return expo
 
     # public evaluation
@@ -831,8 +822,7 @@ def coverage_probability(
     quad: QuadratureSpec | None = None,
 ) -> CoverageResult:
     """Coverage of the typical user with the reflected path in the signal."""
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold)
+    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold)
 
 
 def coverage_direct(
@@ -845,8 +835,7 @@ def coverage_direct(
     The interference field (including both reflector sets and their voids) is
     unchanged; only the serving signal drops the reflected amplitude.
     """
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold, direct_signal=True)
+    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold, direct_signal=True)
 
 
 def coverage_small_beta(
@@ -859,8 +848,7 @@ def coverage_small_beta(
     Valid when beta is small enough that NLOS serving weights are negligible;
     agrees with the full expression as beta -> 0.
     """
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
-    return ev.evaluate(threshold, los_only=True)
+    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold, los_only=True)
 
 
 # -- area spectral efficiency and energy efficiency --------------------------

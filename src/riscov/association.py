@@ -20,11 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import refined, tan_halfline_nodes
+from ._quad import fold_circle, refined, tan_halfline_nodes
 from .config import NetworkConfig
 from .propagation import LinkKind
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def _serving_density(r, intensity, state: LinkKind, cfg: NetworkConfig):
 
 def serving_bs_density(x, state: LinkKind, cfg: NetworkConfig):
     """Unnormalized serving-BS distance density (mass = association prob)."""
-    return _serving_density(x, _TWO_PI * cfg.lambda_bs, state, cfg)
+    return _serving_density(x, math.tau * cfg.lambda_bs, state, cfg)
 
 
 def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float,
@@ -140,14 +138,8 @@ def _bs_length_scales(cfg: NetworkConfig) -> tuple[float, float]:
 def _bs_masses(cfg: NetworkConfig) -> tuple[float, float]:
     if cfg.lambda_bs == 0.0:
         return 0.0, 0.0
-    scale_los, scale_nlos = _bs_length_scales(cfg)
-    mass_los = _mass_over_halfline(
-        lambda x: serving_bs_density(x, LinkKind.LOS, cfg), scale_los
-    )
-    mass_nlos = _mass_over_halfline(
-        lambda x: serving_bs_density(x, LinkKind.NLOS, cfg), scale_nlos
-    )
-    return mass_los, mass_nlos
+    return tuple(_mass_over_halfline(lambda x, s=state: serving_bs_density(x, s, cfg), scale)
+                 for state, scale in zip((LinkKind.LOS, LinkKind.NLOS), _bs_length_scales(cfg)))
 
 
 def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
@@ -158,12 +150,8 @@ def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
 
 def serving_bs_mixture_density(x, cfg: NetworkConfig):
     """Serving-BS distance density regardless of link state (normalized)."""
-    mass_los, mass_nlos = _bs_masses(cfg)
-    total = mass_los + mass_nlos
-    combined = serving_bs_density(x, LinkKind.LOS, cfg) + serving_bs_density(
-        x, LinkKind.NLOS, cfg
-    )
-    return combined / total
+    combined = serving_bs_density(x, LinkKind.LOS, cfg) + serving_bs_density(x, LinkKind.NLOS, cfg)
+    return combined / sum(_bs_masses(cfg))
 
 
 # -- RIS side condition and distributions ------------------------------------
@@ -211,15 +199,18 @@ def ris_case_density(y, x, upsilon, state: LinkKind, cfg: NetworkConfig):
 def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     """Quadrature grid over (x ~ serving BS, upsilon uniform, y ~ RIS cases).
 
-    Returns broadcastable node/weight arrays; y nodes are scaled per (x, v)
-    by the local eligible-RIS density so the tan map resolves the mass.
+    Every integrand sees upsilon only through cos upsilon, so of the q_v
+    midpoints, which pair v with 2*pi - v, the rule keeps the half in (0, pi]
+    at double weight: the same sums, to rounding.  Returns broadcastable
+    node/weight arrays; y nodes are scaled per (x, v) by the local
+    eligible-RIS density so the tan map resolves the mass.
     """
     scale_los, scale_nlos = _bs_length_scales(cfg)
     x_scale = max(scale_los, scale_nlos)
     x, wx = tan_halfline_nodes(q_x, x_scale)
     fx = serving_bs_mixture_density(x, cfg)
-    v = _TWO_PI * (np.arange(q_v) + 0.5) / q_v
-    wv = np.full(q_v, 1.0 / q_v)  # (1/2pi) d-upsilon as a periodic average
+    # (1/2pi) d-upsilon as a periodic average
+    v, wv = fold_circle(math.tau * (np.arange(q_v) + 0.5) / q_v, np.full(q_v, 1.0 / q_v))
 
     xg = x[:, None, None]
     vg = v[None, :, None]
@@ -253,6 +244,7 @@ def ris_joint_expectation(
     For each of `kernels`, in order, the sum over the requested RIS states of
     E_x E_upsilon [ integral g_state(y; x, upsilon) * kernel(x, y, upsilon) dy ]
     where g_state is the unnormalized case density; a kernel None means 1.
+    A kernel must depend on upsilon through cos upsilon only (`_ris_grid`).
     One grid pass serves every kernel, each total bitwise its lone pass's.
     """
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
@@ -260,7 +252,7 @@ def ris_joint_expectation(
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
     # a block of x rows at a time keeps the kernels' temporaries small; the
     # y sums are per row, so the blocks change no bit of the result
-    rows = max(1, _GRID_BLOCK // (q_v * q_y))
+    rows = max(1, _GRID_BLOCK // (vg.size * q_y))
     inner = np.empty((len(kernels), len(states)) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)

@@ -112,14 +112,17 @@ def test_active_prob_ris_extreme_densities(cfg):
 
 
 def test_ris_interference_power_matches_quadrature(cfg):
-    def integrand(z):
-        los = cfg.c_los * z**-cfg.alpha_los * math.exp(-cfg.beta * z)
-        nlos = cfg.c_nlos * z**-cfg.alpha_nlos * -math.expm1(-cfg.beta * z)
-        return los + nlos
+    # at beta = 1e-4 the LOS tail reaches 10 km while the z^-alpha mass
+    # stays near r_min; the half-line rule alone failed its doubling check
+    for case in (cfg, cfg.replace(beta=1e-4)):
+        def integrand(z):
+            los = case.c_los * z**-case.alpha_los * math.exp(-case.beta * z)
+            nlos = case.c_nlos * z**-case.alpha_nlos * -math.expm1(-case.beta * z)
+            return los + nlos
 
-    ref, _ = integrate.quad(integrand, cfg.r_min, np.inf, limit=400)
-    expected = math.pi * cfg.lambda_bs * cfg.p_bs_watt * ref
-    assert ris_interference_power(cfg) == pytest.approx(expected, rel=1e-6)
+        ref, _ = integrate.quad(integrand, case.r_min, np.inf, limit=400)
+        expected = math.pi * case.lambda_bs * case.p_bs_watt * ref
+        assert ris_interference_power(case) == pytest.approx(expected, rel=1e-6)
 
 
 def test_ris_interference_power_divergence_flags():
@@ -335,7 +338,9 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
             return d
         return float(equivalent_distance(d, serving, state, cfg))
 
-    nodes = [(21, 14, 2), (24, 20, 13), (26, 8, 7), (28, 26, 10)]
+    # angle nodes of the folded axis: 2 and 5 hold the angles of the full
+    # rule's nodes 13 and 10 mirrored to 2*pi - v, which share their cosine
+    nodes = [(21, 14, 2), (24, 20, 2), (26, 8, 7), (28, 26, 5)]
     for irho, rho in enumerate(states):
         for ixi, xi in enumerate(states):
             _, sig = ev.reflected[irho, ixi][0]
@@ -455,13 +460,9 @@ def _fill_configs(cfg):
 
 
 @pytest.mark.parametrize("index", range(9))
-def test_pruned_fill_matches_full_sum(cfg, light_quad, monkeypatch, index):
+def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
     """Each term skips `_j` outside its own live range; the fill stays within
     1e-12 of the full sum at every lattice node and midpoint."""
-    # at beta = 1e-4 the ambient reflected power fails its own node-doubling
-    # check; the fill only sees it as a scale, so the default's stands in
-    ambient = ris_interference_power(cfg)
-    monkeypatch.setattr(analytics, "ris_interference_power", lambda case: ambient)
     ev = _CoverageEvaluator(_fill_configs(cfg)[index], light_quad)
     pruned = 0
     for los_only in (False, True):
@@ -479,6 +480,36 @@ def test_pruned_fill_matches_full_sum(cfg, light_quad, monkeypatch, index):
                 pruned += sum(np.count_nonzero((u < term.live_lo[c]) | (u > term.live_hi[c]))
                               for term in table.terms)
     assert pruned > 0
+
+
+@pytest.mark.parametrize("q3", [8, 7])
+@pytest.mark.parametrize("index", range(10))
+def test_folded_angle_axis_matches_full_circle(cfg, monkeypatch, index, q3):
+    """The half-circle angle axis gives the full q3-node rule's coverage.
+
+    On the full circle each angle-dependent array of the evaluator repeats
+    itself at 2*pi - v, so folding it changes nothing beyond rounding."""
+    case = (_fill_configs(cfg) + [cfg.replace(lambda_ris=0.0)])[index]
+    quad = QuadratureSpec(q1=12, q2=12, q3=q3)
+    folded = _CoverageEvaluator(case, quad)
+    # the base-station side comes from the folded build's cached twin
+    with monkeypatch.context() as m:
+        m.setattr(analytics, "fold_circle", lambda nodes, weights: (nodes, weights))
+        full = _CoverageEvaluator(case, quad)
+    assert (folded.v.size, full.v.size) == ((q3 + 1) // 2, q3)
+    if full.has_ris:
+        for values in [full.z, *full.gw, *(sig for pair in full.reflected.values()
+                                           for _, sig in pair)]:
+            np.testing.assert_allclose(values[..., ::-1], values, rtol=1e-9)
+    for threshold in (0.1, 1.0, 10.0):
+        for direct, los_only in ((False, False), (True, False), (False, True)):
+            got = folded.evaluate(threshold, direct, los_only)
+            want = full.evaluate(threshold, direct, los_only)
+            assert got.total == pytest.approx(want.total, rel=1e-13, abs=0.0)
+            # a part 1e-10 of the total (nlos-direct at lambda_u = 1e4 units)
+            # is 1 - mass per node, where cancellation amplifies the last-bit
+            # cosine difference of a node pair: parts are held to the total
+            assert got.by_case == pytest.approx(want.by_case, rel=1e-13, abs=1e-13 * want.total)
 
 
 UNIT = 1.0 / (math.pi * 500.0**2)

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from riscov import association
+from riscov.analytics import _chebyshev_angle
 from riscov.association import (
     assoc_prob_bs,
     assoc_prob_ris,
@@ -22,6 +25,7 @@ from riscov.association import (
     side_condition,
     state_weight,
 )
+from riscov.config import NetworkConfig
 from riscov.propagation import LinkKind
 
 
@@ -177,6 +181,72 @@ def test_joint_expectation_kernels_share_one_pass(cfg):
             case, (None,)
         )
         assert 0.0 <= pair[0] <= pair[1]
+
+
+def _full_circle(mp):
+    """Let every angle rule keep all of its nodes."""
+    mp.setattr(association, "fold_circle", lambda nodes, weights: (nodes, weights))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(4, 64),
+    midpoint=st.booleans(),
+    x=st.floats(0.0, 3.7),
+    y=st.floats(0.0, 3.7),
+    beta=st.sampled_from([1e-4, 1 / 141.4, 0.1]),
+)
+def test_angle_integrands_symmetric(count, midpoint, x, y, beta):
+    """Both angle rules pair node i with node n-1-i at 2*pi - v and equal
+    weight, and every angle-dependent integrand agrees on each pair.  The two
+    cosines differ in their last bit, which the cancellation in x^2 + y^2 -
+    2xy*cos v amplifies near v = 0 to about 1e-11 of a row's largest value."""
+    cfg = NetworkConfig(beta=beta)
+    x, y = 10.0**x, 10.0**y  # 1 m to 5 km
+    if midpoint:
+        with pytest.MonkeyPatch.context() as mp:
+            _full_circle(mp)
+            _, vg, _, weight_xv, _ = association._ris_grid(cfg, 4, count, 4)
+        v, w = vg.ravel(), weight_xv[0]
+    else:
+        v, w = _chebyshev_angle(count)
+    np.testing.assert_allclose(v + v[::-1], 2.0 * math.pi, rtol=4e-16)
+    np.testing.assert_allclose(w[::-1], w, rtol=0.0, atol=1e-15 * w.max())
+
+    def los_leg(x, y, v):
+        return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v, cfg.r_min), cfg.beta)
+
+    def idle(x, y, v):
+        return (1.0 + 2.0 * cfg.lambda_u / (side_condition(x, y, v) * cfg.lambda_ris)) ** -3.5
+
+    integrands = [bs_ris_distance, side_condition, los_leg, idle] + [
+        lambda x, y, v, state=state: ris_case_density(y, x, v, state, cfg)
+        for state in (LinkKind.LOS, LinkKind.NLOS)
+    ]
+    for integrand in integrands:
+        values = integrand(x, y, v)
+        np.testing.assert_allclose(integrand(x, y, v[::-1]), values, rtol=0.0,
+                                   atol=1e-10 * np.abs(values).max())
+
+
+@pytest.mark.parametrize("q_v", [48, 47])
+def test_joint_expectation_folded_matches_full_circle(cfg, q_v):
+    """The folded angle rule sums every kernel as the full q_v-node rule does."""
+    unit = 1.0 / (math.pi * 500.0**2)
+    for case in (cfg, cfg.replace(lambda_u=1e4 * unit, lambda_ris=0.1 * unit, beta=1e-4)):
+        def occupancy(x, y, v):
+            load = 2.0 * case.lambda_u / (side_condition(x, y, v) * case.lambda_ris)
+            return (1.0 + load) ** -3.5
+
+        def los_leg(x, y, v):
+            return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), case.beta)
+
+        kernels = (occupancy, los_leg, None)
+        folded = ris_joint_expectation(case, kernels, q_v=q_v)
+        with pytest.MonkeyPatch.context() as mp:
+            _full_circle(mp)
+            full = ris_joint_expectation(case, kernels, q_v=q_v)
+        assert folded == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 def test_reflected_path_state_split(cfg):
