@@ -201,13 +201,16 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
         raise ValueError("ambient reflected power diverges: alpha_nlos <= 1")
 
     laws = [(state, path_law(state, cfg)) for state in _STATES]
+
+    def integrand(z):
+        return sum(c * z**-alpha * state_weight(state, z, cfg.beta) for state, (c, alpha) in laws)
+
     # the z^-alpha mass sits near r_min, the LOS tail reaches to 1/beta
     scale = max(1.0 / cfg.beta if cfg.beta > 0.0 else 0.0, 10.0 * cfg.r_min)
 
     def integral(count):
         z, w = log_halfline_nodes(count, count, cfg.r_min, scale)
-        return float(np.sum(w * sum(c * z**-alpha * state_weight(state, z, cfg.beta)
-                                    for state, (c, alpha) in laws)))
+        return float(np.sum(w * integrand(z)))
 
     check = refined(integral(384), integral(768), "ambient reflected power integral",
                     1e-9, floor=1e-30)
@@ -393,8 +396,6 @@ class _ExponentTable:
         self.k_lo, self.count, self.offset = (v.reshape(shape) for v in (k_lo, count, offset))
         self.s1, self.s2, self.sat = (v.reshape(shape) for v in (s1, s2, sat))
         self.s_edge = np.exp(self.k_lo * h)
-        # a query whose k lies in [k_in_lo, k_in_hi] is inside every run
-        self.k_in_lo, self.k_in_hi = self.k_lo.max(), (self.k_lo + self.count).min() - 2
 
         node_col = np.repeat(np.arange(size), count)
         node_k = np.arange(count.sum()) - np.repeat(offset, count) + np.repeat(k_lo, count)
@@ -463,8 +464,6 @@ class _ExponentTable:
         """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1); s, k and
         t broadcast against the columns."""
         i = k - self.k_lo
-        if self.k_in_lo <= k.min() and k.max() <= self.k_in_hi:
-            return self._horner(self.offset + i, t)
         value = self._horner(self.offset + np.minimum(np.maximum(i, 0), self.count - 2), t)
         below = i < 0
         if below.any():
@@ -554,8 +553,10 @@ class _CoverageEvaluator:
             yg = self.y[None, :, None]
             vg = self.v[None, None, :]
             self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
-            self.gw = [wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
-                       for state in _STATES]
+            self.gw = [
+                wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
+                for state in _STATES
+            ]
             mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
             # conditional case masses cannot exceed one per (x, angle) node; far
             # off the grid's natural scale the tan-map tail can overshoot, which
@@ -599,8 +600,9 @@ class _CoverageEvaluator:
         for irho, ixi in itertools.product(range(2), repeat=2):
             amp_direct = np.sqrt(self.sig_direct[irho])
             amp = [np.sqrt(power * gain_reflected * leg * leg_user[ixi]) for leg in leg_bs]
-            self.reflected[irho, ixi] = [(prob, (amp_direct + a) ** 2)
-                                         for prob, a in zip(leg_prob, amp)]
+            self.reflected[irho, ixi] = [
+                (prob, (amp_direct + a) ** 2) for prob, a in zip(leg_prob, amp)
+            ]
 
     # tail tables, keyed by (side, factor state, serving state of that side);
     # the reflector tables with serving state None have no void
@@ -622,11 +624,13 @@ class _CoverageEvaluator:
                     # interferers in the serving link's own state are excluded
                     # up to d, the other state up to equal received power
                     excl = equivalent_distance(d, _STATES[serving], state, cfg)
-                    self.tables[side, fstate, serving] = _tail_table(state, excl, cfg,
-                                                                     self.quad.q_tail)
+                    self.tables[side, fstate, serving] = _tail_table(
+                        state, excl, cfg, self.quad.q_tail
+                    )
             if self.has_ris:
-                self.tables["ris", fstate, None] = _tail_table(state, np.zeros((1, 1, 1)), cfg,
-                                                               self.quad.q_tail)
+                self.tables["ris", fstate, None] = _tail_table(
+                    state, np.zeros((1, 1, 1)), cfg, self.quad.q_tail
+                )
         self.exponents = {}
         self._exponent_tables(los_only=False)
 
@@ -664,7 +668,8 @@ class _CoverageEvaluator:
         tables = self._exponent_tables(los_only)
         u = np.log(s) / _TABLE_STEP
         k = np.floor(u)
-        t, k = u - k, k.astype(np.intp)
+        t = u - k
+        k = k.astype(np.intp)
         expo = -(s * self.sigma2) - tables["bs", irho](s, k, t)
         if self.has_ris:
             expo = expo - tables["ris", ixi](s, k, t)
@@ -822,7 +827,8 @@ def coverage_probability(
     quad: QuadratureSpec | None = None,
 ) -> CoverageResult:
     """Coverage of the typical user with the reflected path in the signal."""
-    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold)
+    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    return ev.evaluate(threshold)
 
 
 def coverage_direct(
@@ -835,7 +841,8 @@ def coverage_direct(
     The interference field (including both reflector sets and their voids) is
     unchanged; only the serving signal drops the reflected amplitude.
     """
-    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold, direct_signal=True)
+    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    return ev.evaluate(threshold, direct_signal=True)
 
 
 def coverage_small_beta(
@@ -848,7 +855,8 @@ def coverage_small_beta(
     Valid when beta is small enough that NLOS serving weights are negligible;
     agrees with the full expression as beta -> 0.
     """
-    return _get_evaluator(cfg, _resolve_quad(quad)).evaluate(threshold, los_only=True)
+    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    return ev.evaluate(threshold, los_only=True)
 
 
 # -- area spectral efficiency and energy efficiency --------------------------

@@ -24,6 +24,8 @@ from ._quad import fold_circle, refined, tan_halfline_nodes
 from .config import NetworkConfig
 from .propagation import LinkKind
 
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class AssociationCase:
@@ -115,7 +117,7 @@ def _serving_density(r, intensity, state: LinkKind, cfg: NetworkConfig):
 
 def serving_bs_density(x, state: LinkKind, cfg: NetworkConfig):
     """Unnormalized serving-BS distance density (mass = association prob)."""
-    return _serving_density(x, math.tau * cfg.lambda_bs, state, cfg)
+    return _serving_density(x, _TWO_PI * cfg.lambda_bs, state, cfg)
 
 
 def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float,
@@ -138,8 +140,14 @@ def _bs_length_scales(cfg: NetworkConfig) -> tuple[float, float]:
 def _bs_masses(cfg: NetworkConfig) -> tuple[float, float]:
     if cfg.lambda_bs == 0.0:
         return 0.0, 0.0
-    return tuple(_mass_over_halfline(lambda x, s=state: serving_bs_density(x, s, cfg), scale)
-                 for state, scale in zip((LinkKind.LOS, LinkKind.NLOS), _bs_length_scales(cfg)))
+    scale_los, scale_nlos = _bs_length_scales(cfg)
+    mass_los = _mass_over_halfline(
+        lambda x: serving_bs_density(x, LinkKind.LOS, cfg), scale_los
+    )
+    mass_nlos = _mass_over_halfline(
+        lambda x: serving_bs_density(x, LinkKind.NLOS, cfg), scale_nlos
+    )
+    return mass_los, mass_nlos
 
 
 def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
@@ -150,8 +158,12 @@ def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
 
 def serving_bs_mixture_density(x, cfg: NetworkConfig):
     """Serving-BS distance density regardless of link state (normalized)."""
-    combined = serving_bs_density(x, LinkKind.LOS, cfg) + serving_bs_density(x, LinkKind.NLOS, cfg)
-    return combined / sum(_bs_masses(cfg))
+    mass_los, mass_nlos = _bs_masses(cfg)
+    total = mass_los + mass_nlos
+    combined = serving_bs_density(x, LinkKind.LOS, cfg) + serving_bs_density(
+        x, LinkKind.NLOS, cfg
+    )
+    return combined / total
 
 
 # -- RIS side condition and distributions ------------------------------------
@@ -210,7 +222,7 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     x, wx = tan_halfline_nodes(q_x, x_scale)
     fx = serving_bs_mixture_density(x, cfg)
     # (1/2pi) d-upsilon as a periodic average
-    v, wv = fold_circle(math.tau * (np.arange(q_v) + 0.5) / q_v, np.full(q_v, 1.0 / q_v))
+    v, wv = fold_circle(_TWO_PI * (np.arange(q_v) + 0.5) / q_v, np.full(q_v, 1.0 / q_v))
 
     xg = x[:, None, None]
     vg = v[None, :, None]
