@@ -103,21 +103,16 @@ class GcqNodes(NamedTuple):
     w_angle: np.ndarray
 
 
-def alzer_epsilon(w: int, printed_constant: bool = False) -> float:
+def alzer_epsilon(w: int) -> float:
     """Scale constant of the gamma-dummy SINR bound.
 
     W*(W!)^(-1/W) is the tight-bound constant for the CDF of a unit-mean
     gamma variable with shape W: it equals 1 at W=1 (where the bound is
-    exact) and approaches e from below.  The variant W*(W!)^(1/W) is
-    selectable for debugging comparisons but grows without bound, pushing
-    the smoothed threshold to zero.
+    exact) and approaches e from below.
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    factorial = math.factorial(w)
-    if printed_constant:
-        return w * factorial ** (1.0 / w)
-    return w * factorial ** (-1.0 / w)
+    return w * math.factorial(w) ** (-1.0 / w)
 
 
 def _chebyshev_angle(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,25 +214,19 @@ def ris_interference_power(cfg: NetworkConfig) -> float:
 
 # -- interference Laplace transforms -----------------------------------------
 
-# interfering point sets; the two reflector sets share their tail tables
-_SET_KINDS = ("bs", "ris", "ris_idle")
-
-
-def _set_parameters(set_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
-    """(spatial density, power*gain scale) of one interfering point set."""
-    if set_kind == "bs":
-        density = 2.0 * np.pi * cfg.lambda_bs * active_prob_bs(cfg)
-        power_gain = cfg.p_bs_watt * mean_direct_interference_gain(cfg)
-    elif set_kind in ("ris", "ris_idle"):
-        idle = set_kind == "ris_idle"
-        p_active = active_prob_ris(cfg)
-        density = np.pi * cfg.lambda_ris * (1.0 - p_active if idle else p_active)
-        power_gain = ris_interference_power(cfg) * mean_reflected_interference_gain(
-            cfg, idle=idle
-        )
-    else:
-        raise ValueError(f"unknown interferer set {set_kind!r}")
-    return float(density), float(power_gain)
+def _interferers(side: str, cfg: NetworkConfig) -> tuple[tuple[float, float], ...]:
+    """(spatial density, power*gain scale) of each interfering point set of
+    one side: the active base stations for "bs"; the active, then the idle
+    reflectors for "ris", whose two sets share their tail tables."""
+    if side == "bs":
+        return ((float(2.0 * np.pi * cfg.lambda_bs * active_prob_bs(cfg)),
+                 float(cfg.p_bs_watt * mean_direct_interference_gain(cfg))),)
+    p_active, power = active_prob_ris(cfg), ris_interference_power(cfg)
+    return tuple(
+        (float(np.pi * cfg.lambda_ris * p),
+         float(power * mean_reflected_interference_gain(cfg, idle=idle)))
+        for p, idle in ((p_active, False), (1.0 - p_active, True))
+    )
 
 
 # inner end of the void-free log map, in units of r_min; the disc it leaves
@@ -335,7 +324,7 @@ _HERMITE = np.array([
 class _Term(NamedTuple):
     """One (density, scale, tail table) summand of an `_ExponentTable`, with
     per column the u range where `_j` is needed, and the series sums
-    sum(A*B), sum(A*B^2) and the saturated `_j` value that stand in outside."""
+    sum(A*B), sum(A*B^2) and the saturated sum(A) that stand in outside."""
 
     density: float
     scale: float
@@ -352,12 +341,12 @@ class _ExponentTable:
 
     `terms` lists (density, scale, tail table) triples whose tail tables share
     one exclusion shape; each exclusion node is a column with its own run of
-    lattice nodes u = k*_TABLE_STEP, stored one after the other.  Between
-    nodes L is quintic Hermite from its value and first two u-derivatives;
-    with x = c*B these are J_u = sum A*x*exp(-x) and J_uu = sum
-    A*x*(1-x)*exp(-x), and each interval keeps its quintic as a row of
-    coefficients in powers of t.  Below a column's run L is the two-term
-    series s*S1 - s^2*S2/2, above it the saturated sum(A*density).
+    lattice nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
+    six coefficients in `coef`, one after the other: the two-term series
+    s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
+    Hermite of L in t from its value and first two u-derivatives (with
+    x = c*B, J_u = sum A*x*exp(-x) and J_uu = sum A*x*(1-x)*exp(-x)); and
+    the saturated sum(A*density) above the run.  A lookup is one Horner pass.
     """
 
     def __init__(self, terms):
@@ -377,37 +366,43 @@ class _ExponentTable:
                 live_hi = np.log(_SATURATION_EDGE / (sc * b_live))
                 hi = np.maximum(hi, live_hi)
             ab, abb = np.sum(a * b, axis=0), np.sum(a * b * b, axis=0)
+            a_sum = np.sum(a, axis=0)
             s1 += d * sc * ab
             s2 += d * sc**2 * abb
-            sat += d * np.sum(a, axis=0)
-            # the saturated value as `_j` sums it; two lattice points, because
-            # numpy adds up a lone contiguous column in another order
-            term_sat = np.array([_j(np.full(2, np.inf), (a[:, i:i + 1], b[:, i:i + 1]))[0]
-                                 for i in range(size)])
+            sat += d * a_sum
             self.terms.append(_Term(d, sc, (a, b), np.log(_TERM_SERIES_EDGE / (sc * b_max)),
-                                    live_hi, ab, abb, term_sat))
+                                    live_hi, ab, abb, a_sum))
         h = _TABLE_STEP
         # a column no term reaches is zero everywhere: two zero nodes
         empty = ~(hi > lo)
         k_lo = np.floor(np.where(empty, 0.0, lo) / h).astype(np.intp)
         count = np.ceil(np.where(empty, h, hi) / h).astype(np.intp) - k_lo + 1
         offset = np.cumsum(count) - count
-        # per-column constants, shaped like the exclusions
-        self.k_lo, self.count, self.offset = (v.reshape(shape) for v in (k_lo, count, offset))
-        self.s1, self.s2, self.sat = (v.reshape(shape) for v in (s1, s2, sat))
+        # per-column constants, shaped like the exclusions; a column's rows
+        # follow the previous column's, and `first` is the row of its first
+        # interval, one after its series row
+        first = offset + np.arange(size) + 1
+        self.k_lo, self.count, self.first = (v.reshape(shape) for v in (k_lo, count, first))
         self.s_edge = np.exp(self.k_lo * h)
 
         node_col = np.repeat(np.arange(size), count)
         node_k = np.arange(count.sum()) - np.repeat(offset, count) + np.repeat(k_lo, count)
+        node_row = np.arange(count.sum()) + node_col + 1
         f, df, ddf = self._exact(node_k * h, node_col, derivatives=True)
-        # (f, h*f', h^2*f'') per node; row j is the quintic of the six values from j
-        self.coef = np.lib.stride_tricks.sliding_window_view(
-            np.stack([f, h * df, h * h * ddf], axis=-1).ravel(), 6
-        )[::3] @ _HERMITE
+        # (f, h*f', h^2*f'') per node at its row; row j is the quintic of the
+        # six values from row j
+        values = np.zeros((len(node_row) + size + 1, 3))
+        values[node_row] = np.stack([f, h * df, h * h * ddf], axis=-1)
+        self.coef = np.lib.stride_tricks.sliding_window_view(values.ravel(), 6)[::3] @ _HERMITE
+        # the row before a column's first node takes the series, and the row
+        # of its last node, which starts no interval, the saturated value
+        series, last = first - 1, first + count - 1
+        self.coef[series] = self.coef[last] = 0.0
+        self.coef[series, 1], self.coef[series, 2], self.coef[last, 0] = s1, -0.5 * s2, sat
         # build check: the interpolant against the exact sum at every midpoint
         left = np.flatnonzero(np.diff(node_col, append=-1) == 0)
         exact = self._exact((node_k[left] + 0.5) * h, node_col[left])[0]
-        interp = self._horner(left, 0.5)
+        interp = self._horner(node_row[left], 0.5)
         rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
         worst = int(np.argmax(rel))
         self.residual = float(rel[worst])
@@ -451,7 +446,7 @@ class _ExponentTable:
         return out
 
     def _horner(self, rows, t):
-        """Each interval of `rows` at its t, by Horner's rule."""
+        """Each row of `coef` in `rows` at its variable t, by Horner's rule."""
         coef = self.coef.take(rows, axis=0)
         value = coef[..., 5] * t
         for p in range(4, 0, -1):
@@ -462,17 +457,10 @@ class _ExponentTable:
 
     def __call__(self, s, k, t):
         """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1); s, k and
-        t broadcast against the columns."""
-        i = k - self.k_lo
-        value = self._horner(self.offset + np.minimum(np.maximum(i, 0), self.count - 2), t)
-        below = i < 0
-        if below.any():
-            sb = np.minimum(s, self.s_edge)
-            value = np.where(below, sb * (self.s1 - 0.5 * sb * self.s2), value)
-        above = i >= self.count - 1
-        if above.any():
-            value = np.where(above, self.sat, value)
-        return value
+        t broadcast against the columns.  The series rows take min(s, s_edge)
+        in place of t."""
+        i = np.minimum(np.maximum(k - self.k_lo, -1), self.count - 1)
+        return self._horner(self.first + i, np.where(i < 0, np.minimum(s, self.s_edge), t))
 
 
 def laplace_interference(
@@ -491,7 +479,11 @@ def laplace_interference(
         raise ValueError("s must be >= 0")
     if exclusion < 0.0:
         raise ValueError("exclusion must be >= 0")
-    density, power_gain = _set_parameters(set_kind, cfg)
+    try:
+        side, index = {"bs": ("bs", 0), "ris": ("ris", 0), "ris_idle": ("ris", 1)}[set_kind]
+    except KeyError:
+        raise ValueError(f"unknown interferer set {set_kind!r}") from None
+    density, power_gain = _interferers(side, cfg)[index]
     if s == 0.0 or density == 0.0 or power_gain == 0.0:
         return 1.0
     intercept, alpha = path_law(state, cfg)
@@ -508,14 +500,15 @@ def laplace_interference(
 class _CoverageEvaluator:
     """Precomputed grids and exponent tables for one (cfg, quad) pair.
 
-    Building the evaluator fills, for each side (base stations over the x
-    exclusions, reflectors over the y exclusions) and serving state, one
-    `_ExponentTable` of the interference exponent in u = ln s; the NLOS-free
-    set is filled on the first `coverage_small_beta` call.  The base-station
-    side (x grid, its weights `fdw`, tail and exponent tables) is built only
-    by the configuration's reflector-free twin; an evaluator with reflectors
-    holds the twin's evaluator as `base` and reads that side from it, so the
-    cache keeps one copy for both.  Evaluating one threshold then forms
+    Each evaluator describes one side: the base stations over the x
+    exclusions without reflectors, the reflectors over the y exclusions with
+    them.  It keeps that side's point sets `sets`, tail tables and, per
+    serving state, one `_ExponentTable` of the interference exponent in
+    u = ln s; the NLOS-free set is filled on the first `coverage_small_beta`
+    call.  The base-station side (x grid, its weights `fdw` and tables) is
+    built only by the configuration's reflector-free twin; an evaluator with
+    reflectors holds the twin's evaluator as `base` and reads that side from
+    it, so the cache keeps one copy for both.  Evaluating one threshold forms
     s = gamma*T/signal on the grid and looks each side up once per Laplace
     product; it keeps no result.  Arrays live on the (x, y, angle) grid, with
     size-1 axes where a quantity does not depend on that coordinate.
@@ -604,60 +597,48 @@ class _CoverageEvaluator:
                 (prob, (amp_direct + a) ** 2) for prob, a in zip(leg_prob, amp)
             ]
 
-    # tail tables, keyed by (side, factor state, serving state of that side);
-    # the reflector tables with serving state None have no void
+    # this side's tail tables, keyed by (factor state, serving state); the
+    # reflector tables with serving state None have no void
 
     def _build_factor_tables(self) -> None:
         cfg = self.cfg
-        if self.has_ris:
-            self.sets = dict(self.base.sets)
-            self.sets.update((kind, _set_parameters(kind, cfg)) for kind in _SET_KINDS[1:])
-            self.tables = dict(self.base.tables)
-            distances = {"ris": self.y[None, :, None]}
-        else:
-            self.sets = {"bs": _set_parameters("bs", cfg)}
-            self.tables = {}
-            distances = {"bs": self.x[:, None, None]}
+        self.sets = _interferers("ris" if self.has_ris else "bs", cfg)
+        d = self.y[None, :, None] if self.has_ris else self.x[:, None, None]
+        self.tables = {}
         for fstate, state in enumerate(_STATES):
-            for side, d in distances.items():
-                for serving in range(2):
-                    # interferers in the serving link's own state are excluded
-                    # up to d, the other state up to equal received power
-                    excl = equivalent_distance(d, _STATES[serving], state, cfg)
-                    self.tables[side, fstate, serving] = _tail_table(
-                        state, excl, cfg, self.quad.q_tail
-                    )
-            if self.has_ris:
-                self.tables["ris", fstate, None] = _tail_table(
-                    state, np.zeros((1, 1, 1)), cfg, self.quad.q_tail
-                )
+            for serving in (0, 1, None) if self.has_ris else (0, 1):
+                # interferers in the serving link's own state are excluded
+                # up to d, the other state up to equal received power
+                excl = (np.zeros((1, 1, 1)) if serving is None
+                        else equivalent_distance(d, _STATES[serving], state, cfg))
+                self.tables[fstate, serving] = _tail_table(state, excl, cfg, self.quad.q_tail)
         self.exponents = {}
         self._exponent_tables(los_only=False)
 
     def _exponent_tables(self, los_only: bool) -> dict:
-        """Each side's exponent table, keyed (side, serving state).
+        """This side's exponent tables, keyed by serving state.
 
         The los_only set is filled on first use, once even when sweep threads
-        ask together; the base-station tables come from the twin's evaluator.
+        ask together.
         """
         with self._lock:
             if los_only not in self.exponents:
                 fstates = (0,) if los_only else (0, 1)
-                own = "ris" if self.has_ris else "bs"
-                exponents = dict(self.base._exponent_tables(los_only)) if self.has_ris else {}
-                exponents.update({
-                    (side, serving): _ExponentTable([
+                self.exponents[los_only] = {
+                    serving: _ExponentTable([
                         (density, power_gain * path_law(_STATES[f], self.cfg)[0],
-                         self.tables[side, f, serving])
+                         self.tables[f, serving])
                         for f in fstates
-                        for kind, (density, power_gain) in self.sets.items()
-                        if (kind == "bs") == (side == "bs")
+                        for density, power_gain in self.sets
                     ])
-                    for side, fstate, serving in self.tables
-                    if fstate == 0 and side == own
-                })
-                self.exponents[los_only] = exponents
+                    for fstate, serving in self.tables
+                    if fstate == 0
+                }
         return self.exponents[los_only]
+
+    def _sides(self) -> tuple:
+        """The evaluators of the Laplace product's sides, base stations first."""
+        return (self.base, self) if self.has_ris else (self,)
 
     def _log_laplace(self, s, irho: int, ixi: int | None, los_only: bool):
         """Log of the interference Laplace product times exp(-s*sigma2) at s.
@@ -665,14 +646,13 @@ class _CoverageEvaluator:
         irho and ixi are the serving BS and reflector states; ixi None takes
         the reflector sets without a void.  los_only drops the NLOS factors.
         """
-        tables = self._exponent_tables(los_only)
         u = np.log(s) / _TABLE_STEP
         k = np.floor(u)
         t = u - k
         k = k.astype(np.intp)
-        expo = -(s * self.sigma2) - tables["bs", irho](s, k, t)
-        if self.has_ris:
-            expo = expo - tables["ris", ixi](s, k, t)
+        expo = -(s * self.sigma2)
+        for side, serving in zip(self._sides(), (irho, ixi)):
+            expo = expo - side._exponent_tables(los_only)[serving](s, k, t)
         return expo
 
     # public evaluation
@@ -724,7 +704,8 @@ class _CoverageEvaluator:
             "clamped": clamped,
             "raw_total": float(total),
             "table_residual": max(
-                table.residual for table in self._exponent_tables(los_only).values()
+                table.residual for side in self._sides()
+                for table in side._exponent_tables(los_only).values()
             ),
         }
         engine = "analytic-small-beta" if los_only else "analytic"

@@ -257,14 +257,14 @@ def run_sweep(
     unknown = [e for e in requested if e not in ENGINES]
     if not requested or unknown:
         raise ValueError(f"engines must be a non-empty subset of {ENGINES}, got {engines!r}")
-    metrics = _DEFAULT_METRICS[_check_kind(kind)] if metrics is None else tuple(metrics)
+    points = _sweep_points(kind, cfg, 10.0 ** (threshold_db / 10.0))
+    metrics = _DEFAULT_METRICS[kind] if metrics is None else tuple(metrics)
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    points = _sweep_points(kind, cfg, 10.0 ** (threshold_db / 10.0))
     table = SweepTable()
 
     batches: dict[NetworkConfig, montecarlo.SinrBatch] = {}
@@ -326,12 +326,6 @@ def run_sweep(
     if output is not None:
         table.write(output)
     return table
-
-
-def _check_kind(kind: str) -> str:
-    if kind not in SWEEP_KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    return kind
 
 
 # -- cross-engine validation -------------------------------------------------

@@ -6,7 +6,7 @@ test log (run pytest with `-rP`). Criterion 1 currently fails at +5/+10 dB.
 The reflector void is not the cause: combined and direct-only coverage at
 +10 dB differ by only 6.2e-5. The analytic engine puts each interferer set's
 mean gain inside the Laplace exponent, which overstates interference more as
-the threshold grows (ROADMAP open item 2); see the README notes.
+the threshold grows (ROADMAP open item 1); see the README notes.
 """
 
 import math

@@ -43,10 +43,6 @@ def test_alzer_epsilon_values():
     assert alzer_epsilon(1) == pytest.approx(1.0)
     # the constant grows toward e as the series deepens
     assert alzer_epsilon(5) < alzer_epsilon(20) < math.e
-    # debug variant with the exponent flipped
-    assert alzer_epsilon(w, printed_constant=True) == pytest.approx(
-        w * math.factorial(w) ** (1.0 / w)
-    )
     with pytest.raises(ValueError):
         alzer_epsilon(0)
 
@@ -140,6 +136,9 @@ def test_laplace_trivial_values(cfg):
         laplace_interference("bs", LinkKind.LOS, -1.0, 10.0, cfg)
     with pytest.raises(ValueError):
         laplace_interference("unknown", LinkKind.LOS, 1.0, 10.0, cfg)
+    # the kind is checked before the trivial values return
+    with pytest.raises(ValueError):
+        laplace_interference("nope", LinkKind.LOS, 0.0, 10.0, cfg)
 
 
 def test_laplace_monotone_properties(cfg):
@@ -360,15 +359,27 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
                 assert expo[i, j, k] == pytest.approx(expected, rel=1e-9)
 
 
+def _sides(ev, irho=None, ixi=None):
+    """(evaluator, serving state) per side: the twin's base stations, then
+    the evaluator's own reflectors."""
+    return [(ev.base, irho), (ev, ixi)] if ev.has_ris else [(ev, irho)]
+
+
+def _all_exponent_tables(ev, los_only):
+    """The exponent tables of both sides, the twin's base-station ones included."""
+    return [table for side, _ in _sides(ev) for table in side._exponent_tables(los_only).values()]
+
+
 def _exact_log_laplace(ev, s, irho, ixi, los_only):
-    """The evaluator's Laplace exponent summed straight from its tail tables."""
+    """The evaluator's Laplace exponent summed straight from the tail tables
+    of both sides."""
     expo = -(s * ev.sigma2)
     for fstate in (0,) if los_only else (0, 1):
         intercept, _ = path_law(STATES[fstate], ev.cfg)
-        for kind, (density, power_gain) in ev.sets.items():
-            side, serving = ("bs", irho) if kind == "bs" else ("ris", ixi)
-            table = ev.tables[side, fstate, serving]
-            expo = expo - density * _j(s * power_gain * intercept, table)
+        for side, serving in _sides(ev, irho, ixi):
+            table = side.tables[fstate, serving]
+            for density, power_gain in side.sets:
+                expo = expo - density * _j(s * power_gain * intercept, table)
     return expo
 
 
@@ -389,15 +400,31 @@ def test_log_laplace_beyond_table_edges(cfg):
     """s below every table takes the two-term series, s above it saturates."""
     ev = _get_evaluator(cfg, QuadratureSpec())
     for los_only in (False, True):
-        tables = ev._exponent_tables(los_only)
-        k_lo = min(table.k_lo.min() for table in tables.values())
-        k_hi = max((table.k_lo + table.count).max() for table in tables.values())
+        tables = _all_exponent_tables(ev, los_only)
+        k_lo = min(table.k_lo.min() for table in tables)
+        k_hi = max((table.k_lo + table.count).max() for table in tables)
         edges = np.array([k_lo - 30.0, k_lo - 0.5, k_hi + 0.5, k_hi + 30.0])
         s = np.exp(_TABLE_STEP * edges)[None, None, :]
         for irho, ixi in _serving_pairs(ev):
             got = ev._log_laplace(s, irho, ixi, los_only)
             want = _exact_log_laplace(ev, s, irho, ixi, los_only)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_lookup_at_column_row_edges(cfg):
+    """In every column of both sides' tables, lookups on either side of each
+    edge between the series, quintic and saturated rows match the exact sum."""
+    ev = _get_evaluator(cfg, QuadratureSpec())
+    for los_only in (False, True):
+        for table in _all_exponent_tables(ev, los_only):
+            cols = np.arange(table.k_lo.size)
+            last = table.k_lo + table.count - 1
+            for k in (table.k_lo - 1, table.k_lo, last - 1, last, last + 4):
+                for t in (0.0, 0.5):
+                    u = (k + t) * _TABLE_STEP
+                    got = table(np.exp(u), k, t).ravel()
+                    want = table._exact(u.ravel(), cols)[0]
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_coverage_tables_match_exact_sum(cfg, light_quad):
@@ -466,10 +493,10 @@ def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
     ev = _CoverageEvaluator(_fill_configs(cfg)[index], light_quad)
     pruned = 0
     for los_only in (False, True):
-        for table in ev._exponent_tables(los_only).values():
+        for table in _all_exponent_tables(ev, los_only):
             count = table.count.ravel()
             cols = np.repeat(np.arange(count.size), count)
-            k = (np.arange(count.sum()) - np.repeat(table.offset.ravel(), count)
+            k = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
                  + np.repeat(table.k_lo.ravel(), count))
             left = np.flatnonzero(np.diff(cols, append=-1) == 0)
             for u, c in ((k * _TABLE_STEP, cols), ((k[left] + 0.5) * _TABLE_STEP, cols[left])):
