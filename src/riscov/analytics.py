@@ -92,17 +92,6 @@ class EfficiencyResult:
     ee: float  # bit/s/Hz per J
 
 
-class GcqNodes(NamedTuple):
-    """Gauss-Chebyshev abscissas/weights for the three serving dimensions."""
-
-    x: np.ndarray
-    wx: np.ndarray
-    y: np.ndarray
-    wy: np.ndarray
-    angle: np.ndarray
-    w_angle: np.ndarray
-
-
 def alzer_epsilon(w: int) -> float:
     """Scale constant of the gamma-dummy SINR bound.
 
@@ -124,18 +113,6 @@ def _chebyshev_angle(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gcq_nodes(qspec: QuadratureSpec) -> GcqNodes:
-    """Abscissa/weight tables for the serving-geometry integrals.
-
-    x and y tables integrate over (0, inf); the angle table averages over
-    (0, 2*pi), i.e. its weights sum to ~1.
-    """
-    x, wx = tan_halfline_nodes(qspec.q1)
-    y, wy = tan_halfline_nodes(qspec.q2)
-    angle, w_angle = _chebyshev_angle(qspec.q3)
-    return GcqNodes(x=x, wx=wx, y=y, wy=wy, angle=angle, w_angle=w_angle)
-
-
 # -- cell-load probabilities -------------------------------------------------
 
 
@@ -152,7 +129,15 @@ def active_prob_bs(cfg: NetworkConfig) -> float:
 
 
 @lru_cache(maxsize=64)
-def _active_prob_ris_cached(cfg: NetworkConfig) -> float:
+def active_prob_ris(cfg: NetworkConfig) -> float:
+    """Probability a reflector cell holds at least one user.
+
+    Expectation of the occupancy over the serving geometry (x, y, angle),
+    normalized to the mass the serving-reflector densities capture.
+    """
+    if cfg.lambda_ris <= 0.0 or cfg.lambda_u <= 0.0 or cfg.lambda_bs <= 0.0:
+        return 0.0
+
     # the eligible-user region around a reflector is a half-plane sector; its
     # effective cell is 1/c times larger than the isotropic Voronoi cell of a
     # process with density lambda_ris / 2, hence the 2/c load scaling
@@ -165,17 +150,6 @@ def _active_prob_ris_cached(cfg: NetworkConfig) -> float:
     if total_mass <= 0.0:
         return 0.0
     return 1.0 - idle_mass / total_mass
-
-
-def active_prob_ris(cfg: NetworkConfig) -> float:
-    """Probability a reflector cell holds at least one user.
-
-    Expectation of the occupancy over the serving geometry (x, y, angle),
-    normalized to the mass the serving-reflector densities capture.
-    """
-    if cfg.lambda_ris <= 0.0 or cfg.lambda_u <= 0.0 or cfg.lambda_bs <= 0.0:
-        return 0.0
-    return _active_prob_ris_cached(cfg)
 
 
 # -- ambient reflected power -------------------------------------------------
@@ -528,9 +502,8 @@ class _CoverageEvaluator:
         # None, not self, on the twin, so no cycle outlives the cache entry
         self.base = _get_evaluator(cfg.replace(lambda_ris=0.0), quad) if self.has_ris else None
 
-        nodes = gcq_nodes(quad)
         # every integrand sees the angle through its cosine only
-        self.v, self.wv = fold_circle(nodes.angle, nodes.w_angle)
+        self.v, self.wv = fold_circle(*_chebyshev_angle(quad.q3))
         if self.has_ris:
             self.x, self.fdw = self.base.x, self.base.fdw
             # serving-reflector grid; one global scale keeps the factor tables
@@ -539,8 +512,7 @@ class _CoverageEvaluator:
             if cfg.beta > 0.0:
                 sy = min(sy, 3.0 / cfg.beta)
             sy = max(sy, 10.0 * cfg.r_min)
-            self.y = sy * nodes.y
-            wy = sy * nodes.wy
+            self.y, wy = tan_halfline_nodes(quad.q2, sy)
 
             xg = self.x[:, None, None]
             yg = self.y[None, :, None]
@@ -560,10 +532,8 @@ class _CoverageEvaluator:
         else:
             # serving-BS distance grid, scaled to the nearest-point scale
             sx = 0.6 / math.sqrt(cfg.lambda_bs)
-            self.x = sx * nodes.x
-            self.fdw = [
-                sx * nodes.wx * serving_bs_density(self.x, state, cfg) for state in _STATES
-            ]
+            self.x, wx = tan_halfline_nodes(quad.q1, sx)
+            self.fdw = [wx * serving_bs_density(self.x, state, cfg) for state in _STATES]
             self.remainder = np.ones((quad.q1, self.v.size))
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
@@ -737,9 +707,11 @@ class _CacheInfo(NamedTuple):
 class _BuildOnce:
     """A bounded LRU cache of `build(*key)` that builds each key once.
 
-    A caller asking for a key that is still being built waits for that build
-    and counts as a hit.  A failed build is not kept.  `cache_info()` and
-    `cache_clear()` behave as those of `functools.lru_cache`.
+    Each key holds one `Future`: the first caller for a key inserts it and
+    builds, and later callers wait on it and count as hits.  A failed build
+    is not kept.  `cache_info()` and `cache_clear()` behave as those of
+    `functools.lru_cache`, except that `currsize` counts builds still in
+    flight.
     """
 
     def __init__(self, build, maxsize: int):
@@ -750,47 +722,37 @@ class _BuildOnce:
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._done = OrderedDict()
-            self._building = {}
+            self._futures = OrderedDict()
             self._hits = self._misses = 0
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
-            return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._done))
+            return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._futures))
 
     def __call__(self, *key):
         with self._lock:
-            if key in self._done:
+            future = self._futures.get(key)
+            if future is not None:
                 self._hits += 1
-                self._done.move_to_end(key)
-                return self._done[key]
-            pending = self._building.get(key)
-            if pending is not None:
-                self._hits += 1
+                self._futures.move_to_end(key)
             else:
                 self._misses += 1
-                building = self._building[key] = Future()
-        if pending is not None:
-            return pending.result()
+                building = self._futures[key] = Future()
+                if len(self._futures) > self._maxsize:
+                    self._futures.popitem(last=False)
+        if future is not None:
+            return future.result()
         try:
             value = self._build(*key)
         except BaseException as exc:
             with self._lock:
-                self._settle(key, building)
+                # a cache_clear() during the build may have let another caller in
+                if self._futures.get(key) is building:
+                    del self._futures[key]
             building.set_exception(exc)
             raise
-        with self._lock:
-            self._settle(key, building)
-            self._done[key] = value
-            if len(self._done) > self._maxsize:
-                self._done.popitem(last=False)
         building.set_result(value)
         return value
-
-    def _settle(self, key, building: Future) -> None:
-        # a cache_clear() during the build may have let another caller in
-        if self._building.get(key) is building:
-            del self._building[key]
 
 
 # one sweep point asks for at most four configurations: its own, p2's and
@@ -798,45 +760,41 @@ class _BuildOnce:
 _get_evaluator = _BuildOnce(_CoverageEvaluator, maxsize=8)
 
 
-def _resolve_quad(quad: QuadratureSpec | None) -> QuadratureSpec:
-    return quad if quad is not None else QuadratureSpec()
-
-
 def coverage_probability(
     threshold: float,
     cfg: NetworkConfig,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CoverageResult:
     """Coverage of the typical user with the reflected path in the signal."""
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    ev = _get_evaluator(cfg, quad)
     return ev.evaluate(threshold)
 
 
 def coverage_direct(
     threshold: float,
     cfg: NetworkConfig,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CoverageResult:
     """Coverage counting only the direct-link signal power.
 
     The interference field (including both reflector sets and their voids) is
     unchanged; only the serving signal drops the reflected amplitude.
     """
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    ev = _get_evaluator(cfg, quad)
     return ev.evaluate(threshold, direct_signal=True)
 
 
 def coverage_small_beta(
     threshold: float,
     cfg: NetworkConfig,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CoverageResult:
     """Reduced form for weak blockage: NLOS interference factors dropped.
 
     Valid when beta is small enough that NLOS serving weights are negligible;
     agrees with the full expression as beta -> 0.
     """
-    ev = _get_evaluator(cfg, _resolve_quad(quad))
+    ev = _get_evaluator(cfg, quad)
     return ev.evaluate(threshold, los_only=True)
 
 
@@ -846,7 +804,7 @@ def coverage_small_beta(
 def energy_efficiency(
     threshold: float,
     cfg: NetworkConfig,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
     coverage: Callable[[bool], float] | None = None,
 ) -> EfficiencyResult:
     """Area spectral efficiency (bit/s/Hz per m^2) and energy efficiency.
@@ -856,7 +814,6 @@ def energy_efficiency(
     if given, maps direct_signal to the coverage total of (threshold, cfg,
     quad), so a caller that has it already need not evaluate it again.
     """
-    quad = _resolve_quad(quad)
     p_bs = active_prob_bs(cfg)
     p_ris = active_prob_ris(cfg)
     served_bs = cfg.lambda_bs * p_bs

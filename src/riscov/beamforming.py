@@ -120,27 +120,6 @@ def reflected_gain_serving(cfg: NetworkConfig) -> float:
     return float(cfg.n_bs * cfg.n_u * cfg.n_ris**2)
 
 
-def reflected_gain_interfering(
-    angles: SteeringAngleSet,
-    serving_phases: RisPhaseProfile,
-    cfg: NetworkConfig,
-    beam_target: SteeringAngleSet | None = None,
-) -> float:
-    """Gain of an interfering reflected path seen by beams aimed elsewhere.
-
-    ``beam_target`` holds the serving-path angles the BS and user beams point
-    at (defaults to the all-zero set).
-    """
-    if beam_target is None:
-        beam_target = SteeringAngleSet()
-    bs_off = spatial_frequency(angles.theta_g, cfg) - spatial_frequency(beam_target.theta_g, cfg)
-    u_off = spatial_frequency(angles.phi_u, cfg) - spatial_frequency(beam_target.phi_u, cfg)
-    bs_factor = fejer_kernel(bs_off, cfg.n_bs) / cfg.n_bs
-    u_factor = fejer_kernel(u_off, cfg.n_u) / cfg.n_u
-    ris_factor = ris_array_gain(angles.theta_u, angles.phi_g, serving_phases, cfg)
-    return float(bs_factor * u_factor * ris_factor)
-
-
 # -- average gains ----------------------------------------------------------
 
 

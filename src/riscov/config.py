@@ -60,12 +60,12 @@ class NetworkConfig:
     r_min: float = 1.0              # minimum link distance [m]
 
     def __post_init__(self) -> None:
+        self._validate()
         default_c = (self.wavelength_m / (4.0 * math.pi)) ** 2
         if self.c_los is None:
             object.__setattr__(self, "c_los", default_c)
         if self.c_nlos is None:
             object.__setattr__(self, "c_nlos", default_c)
-        self._validate()
 
     # -- derived quantities -------------------------------------------------
 
@@ -98,38 +98,30 @@ class NetworkConfig:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        def positive(name: str) -> None:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+        def check(names, kind, ok, what: str) -> None:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
-        def nonnegative(name: str) -> None:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a nonnegative finite number, got {value!r}")
-
-        for name in ("p0_watt", "alpha_los", "alpha_nlos", "f_c", "bandwidth_hz",
-                     "d_over_omega", "r_min"):
-            positive(name)
-        for name in ("delta", "lambda_bs", "lambda_ris", "lambda_u", "beta",
-                     "c_los", "c_nlos"):
-            nonnegative(name)
-        for name in ("p_bs_dbm", "p_elem_dbm", "noise_figure_db"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("n_bs", "n_u", "n_ris"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        real = (int, float)
+        check(("p0_watt", "alpha_los", "alpha_nlos", "f_c", "bandwidth_hz", "d_over_omega",
+               "r_min"), real, lambda v: math.isfinite(v) and v > 0,
+              "a positive finite number")
+        # intercepts left None are derived once the rest is valid
+        intercepts = [name for name in ("c_los", "c_nlos") if getattr(self, name) is not None]
+        check(("delta", "lambda_bs", "lambda_ris", "lambda_u", "beta", *intercepts), real,
+              lambda v: math.isfinite(v) and v >= 0, "a nonnegative finite number")
+        check(("p_bs_dbm", "p_elem_dbm", "noise_figure_db"), real, math.isfinite,
+              "a finite number")
+        check(("n_bs", "n_u", "n_ris"), int, lambda v: v >= 1, "an integer >= 1")
         if self.antenna_scheme not in ANTENNA_SCHEMES:
             raise ConfigError(
                 f"antenna_scheme must be one of {ANTENNA_SCHEMES}, got {self.antenna_scheme!r}"
             )
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(NetworkConfig)}
-_INT_FIELDS = {"n_bs", "n_u", "n_ris"}
+_FIELDS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
 
 def parse_config(text: str) -> NetworkConfig:
@@ -144,22 +136,10 @@ def parse_config(text: str) -> NetworkConfig:
         raise ConfigError(
             f"config document must be a flat key/value mapping, got {type(raw).__name__}"
         )
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(str(key) for key in set(raw) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    coerced = {}
-    for key, value in raw.items():
-        if key == "antenna_scheme":
-            coerced[key] = value
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            coerced[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            coerced[key] = float(value)
-    return NetworkConfig(**coerced)
+    return NetworkConfig(**raw)
 
 
 def load_config(path: str | Path) -> NetworkConfig:

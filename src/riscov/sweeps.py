@@ -193,7 +193,7 @@ def metric_config(metric: str, point_cfg: NetworkConfig) -> NetworkConfig:
     return point_cfg
 
 
-def _point_coverage(threshold: float, quad: QuadratureSpec | None):
+def _point_coverage(threshold: float, quad: QuadratureSpec):
     """coverage(cfg, direct_signal) -> total at one sweep point's threshold,
     each (configuration, signal) pair evaluated once."""
     memo: dict[tuple[NetworkConfig, bool], float] = {}
@@ -209,7 +209,7 @@ def _point_coverage(threshold: float, quad: QuadratureSpec | None):
 
 
 def _analytic_value(metric: str, threshold: float, point_cfg: NetworkConfig,
-                    quad: QuadratureSpec | None, coverage) -> float:
+                    quad: QuadratureSpec, coverage) -> float:
     cfg = metric_config(metric, point_cfg)
     if metric in ("p1", "p2", "p_t"):
         return coverage(cfg, False)
@@ -233,7 +233,7 @@ def run_sweep(
     threshold_db: float = 0.0,
     trials: int = 2000,
     seed: int = 0,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
     workers: int = 1,
 ) -> SweepTable:
     """Evaluate one sweep and optionally write it to `output`.
@@ -384,7 +384,7 @@ def validate(
     budget: int = 10_000,
     output: str | Path | None = None,
     seed: int = 0,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> ValidationReport:
     """Run the cross-engine tolerance checks and write a deterministic report.
 
@@ -393,7 +393,6 @@ def validate(
     depends only on (cfg, budget, seed, quad), so identical calls produce
     byte-identical reports.
     """
-    quad = quad if quad is not None else QuadratureSpec()
     checks: list[CheckResult] = []
 
     # analytic-only checks

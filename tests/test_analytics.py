@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from riscov import analytics
-from riscov._quad import IntegrationError
+from riscov._quad import IntegrationError, tan_halfline_nodes
 from riscov.analytics import (
     _TABLE_STEP,
     QuadratureSpec,
     _CoverageEvaluator,
+    _chebyshev_angle,
     _get_evaluator,
     _j,
     _tail_table,
@@ -24,7 +25,6 @@ from riscov.analytics import (
     coverage_probability,
     coverage_small_beta,
     energy_efficiency,
-    gcq_nodes,
     laplace_interference,
     ris_interference_power,
 )
@@ -48,28 +48,25 @@ def test_alzer_epsilon_values():
 
 
 def test_gcq_nodes_match_direct_formulas():
-    nodes = gcq_nodes(QuadratureSpec(q1=8, q2=8, q3=8))
+    x, wx = tan_halfline_nodes(8)
+    angle, w_angle = _chebyshev_angle(8)
     for q in range(1, 9):
         theta = (2 * q - 1) * math.pi / 16.0
         arg = 0.25 * math.pi * math.cos(theta) + 0.25 * math.pi
-        assert nodes.x[q - 1] == pytest.approx(math.tan(arg), abs=1e-15)
-        assert nodes.wx[q - 1] == pytest.approx(
+        assert x[q - 1] == pytest.approx(math.tan(arg), abs=1e-15)
+        assert wx[q - 1] == pytest.approx(
             math.pi**2 * math.sin(theta) / (32.0 * math.cos(arg) ** 2), abs=1e-15
         )
-        assert nodes.angle[q - 1] == pytest.approx(
-            math.pi * (math.cos(theta) + 1.0), abs=1e-13
-        )
-        assert nodes.w_angle[q - 1] == pytest.approx(
-            math.pi * math.sin(theta) / 16.0, abs=1e-15
-        )
-    assert (nodes.wx > 0).all() and (nodes.wy > 0).all() and (nodes.w_angle > 0).all()
+        assert angle[q - 1] == pytest.approx(math.pi * (math.cos(theta) + 1.0), abs=1e-13)
+        assert w_angle[q - 1] == pytest.approx(math.pi * math.sin(theta) / 16.0, abs=1e-15)
+    assert (wx > 0).all() and (w_angle > 0).all()
     # angle weights carry the 1/(2*pi) averaging; their sum tends to one
-    assert nodes.w_angle.sum() == pytest.approx(1.0, abs=0.01)
+    assert w_angle.sum() == pytest.approx(1.0, abs=0.01)
 
 
 def test_gcq_midpoint_node_is_one():
-    nodes = gcq_nodes(QuadratureSpec(q1=7, q2=7, q3=7))
-    assert nodes.x[3] == pytest.approx(1.0, abs=1e-15)  # tan(pi/4)
+    x, _ = tan_halfline_nodes(7)
+    assert x[3] == pytest.approx(1.0, abs=1e-15)  # tan(pi/4)
 
 
 def test_quadrature_spec_validation():

@@ -69,6 +69,9 @@ def test_replace_keeps_original(cfg):
         {"antenna_scheme": "scheme3"},
         {"bandwidth_hz": 0.0},
         {"alpha_los": float("nan")},
+        {"beta": True},
+        {"p_bs_dbm": False},
+        {"f_c": "x"},
     ],
 )
 def test_invalid_values_rejected(changes):
@@ -83,6 +86,13 @@ def test_parse_config_basic():
     assert parsed.antenna_scheme == "scheme2"
     # untouched keys keep their defaults
     assert parsed.n_bs == 8
+    # a YAML integer stands for the float it equals
+    assert parse_config("beta: 1") == NetworkConfig(beta=1.0)
+
+
+def test_parse_config_rejects_non_string_keys():
+    with pytest.raises(ConfigError, match="unknown config keys: 1"):
+        parse_config("1: 2\n")
 
 
 def test_parse_config_empty_is_default():

@@ -212,6 +212,33 @@ def test_build_once_keeps_no_failed_build():
     assert cache.cache_info().currsize == 0
 
 
+def test_build_once_clear_during_build_keeps_the_new_entry():
+    started, release = threading.Event(), threading.Event()
+    built = []
+
+    def build(key):
+        built.append(key)
+        if len(built) == 1:
+            started.set()
+            release.wait(5.0)
+            raise RuntimeError("first build")
+        return object()
+
+    cache = analytics._BuildOnce(build, maxsize=2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(cache, "k")
+        assert started.wait(5.0)
+        cache.cache_clear()
+        second = cache("k")  # the cleared cache builds the key anew
+        release.set()
+        with pytest.raises(RuntimeError, match="first build"):
+            first.result(timeout=5.0)
+    # the failed first build leaves the second caller's entry in place
+    assert cache("k") is second
+    assert built == ["k", "k"]
+    assert cache.cache_info() == (1, 1, 2, 1)
+
+
 def test_tradeoff_sweep_parallel_matches_serial(cfg, light_quad):
     # each run starts from an empty evaluator cache, so the pool builds too
     fresh = cfg.replace(beta=cfg.beta * 1.0173)
