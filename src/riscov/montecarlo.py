@@ -8,7 +8,9 @@ sampled out to the full radius so edge effects only bias against coverage.
 
 The per-trial draw order is fixed (deployment, then link states, then
 activity, then interfering beams and reflector phases), so identical seeds
-reproduce identical samples and trials can be evaluated in any order.
+reproduce identical samples and trials can be evaluated in any order. A
+batch realizes its trials in blocks on flat arrays; each trial still draws
+from its own stream, and no trial's values depend on its block.
 """
 
 from __future__ import annotations
@@ -168,16 +170,27 @@ def sample_deployment(
     return _sample(cfg, radius, _rng(seed), geometric_blockage)
 
 
-# -- one realization ----------------------------------------------------------
+# -- trials in blocks ---------------------------------------------------------
 #
-# A trial runs five stages in a fixed order, each on whole arrays: link
-# states, association, activity, signal and interference. Only link states,
-# activity and interference draw from the trial's generator, in that order.
+# A batch runs in two passes. The per-trial pass draws everything random from
+# the trial's own generator, in a fixed order: the deployment, the link-state
+# uniforms, the other users' activity, then the interfering beams and the
+# loaded reflectors' profiles. It also does the work on per-trial matrices:
+# the other users' association and blockage-segment crossings. The block pass
+# then runs link states, the typical user's association, signal and
+# interference once for a chunk of trials whose points are laid end to end.
+# Its last stage hands each trial's generator back for the trial's last
+# draws, the idle reflectors' phases, whose count the association sets.
+# Every reduction is per trial (reduceat, bincount), so a trial's values do
+# not depend on the trials that share its block.
 
-# complex elements in one block of the idle-reflector element sum (1 MiB);
-# idle reflectors are processed in column chunks under this size, so memory
-# stays flat however many reflectors are deployed
-_IDLE_BLOCK_ELEMENTS = 2**16
+# links (BS, reflector and BS-reflector ones) in one block of trials; a block
+# closes once it holds this many, which bounds the block's arrays
+_BLOCK_LINKS = 2**13
+# complex elements in one chunk of the idle-reflector element sum (256 KiB,
+# which stays in cache), so memory stays flat however many reflectors a
+# trial deploys
+_IDLE_BLOCK_ELEMENTS = 2**14
 
 
 def _los_draw(rng: np.random.Generator, dist: np.ndarray, beta: float) -> np.ndarray:
@@ -193,74 +206,77 @@ def _offsets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1]
 
 
-@dataclass(frozen=True, eq=False)
-class _Links:
-    """Distances and LOS states of every link one trial uses."""
-
-    bs_dist: np.ndarray   # (n_bs,) BS to typical user [m]
-    bs_los: np.ndarray    # (n_bs,) bool
-    ris_dist: np.ndarray  # (n_ris,) RIS to typical user [m]
-    ris_los: np.ndarray   # (n_ris,) bool
-    leg_dist: np.ndarray  # (n_bs, n_ris) BS to RIS [m]
-    leg_los: np.ndarray   # (n_bs, n_ris) bool
+def _faces(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """Whether each offset (dx, dy) from a reflector with coated-face normal
+    (nx, ny) lies on its coated side."""
+    return dx * nx + dy * ny > 0.0
 
 
-def _link_states(dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator) -> _Links:
-    """Links toward the typical user, then the BS-RIS leg matrix; states are
-    drawn from exp(-beta x), or cut by the deployment's blockage segments."""
-    bs_dist = np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1])
-    ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
-    diff = dep.bs_points[:, None, :] - dep.ris_points[None, :, :]
-    leg_dist = np.hypot(diff[..., 0], diff[..., 1])
-    if dep.blockage_segments is None:
-        bs_los = _los_draw(rng, bs_dist, cfg.beta)
-        ris_los = _los_draw(rng, ris_dist, cfg.beta)
-        leg_los = _los_draw(rng, leg_dist, cfg.beta)
-    else:
-        seg = dep.blockage_segments
-        bs_los = ~crossings(np.zeros_like(dep.bs_points), dep.bs_points, *seg).any(axis=1)
-        ris_los = ~crossings(np.zeros_like(dep.ris_points), dep.ris_points, *seg).any(axis=1)
-        a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
-        b = np.tile(dep.ris_points, (dep.bs_points.shape[0], 1))
-        leg_los = ~crossings(a, b, *seg).any(axis=1).reshape(leg_dist.shape)
-    return _Links(bs_dist, bs_los, ris_dist, ris_los, leg_dist, leg_los)
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run of counts[k] entries, laid end to end, starts."""
+    return np.cumsum(counts) - counts
+
+
+def _first_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat index of the first largest entry in each run of ``values``, runs
+    of counts[k] entries laid end to end; no run may be empty."""
+    starts = _starts(counts)
+    if counts.size and (counts == counts[0]).all():
+        # equal runs, as every user's in one deployment, are the rows of a
+        # matrix, and a row argmax is several times cheaper than the match
+        return values.reshape(counts.size, -1).argmax(axis=1) + starts
+    top = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(top, counts))
+    return hits[np.searchsorted(hits, starts)]
 
 
 def _serve(
-    users: np.ndarray,
-    bs_dist: np.ndarray,
-    bs_los: np.ndarray,
-    ris_dist: np.ndarray,
-    ris_los: np.ndarray,
-    dep: Deployment,
-    cfg: NetworkConfig,
+    bs_gain: np.ndarray,
+    bs_counts: np.ndarray,
+    ris_gain: np.ndarray,
+    ris_counts: np.ndarray,
+    user_side: np.ndarray,
+    serving_side,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Serving BS of each user by max received power, then its strongest
-    eligible reflector judged on the user-side leg, -1 where none is eligible.
+    """The association rule of every user, typical or not.
 
-    A reflector is eligible when the user and the serving BS both lie on its
-    coated side. Link arrays are (n_user, n_bs) and (n_user, n_ris).
+    User k has bs_counts[k] candidate BSs and ris_counts[k] reflectors, laid
+    end to end user after user in ``bs_gain`` and ``ris_gain`` (path gains
+    toward the user). It is served by its first BS of largest path gain,
+    then by its strongest eligible reflector, judged on the user-side leg.
+    A reflector is eligible when the user (``user_side``, flat like
+    ``ris_gain``) and the serving BS both lie on its coated side;
+    ``serving_side(serving)`` gives the latter for every reflector entry.
+    Returns flat indices, -1 where no reflector is eligible.
     """
-    serving_bs = np.argmax(path_loss(bs_dist, bs_los, cfg), axis=1)
-    if dep.ris_points.shape[0] == 0:
-        return serving_bs, np.full(users.shape[0], -1)
+    serving = _first_max(bs_gain, bs_counts)
+    served = np.full(bs_counts.size, -1)
+    has = ris_counts > 0
+    if not has.any():
+        return serving, served
+    metric = np.where(user_side & serving_side(serving), ris_gain, -np.inf)
+    best = _first_max(metric, ris_counts[has])
+    served[has] = np.where(metric[best] > -np.inf, best, -1)
+    return serving, served
+
+
+def _serve_users(
+    dep: Deployment, gain_ub: np.ndarray, gain_ur: np.ndarray, dx: np.ndarray, dy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serving BS and reflector (-1 for none) of users whose path gains
+    toward every BS and reflector are the rows of ``gain_ub`` and
+    ``gain_ur``; (dx, dy) are the users' offsets from each reflector."""
+    n_user, n_bs = gain_ub.shape
+    n_ris = gain_ur.shape[1]
     nx, ny = np.cos(dep.ris_normals), np.sin(dep.ris_normals)
-    eligible = np.ones(ris_dist.shape, dtype=bool)
-    for pts in (users, dep.bs_points[serving_bs]):
-        dx, dy = _offsets(pts, dep.ris_points)
-        eligible &= dx * nx + dy * ny > 0.0
-    metric = np.where(eligible, path_loss(ris_dist, ris_los, cfg), -np.inf)
-    return serving_bs, np.where(eligible.any(axis=1), np.argmax(metric, axis=1), -1)
-
-
-def _associate(dep: Deployment, cfg: NetworkConfig, links: _Links) -> tuple[int, int | None]:
-    """Serving BS and reflector of the typical user (None when no reflector
-    is eligible)."""
-    serving_bs, serving_ris = _serve(
-        np.zeros((1, 2)), links.bs_dist[None], links.bs_los[None],
-        links.ris_dist[None], links.ris_los[None], dep, cfg,
+    bs_dx, bs_dy = _offsets(dep.bs_points, dep.ris_points)
+    bs_side = _faces(bs_dx, bs_dy, nx, ny)    # (n_bs, n_ris)
+    row = np.arange(n_user)
+    serving, served = _serve(
+        gain_ub.ravel(), np.full(n_user, n_bs), gain_ur.ravel(), np.full(n_user, n_ris),
+        _faces(dx, dy, nx, ny).ravel(), lambda serving: bs_side[serving - row * n_bs].ravel(),
     )
-    return int(serving_bs[0]), (int(serving_ris[0]) if serving_ris[0] >= 0 else None)
+    return serving - row * n_bs, np.where(served >= 0, served - row * n_ris, -1)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,212 +285,350 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _activity(
-    dep: Deployment,
-    cfg: NetworkConfig,
-    rng: np.random.Generator,
-    serving_bs: int,
-    serving_ris: int | None,
-    bernoulli: bool,
+    dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator, bernoulli: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Loaded BSs and RISs, from the sampled users' own associations or, with
-    ``bernoulli``, thinned at the analytic activity probabilities."""
+    """BSs and RISs loaded by the other users, from their own associations
+    or, with ``bernoulli``, thinned at the analytic activity probabilities."""
     n_bs = dep.bs_points.shape[0]
     n_ris = dep.ris_points.shape[0]
-    bs_active = np.zeros(n_bs, dtype=bool)
-    ris_active = np.zeros(n_ris, dtype=bool)
-    bs_active[serving_bs] = True
-    if serving_ris is not None:
-        ris_active[serving_ris] = True
-
     if bernoulli:
-        bs_active |= rng.random(n_bs) < active_prob_bs(cfg)
-        ris_active |= rng.random(n_ris) < active_prob_ris(cfg)
-        return bs_active, ris_active
+        return rng.random(n_bs) < active_prob_bs(cfg), rng.random(n_ris) < active_prob_ris(cfg)
 
     users = dep.user_points
     # other users associate exactly like the typical one; their link states
     # stay analytic draws even in geometric mode (they only set cell
     # occupancy, not any path toward the origin)
     d_ub = _distances(users, dep.bs_points)
-    d_ur = _distances(users, dep.ris_points)
-    los_ub = _los_draw(rng, d_ub, cfg.beta)
-    los_ur = _los_draw(rng, d_ur, cfg.beta)
-    serving, served = _serve(users, d_ub, los_ub, d_ur, los_ur, dep, cfg)
-    bs_active[serving] = True
-    ris_active[served[served >= 0]] = True
-    return bs_active, ris_active
+    dx, dy = _offsets(users, dep.ris_points)
+    d_ur = np.sqrt(dx * dx + dy * dy)
+    gain_ub = path_loss(d_ub, _los_draw(rng, d_ub, cfg.beta), cfg)
+    gain_ur = path_loss(d_ur, _los_draw(rng, d_ur, cfg.beta), cfg)
+    serving, served = _serve_users(dep, gain_ub, gain_ur, dx, dy)
+    bs_busy = np.zeros(n_bs, dtype=bool)
+    ris_busy = np.zeros(n_ris, dtype=bool)
+    bs_busy[serving] = True
+    ris_busy[served[served >= 0]] = True
+    return bs_busy, ris_busy
+
+
+@dataclass(frozen=True, eq=False)
+class _Trial:
+    """A trial after its per-trial pass; ``rng`` is left at the trial's last
+    draws, the idle reflectors' phases."""
+
+    dep: Deployment
+    rng: np.random.Generator
+    # link-state draws of the BS, reflector and BS-reflector links (legs
+    # row-major): uniforms, or the LOS states where blockage segments cut them
+    links: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # BSs and reflectors loaded by the other users
+    bs_busy: np.ndarray | None = None
+    ris_busy: np.ndarray | None = None
+    # azimuths of the interfering beams, then the two angles each loaded
+    # reflector's profile aligns to
+    azimuths: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _split(values: np.ndarray, n_bs: int, n_ris: int) -> tuple[np.ndarray, ...]:
+    """The BS, reflector and leg parts of per-link values."""
+    return values[:n_bs], values[n_bs:n_bs + n_ris], values[n_bs + n_ris:]
+
+
+def _link_draws(
+    dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
+    if dep.blockage_segments is None:
+        return _split(rng.random(n_bs + n_ris + n_bs * n_ris), n_bs, n_ris)
+    # links run from the typical user at the origin, or from a leg's BS
+    a = np.concatenate((np.zeros((n_bs + n_ris, 2)), np.repeat(dep.bs_points, n_ris, axis=0)))
+    b = np.concatenate((dep.bs_points, dep.ris_points, np.tile(dep.ris_points, (n_bs, 1))))
+    return _split(~crossings(a, b, *dep.blockage_segments).any(axis=1), n_bs, n_ris)
+
+
+def _trial(
+    dep: Deployment,
+    cfg: NetworkConfig,
+    rng: np.random.Generator,
+    bernoulli: bool,
+    links_only: bool = False,
+) -> _Trial:
+    """The per-trial pass; ``links_only`` stops after the link states."""
+    links = _link_draws(dep, cfg, rng)
+    if links_only:
+        return _Trial(dep, rng, links)
+    bs_busy, ris_busy = _activity(dep, cfg, rng, bernoulli)
+    n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
+    azimuths = _split(rng.uniform(0.0, _TWO_PI, n_bs + 2 * n_ris), n_bs, n_ris)
+    return _Trial(dep, rng, links, bs_busy, ris_busy, azimuths)
+
+
+class _Block:
+    """A chunk of trials laid end to end: every trial's BSs, reflectors and
+    BS-reflector legs (row-major per trial), with their link states and
+    path gains. Indices into these flat arrays are called global."""
+
+    def __init__(self, trials: list[_Trial], cfg: NetworkConfig):
+        self.trials = trials
+        self.size = len(trials)
+        deps = [t.dep for t in trials]
+        self.n_bs = n_bs = np.array([d.bs_points.shape[0] for d in deps])
+        self.n_ris = n_ris = np.array([d.ris_points.shape[0] for d in deps])
+        n_leg = n_bs * n_ris
+        self.bs_start, self.ris_start, self.leg_start = (
+            _starts(n_bs), _starts(n_ris), _starts(n_leg)
+        )
+        trial = np.arange(self.size)
+        self.bs_trial = np.repeat(trial, n_bs)
+        self.ris_trial = np.repeat(trial, n_ris)
+        self.leg_trial = np.repeat(trial, n_leg)
+        row, col = np.divmod(
+            np.arange(n_leg.sum()) - self.leg_start[self.leg_trial], n_ris[self.leg_trial]
+        )
+        self.leg_bs = self.bs_start[self.leg_trial] + row
+        self.leg_ris = self.ris_start[self.leg_trial] + col
+
+        self.bs = np.concatenate([d.bs_points for d in deps])
+        self.ris = np.concatenate([d.ris_points for d in deps])
+        normals = np.concatenate([d.ris_normals for d in deps])
+        self.nx, self.ny = np.cos(normals), np.sin(normals)
+        # offsets of each leg's BS from its reflector
+        self.leg_dx = self.bs[self.leg_bs, 0] - self.ris[self.leg_ris, 0]
+        self.leg_dy = self.bs[self.leg_bs, 1] - self.ris[self.leg_ris, 1]
+        leg_dist = np.hypot(self.leg_dx, self.leg_dy)
+        bs_dist = np.hypot(self.bs[:, 0], self.bs[:, 1])
+        ris_dist = np.hypot(self.ris[:, 0], self.ris[:, 1])
+        bs_draw, ris_draw, leg_draw = (np.concatenate(d) for d in zip(*(t.links for t in trials)))
+        self.bs_los = _states(bs_draw, bs_dist, cfg.beta)
+        self.ris_los = _states(ris_draw, ris_dist, cfg.beta)
+        self.leg_los = _states(leg_draw, leg_dist, cfg.beta)
+        self.bs_gain = path_loss(bs_dist, self.bs_los, cfg)
+        self.ris_gain = path_loss(ris_dist, self.ris_los, cfg)
+        self.leg_gain = path_loss(leg_dist, self.leg_los, cfg)
+
+    def leg(self, bs: np.ndarray, ris: np.ndarray) -> np.ndarray:
+        """Global index of the leg between a global BS and reflector of the
+        same trial."""
+        trial = self.bs_trial[bs]
+        return (self.leg_start[trial] + (bs - self.bs_start[trial]) * self.n_ris[trial]
+                + ris - self.ris_start[trial])
+
+
+def _states(drawn: np.ndarray, dist: np.ndarray, beta: float) -> np.ndarray:
+    """LOS states from link-state draws: uniforms under exp(-beta x), or the
+    states themselves."""
+    return drawn if drawn.dtype == bool else drawn < los_probability(dist, beta)
+
+
+def _associate(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """Global serving BS and reflector (-1 for none) of each trial's typical
+    user, which sits at the origin."""
+    leg_side = _faces(block.leg_dx, block.leg_dy, block.nx[block.leg_ris], block.ny[block.leg_ris])
+    return _serve(
+        block.bs_gain, block.n_bs, block.ris_gain, block.n_ris,
+        _faces(-block.ris[:, 0], -block.ris[:, 1], block.nx, block.ny),
+        # each trial's legs from its serving BS, one per reflector in order
+        lambda serving: leg_side[block.leg_bs == serving[block.leg_trial]],
+    )
 
 
 def _signal(
-    dep: Deployment,
+    block: _Block,
     cfg: NetworkConfig,
-    links: _Links,
-    serving_bs: int,
-    serving_ris: int | None,
+    serving: np.ndarray,
+    served: np.ndarray,
     draw_serving_gains: bool,
-) -> tuple[float, float, float]:
-    """(received signal power [W], serving BS beam, user beam), the beams as
-    spatial frequencies."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Received signal power [W] of each trial's typical user, and the
+    spatial frequencies its serving BS and the user aim their beams at."""
     power = cfg.p_bs_watt
-    bs0 = dep.bs_points[serving_bs]
-    ld0 = path_loss(links.bs_dist[serving_bs], links.bs_los[serving_bs], cfg)
+    bs0 = block.bs[serving]
+    ld0 = block.bs_gain[serving]
+    nu_d = spatial_frequency(_angles(-bs0), cfg)     # BS toward user
+    nu_ud = spatial_frequency(_angles(bs0), cfg)     # user toward BS
+    # without a serving reflector the beams can only aim at the direct path
+    signal = power * ld0 * cfg.n_bs * cfg.n_u
+    nu_bs0, nu_u0 = nu_d.copy(), nu_ud.copy()
+    via = served >= 0
+    if not via.any():
+        return signal, nu_bs0, nu_u0
 
-    if serving_ris is None:
-        # beams can only aim at the direct path
-        nu_bs0 = spatial_frequency(_angles(-bs0), cfg)
-        nu_u0 = spatial_frequency(_angles(bs0), cfg)
-        return float(power * ld0 * cfg.n_bs * cfg.n_u), nu_bs0, nu_u0
-
-    ris0 = dep.ris_points[serving_ris]
-    lu0 = path_loss(links.ris_dist[serving_ris], links.ris_los[serving_ris], cfg)
-    lg0 = path_loss(
-        links.leg_dist[serving_bs, serving_ris], links.leg_los[serving_bs, serving_ris], cfg
-    )
+    ris = served[via]
+    ris0 = block.ris[ris]
+    lu0 = block.ris_gain[ris]
+    lg0 = block.leg_gain[block.leg(serving[via], ris)]
     gain_direct, gain_reflected = serving_gains(cfg)
-    # spatial frequencies of the two departure/arrival pairs
-    nu_d = spatial_frequency(_angles(-bs0), cfg)           # BS toward user
-    nu_g = spatial_frequency(_angles(ris0 - bs0), cfg)     # BS toward RIS
-    nu_ud = spatial_frequency(_angles(bs0), cfg)           # user toward BS
-    nu_ur = spatial_frequency(_angles(ris0), cfg)          # user toward RIS
+    nu_d, nu_ud = nu_d[via], nu_ud[via]
+    nu_g = spatial_frequency(_angles(ris0 - bs0[via]), cfg)    # BS toward RIS
+    nu_ur = spatial_frequency(_angles(ris0), cfg)              # user toward RIS
     if cfg.antenna_scheme == "scheme1":
-        nu_bs0, nu_u0 = nu_g, nu_ur
+        nu_bs0[via], nu_u0[via] = nu_g, nu_ur
         if draw_serving_gains:
             gain_direct = (
                 fejer_kernel(nu_d - nu_g, cfg.n_bs)
                 * fejer_kernel(nu_ud - nu_ur, cfg.n_u)
                 / (cfg.n_bs * cfg.n_u)
             )
-    else:
-        nu_bs0, nu_u0 = nu_d, nu_ud
-        if draw_serving_gains:
-            gain_reflected = (
-                fejer_kernel(nu_g - nu_d, cfg.n_bs) / cfg.n_bs
-                * fejer_kernel(nu_ur - nu_ud, cfg.n_u) / cfg.n_u
-                * cfg.n_ris**2
-            )
-    amp = math.sqrt(power * ld0 * gain_direct) + math.sqrt(power * lg0 * lu0 * gain_reflected)
-    return float(amp**2), nu_bs0, nu_u0
+    elif draw_serving_gains:
+        gain_reflected = (
+            fejer_kernel(nu_g - nu_d, cfg.n_bs) / cfg.n_bs
+            * fejer_kernel(nu_ur - nu_ud, cfg.n_u) / cfg.n_u
+            * cfg.n_ris**2
+        )
+    amp = np.sqrt(power * ld0[via] * gain_direct) + np.sqrt(power * lg0 * lu0 * gain_reflected)
+    signal[via] = amp**2
+    return signal, nu_bs0, nu_u0
 
 
-def _idle_element(rng: np.random.Generator, offset: np.ndarray, n_ris: int) -> np.ndarray:
-    """|sum_m exp(i(2 pi m x - psi_m))|^2 at each (BS, idle reflector) offset
-    x, with one uniform phase profile psi per reflector column, drawn in
-    column order (the same stream as one draw per reflector).
+def _idle_element(block: _Block, offset: np.ndarray, ris: np.ndarray, n_ris: int) -> np.ndarray:
+    """|sum_m exp(i(2 pi m x - psi_m))|^2 at the offset x of each leg into
+    an idle reflector (global index ``ris``), with one uniform phase profile
+    psi per idle reflector. Each trial draws its idle reflectors' profiles in
+    reflector order, as its last draws.
 
     The m-th phase factor is built as the m-th power of exp(2 pi i x) by a
     running product: one complex exponential per offset instead of one per
     element, at the same accuracy (both err by about m ulp).
     """
-    n_rows, n_idle = offset.shape
+    idle = np.zeros(block.ris.shape[0], dtype=bool)
+    idle[ris] = True
+    counts = np.bincount(block.ris_trial[idle], minlength=block.size)
+    psi = np.concatenate([
+        t.rng.uniform(0.0, _TWO_PI, (count, n_ris)) for t, count in zip(block.trials, counts)
+    ])
+    profile = np.exp(-1j * psi)
+    row = (np.cumsum(idle) - 1)[ris]
     element = np.empty(offset.shape)
-    step = max(1, _IDLE_BLOCK_ELEMENTS // (n_rows * n_ris))
-    for lo in range(0, n_idle, step):
-        x = offset[:, lo:lo + step]
-        psi = rng.uniform(0.0, _TWO_PI, (x.shape[1], n_ris))
-        terms = np.empty((*x.shape, n_ris), dtype=complex)
-        terms[..., 0] = 1.0
-        terms[..., 1:] = np.exp(1j * _TWO_PI * x)[..., None]
+    step = max(1, _IDLE_BLOCK_ELEMENTS // n_ris)
+    for lo in range(0, offset.size, step):
+        x = offset[lo:lo + step]
+        terms = np.empty((x.size, n_ris), dtype=complex)
+        terms[:, 0] = 1.0
+        terms[:, 1:] = np.exp(1j * _TWO_PI * x)[:, None]
         np.cumprod(terms, axis=-1, out=terms)
-        terms *= np.exp(-1j * psi)
+        terms *= profile[row[lo:lo + step]]
         total = terms.sum(axis=-1)
-        element[:, lo:lo + step] = total.real**2 + total.imag**2
+        element[lo:lo + step] = total.real**2 + total.imag**2
     return element
 
 
 def _interference(
-    dep: Deployment,
+    block: _Block,
     cfg: NetworkConfig,
-    rng: np.random.Generator,
-    links: _Links,
-    serving_bs: int,
-    serving_ris: int | None,
+    serving: np.ndarray,
+    served: np.ndarray,
     bs_active: np.ndarray,
     ris_active: np.ndarray,
-    nu_bs0: float,
-    nu_u0: float,
-) -> float:
-    """Power [W] the typical user receives from every other active BS, and
-    from every other reflector through the legs of every active BS."""
+    nu_bs0: np.ndarray,
+    nu_u0: np.ndarray,
+) -> np.ndarray:
+    """Power [W] each trial's typical user receives from every other active
+    BS, and from every other reflector through the legs of every active BS."""
     power = cfg.p_bs_watt
-    n_bs = dep.bs_points.shape[0]
-    n_ris = dep.ris_points.shape[0]
-
+    beam, prof_u, prof_g = (np.concatenate(a) for a in zip(*(t.azimuths for t in block.trials)))
     # interfering beams target their own scheduled users; under the point
     # process those azimuths are uniform, so they are drawn directly
-    beam_nu = spatial_frequency(rng.uniform(0.0, _TWO_PI, n_bs), cfg)
-    beam_nu[serving_bs] = nu_bs0
+    beam_nu = spatial_frequency(beam, cfg)
+    beam_nu[serving] = nu_bs0
     # phase profiles of loaded reflectors align to their own served pair
-    prof_u = rng.uniform(0.0, _TWO_PI, n_ris)
-    prof_g = rng.uniform(0.0, _TWO_PI, n_ris)
     profile_delta = spatial_frequency(prof_u, cfg) - spatial_frequency(prof_g, cfg)
 
-    total = 0.0
     others = bs_active.copy()
-    others[serving_bs] = False
-    if others.any():
-        nu_arr = spatial_frequency(_angles(-dep.bs_points[others]), cfg)
-        g_bs = fejer_kernel(nu_arr - beam_nu[others], cfg.n_bs)
-        nu_at_user = spatial_frequency(_angles(dep.bs_points[others]), cfg)
-        g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u)
-        ld = path_loss(links.bs_dist[others], links.bs_los[others], cfg)
-        total += float(np.sum(power * ld * g_bs * g_u) / (cfg.n_bs * cfg.n_u))
+    others[serving] = False
+    bs = np.flatnonzero(others)
+    bs_pts = block.bs[bs]
+    g_bs = fejer_kernel(spatial_frequency(_angles(-bs_pts), cfg) - beam_nu[bs], cfg.n_bs)
+    nu_at_user = spatial_frequency(_angles(bs_pts), cfg)
+    g_u = fejer_kernel(nu_at_user - nu_u0[block.bs_trial[bs]], cfg.n_u)
+    direct = power * block.bs_gain[bs] * g_bs * g_u
+    total = np.bincount(block.bs_trial[bs], direct, block.size) / (cfg.n_bs * cfg.n_u)
 
-    ris = np.arange(n_ris)
-    if serving_ris is not None:
-        ris = np.delete(ris, serving_ris)
-    if ris.size == 0:
+    # legs from every active BS, the serving one included, into every other
+    # reflector
+    legs = np.flatnonzero(bs_active[block.leg_bs] & (block.leg_ris != served[block.leg_trial]))
+    if legs.size == 0:
         return total
+    leg_bs, leg_ris = block.leg_bs[legs], block.leg_ris[legs]
+    dx, dy = block.leg_dx[legs], block.leg_dy[legs]                # RIS -> BS
+    nu_dep = spatial_frequency(np.arctan2(-dy, -dx), cfg)          # at the BS
+    nu_inc = spatial_frequency(np.arctan2(dy, dx), cfg)            # at the RIS
+    incident = (power * block.leg_gain[legs]
+                * fejer_kernel(nu_dep - beam_nu[leg_bs], cfg.n_bs) / cfg.n_bs)
+    offset = spatial_frequency(_angles(-block.ris), cfg)[leg_ris] - nu_inc  # RIS toward user
+    loaded = ris_active[leg_ris]
+    element = np.empty(legs.size)
+    element[loaded] = fejer_kernel(offset[loaded] - profile_delta[leg_ris[loaded]], cfg.n_ris)
+    idle = ~loaded
+    if idle.any():
+        element[idle] = _idle_element(block, offset[idle], leg_ris[idle], cfg.n_ris)
+    column = np.bincount(leg_ris, incident * element, block.ris.shape[0])
+    nu_at_user = spatial_frequency(_angles(block.ris), cfg)        # user toward RIS
+    g_u = fejer_kernel(nu_at_user - nu_u0[block.ris_trial], cfg.n_u) / cfg.n_u
+    return total + np.bincount(block.ris_trial, block.ris_gain * g_u * column, block.size)
 
-    # rows: active BSs (the serving one included); columns: other reflectors
-    active_bs = np.flatnonzero(bs_active)
-    ris_pts = dep.ris_points[ris]
-    vec = ris_pts[None, :, :] - dep.bs_points[active_bs, None, :]   # BS -> RIS
-    nu_dep = spatial_frequency(_angles(vec), cfg)                    # at the BS
-    nu_inc = spatial_frequency(_angles(-vec), cfg)                   # at the RIS
-    legs = np.ix_(active_bs, ris)
-    lg = path_loss(links.leg_dist[legs], links.leg_los[legs], cfg)
-    incident = power * lg * fejer_kernel(nu_dep - beam_nu[active_bs, None], cfg.n_bs) / cfg.n_bs
-    offset = spatial_frequency(_angles(-ris_pts), cfg) - nu_inc      # RIS toward user
-    loaded = ris_active[ris]
-    element = np.empty(offset.shape)
-    if loaded.any():
-        element[:, loaded] = fejer_kernel(
-            offset[:, loaded] - profile_delta[ris[loaded]], cfg.n_ris
-        )
-    if not loaded.all():
-        element[:, ~loaded] = _idle_element(rng, offset[:, ~loaded], cfg.n_ris)
-    nu_at_user = spatial_frequency(_angles(ris_pts), cfg)            # user toward RIS
-    g_u = fejer_kernel(nu_at_user - nu_u0, cfg.n_u) / cfg.n_u
-    lu = path_loss(links.ris_dist[ris], links.ris_los[ris], cfg)
-    return total + float(np.sum(lu * g_u * np.sum(incident * element, axis=0)))
+
+def _codes(block: _Block, serving: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """(trials, 3) int8 states of each typical user's serving BS link, its
+    serving reflector link and that reflector's BS leg: 0 LOS, 1 NLOS, -1
+    without a serving reflector."""
+    codes = np.full((block.size, 3), -1, dtype=np.int8)
+    codes[:, 0] = ~block.bs_los[serving]
+    via = served >= 0
+    ris = served[via]
+    codes[via, 1] = ~block.ris_los[ris]
+    codes[via, 2] = ~block.leg_los[block.leg(serving[via], ris)]
+    return codes
 
 
 def _realize(
-    dep: Deployment,
-    cfg: NetworkConfig,
-    rng: np.random.Generator,
-    draw_serving_gains: bool,
-    bernoulli_activity: bool,
-) -> SinrSample:
-    if dep.bs_points.shape[0] == 0:
-        raise ValueError("deployment has no base stations")
-    links = _link_states(dep, cfg, rng)
-    serving_bs, serving_ris = _associate(dep, cfg, links)
-    bs_active, ris_active = _activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli_activity)
-    signal, nu_bs0, nu_u0 = _signal(dep, cfg, links, serving_bs, serving_ris, draw_serving_gains)
+    trials: list[_Trial], cfg: NetworkConfig, draw_serving_gains: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block pass: signal [W], interference [W] and state codes of each
+    trial's typical user."""
+    block = _Block(trials, cfg)
+    serving, served = _associate(block)
+    bs_active = np.concatenate([t.bs_busy for t in trials])
+    ris_active = np.concatenate([t.ris_busy for t in trials])
+    bs_active[serving] = True
+    ris_active[served[served >= 0]] = True
+    signal, nu_bs0, nu_u0 = _signal(block, cfg, serving, served, draw_serving_gains)
     interference = _interference(
-        dep, cfg, rng, links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0
+        block, cfg, serving, served, bs_active, ris_active, nu_bs0, nu_u0
     )
-    noise = cfg.noise_power_watt
-    sinr = signal / (interference + noise)
+    return signal, interference, _codes(block, serving, served)
 
-    rho = LinkKind.LOS if links.bs_los[serving_bs] else LinkKind.NLOS
-    xi = leg = None
-    if serving_ris is not None:
-        xi = LinkKind.LOS if links.ris_los[serving_ris] else LinkKind.NLOS
-        leg = LinkKind.LOS if links.leg_los[serving_bs, serving_ris] else LinkKind.NLOS
-    case = AssociationCase(rho, xi)
-    return SinrSample(float(sinr), case, float(signal), float(interference), noise, leg)
+
+def _blocks(
+    cfg: NetworkConfig,
+    trials: int,
+    radius: float,
+    seed: int,
+    geometric_blockage: bool,
+    bernoulli_activity: bool = False,
+    links_only: bool = False,
+):
+    """The per-trial pass of trials 0 .. trials - 1, trial t on the (seed, t)
+    stream, grouped into blocks of about _BLOCK_LINKS links. Yields each
+    block's trial indices and trials; a trial whose disk holds no BS has
+    nothing to realize and is left out."""
+    index, block, links = [], [], 0
+    for t in range(trials):
+        rng = _rng(seed, (t,))
+        dep = _sample(cfg, radius, rng, geometric_blockage)
+        n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
+        if n_bs == 0:
+            continue
+        index.append(t)
+        block.append(_trial(dep, cfg, rng, bernoulli_activity, links_only))
+        links += n_bs * (1 + n_ris) + n_ris
+        if links >= _BLOCK_LINKS:
+            yield index, block
+            index, block, links = [], [], 0
+    if block:
+        yield index, block
+
+
+_CODE_STATE = {0: LinkKind.LOS, 1: LinkKind.NLOS}
 
 
 def realize_sinr(
@@ -485,11 +639,16 @@ def realize_sinr(
     bernoulli_activity: bool = False,
 ) -> SinrSample:
     """Realize link states, beams and activity on a fixed deployment."""
-    return _realize(dep, cfg, _rng(seed, _REALIZE_KEY), draw_serving_gains, bernoulli_activity)
-
-
-_STATE_CODE = {LinkKind.LOS: 0, LinkKind.NLOS: 1, None: -1}
-_CODE_STATE = {0: LinkKind.LOS, 1: LinkKind.NLOS}
+    if dep.bs_points.shape[0] == 0:
+        raise ValueError("deployment has no base stations")
+    trial = _trial(dep, cfg, _rng(seed, _REALIZE_KEY), bernoulli_activity)
+    signal, interference, codes = _realize([trial], cfg, draw_serving_gains)
+    noise = cfg.noise_power_watt
+    rho, xi, leg = (_CODE_STATE.get(int(c)) for c in codes[0])
+    return SinrSample(
+        float(signal[0] / (interference[0] + noise)), AssociationCase(rho, xi),
+        float(signal[0]), float(interference[0]), noise, leg,
+    )
 
 
 def sinr_samples(
@@ -511,21 +670,16 @@ def sinr_samples(
     if radius is None:
         radius = default_radius(cfg)
     sinr = np.zeros(trials)
-    codes = np.zeros((trials, 3), dtype=np.int8)
-    empty = 0
-    for t in range(trials):
-        rng = _rng(seed, (t,))
-        dep = _sample(cfg, radius, rng, geometric_blockage)
-        if dep.bs_points.shape[0] == 0:
-            codes[t] = (1, -1, -1)
-            empty += 1
-            continue
-        sample = _realize(dep, cfg, rng, draw_serving_gains, bernoulli_activity)
-        sinr[t] = sample.sinr
-        codes[t, 0] = _STATE_CODE[sample.serving_case.bs_state]
-        codes[t, 1] = _STATE_CODE[sample.serving_case.ris_state]
-        codes[t, 2] = _STATE_CODE[sample.bs_ris_state]
-    return SinrBatch(sinr, codes[:, 0], codes[:, 1], codes[:, 2], radius, seed, empty)
+    codes = np.tile(np.array([1, -1, -1], dtype=np.int8), (trials, 1))
+    done = 0
+    for index, block in _blocks(
+        cfg, trials, radius, seed, geometric_blockage, bernoulli_activity
+    ):
+        signal, interference, block_codes = _realize(block, cfg, draw_serving_gains)
+        sinr[index] = signal / (interference + cfg.noise_power_watt)
+        codes[index] = block_codes
+        done += len(index)
+    return SinrBatch(sinr, codes[:, 0], codes[:, 1], codes[:, 2], radius, seed, trials - done)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -573,8 +727,10 @@ def empirical_coverage(
         "ci_high": high,
         "radius": samples.radius,
         "seed": samples.seed,
+        "empty_trials": samples.empty_trials,
     }
     return CoverageResult(float(covered.mean()), by_case, "montecarlo", meta)
+
 
 
 def association_frequencies(
@@ -595,22 +751,16 @@ def association_frequencies(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if radius is None:
         radius = default_radius(cfg)
-    counts = {key: 0 for key in ("d_los", "u_los", "u_nlos", "g_los")}
+    counts = dict.fromkeys(("d_los", "u_los", "u_nlos", "g_los"), 0)
     done = 0
-    for t in range(trials):
-        rng = _rng(seed, (t,))
-        dep = _sample(cfg, radius, rng, geometric_blockage=False)
-        if dep.bs_points.shape[0] == 0:
-            continue
-        links = _link_states(dep, cfg, rng)
-        serving_bs, serving_ris = _associate(dep, cfg, links)
-        done += 1
-        counts["d_los"] += bool(links.bs_los[serving_bs])
-        if serving_ris is None:
-            continue
-        ris_is_los = bool(links.ris_los[serving_ris])
-        counts["u_los" if ris_is_los else "u_nlos"] += 1
-        counts["g_los"] += ris_is_los and bool(links.leg_los[serving_bs, serving_ris])
+    for index, trial_block in _blocks(cfg, trials, radius, seed, False, links_only=True):
+        block = _Block(trial_block, cfg)
+        bs, ris, leg = _codes(block, *_associate(block)).T
+        counts["d_los"] += int(np.sum(bs == 0))
+        counts["u_los"] += int(np.sum(ris == 0))
+        counts["u_nlos"] += int(np.sum(ris == 1))
+        counts["g_los"] += int(np.sum((ris == 0) & (leg == 0)))
+        done += len(index)
     if done == 0:
         raise ValueError("no deployment contained a base station")
     freq = {key: val / done for key, val in counts.items()}

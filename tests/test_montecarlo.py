@@ -3,12 +3,14 @@
 import copy
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from riscov import montecarlo as mc
-from riscov.beamforming import fejer_kernel, spatial_frequency
+from riscov.analytics import active_prob_bs, active_prob_ris
+from riscov.beamforming import fejer_kernel, serving_gains, spatial_frequency
 from riscov.config import NetworkConfig
 from riscov.montecarlo import (
     Deployment,
@@ -20,7 +22,7 @@ from riscov.montecarlo import (
     sinr_samples,
     wilson_interval,
 )
-from riscov.propagation import LinkKind, path_loss
+from riscov.propagation import LinkKind, crossings, path_loss
 from riscov.sweeps import RIS_DENSITY_GRID, RIS_SIZE_GRID, UNIT_DENSITY
 
 NO_POINTS = np.empty((0, 2))
@@ -125,20 +127,75 @@ def test_trials_are_counter_indexed(cfg):
     assert short.sinr.tobytes() == long.sinr[:25].tobytes()
 
 
+def test_trial_values_do_not_depend_on_their_block(cfg, monkeypatch):
+    # denser reflectors than the default, so a block holds a handful of
+    # trials, and path-loss intercepts raised until reflected interference
+    # shows in the last bits of the SINR. Batches of 7, 23 and 40 trials end
+    # their last block early, and block budgets of one link (a block per
+    # trial) and of 2**16 links (one block for all) group the same trials
+    # otherwise; no trial's values may move by a single bit
+    dense = cfg.replace(lambda_ris=2 * cfg.lambda_ris, c_los=1e-2, c_nlos=1e-2)
+    realize, sizes = mc._realize, []
+
+    def recording(trials, *args):
+        sizes[-1].append(len(trials))
+        return realize(trials, *args)
+
+    monkeypatch.setattr(mc, "_realize", recording)
+    runs, default_budget = {}, mc._BLOCK_LINKS
+    for budget in (1, default_budget, 2**16):
+        monkeypatch.setattr(mc, "_BLOCK_LINKS", budget)
+        for n in (7, 23, 40):
+            sizes.append([])
+            runs[budget, n] = sinr_samples(dense, n, seed=23), sizes[-1]
+    alone, _ = runs.pop((1, 40))
+    *short, full = (runs[default_budget, n][1] for n in (7, 23, 40))
+    assert len(full) > 3 and max(full) > 1 and runs[2**16, 40][1] == [40]
+    ends = set(np.cumsum(full))
+    for n, blocks in zip((7, 23), short):
+        # the short batch closes a block at its last trial, the full one
+        # carries that block on
+        assert sum(blocks) == n not in ends
+    for batch, _ in runs.values():
+        n = batch.sinr.size
+        assert batch.sinr.tobytes() == alone.sinr[:n].tobytes()
+        for name in ("bs_state", "ris_state", "leg_state"):
+            assert getattr(batch, name).tobytes() == getattr(alone, name)[:n].tobytes()
+
+
+def _position(rng):
+    """Where a Philox generator stands in its stream."""
+    state = rng.bit_generator.state
+    return tuple(state["state"]["counter"]), state["buffer_pos"]
+
+
+def _recording_rng(monkeypatch):
+    """Make mc._rng keep every generator it hands out, with a copy of it as
+    it was handed out."""
+    make_rng, made = mc._rng, []
+
+    def recording(seed, key=()):
+        rng = make_rng(seed, key)
+        made.append((copy.deepcopy(rng), rng))
+        return rng
+
+    monkeypatch.setattr(mc, "_rng", recording)
+    return made
+
+
 def test_realization_does_not_reuse_deployment_draws(cfg, monkeypatch):
-    # a deployment and its realization drawn with the same seed: no LOS
-    # draw of the realization may be one of the deployment's radius
+    # a deployment and its realization drawn with the same seed: no uniform
+    # the realization consumes may be one of the deployment's radius
     # uniforms (|x| / radius)^2
     dep = sample_deployment(cfg, seed=3)
-    los_draw, drawn = mc._los_draw, []
-
-    def recording(rng, dist, beta):
-        drawn.append(copy.deepcopy(rng).random(dist.shape).ravel())
-        return los_draw(rng, dist, beta)
-
-    monkeypatch.setattr(mc, "_los_draw", recording)
+    made = _recording_rng(monkeypatch)
     realize_sinr(dep, cfg, seed=3)
-    drawn = np.sort(np.concatenate(drawn))
+    (start, used), = made
+    drawn = []
+    while _position(start) != _position(used):
+        drawn.append(start.random())
+        assert len(drawn) < 10**6
+    drawn = np.sort(drawn)
     points = np.vstack((dep.bs_points, dep.ris_points, dep.user_points))
     radius_u = np.sum(points**2, axis=1) / dep.radius**2
     assert drawn.size > 1000 and radius_u.size > 100
@@ -223,6 +280,15 @@ def test_empirical_coverage_structure(cfg):
         empirical_coverage(-1.0, cfg, 10)
 
 
+def test_empirical_coverage_reports_empty_trials(cfg):
+    # a 130 m disk holds no BS at the default density about half the time
+    batch = sinr_samples(cfg, 60, radius=130.0, seed=12)
+    reused = empirical_coverage(1.0, cfg, 60, samples=batch)
+    drawn = empirical_coverage(1.0, cfg, 60, radius=130.0, seed=12)
+    assert reused.meta["empty_trials"] == drawn.meta["empty_trials"] == batch.empty_trials > 0
+    assert empirical_coverage(1.0, cfg, 20, seed=12).meta["empty_trials"] == 0
+
+
 def test_coverage_decreasing_in_threshold(cfg):
     batch = sinr_samples(cfg, 600, seed=8)
     totals = [
@@ -252,15 +318,16 @@ def test_serve_rule_is_the_typical_user_rule(cfg):
         radius=500.0,
     )
     clear = cfg.replace(beta=0.0)
-    links = mc._link_states(dep, clear, np.random.default_rng(0))
+    block = mc._Block([mc._trial(dep, clear, np.random.default_rng(0), False, True)], clear)
+    typical_bs, typical_ris = mc._associate(block)
     users = np.vstack((np.zeros((1, 2)), dep.user_points))
     d_ub = mc._distances(users, dep.bs_points)
-    d_ur = mc._distances(users, dep.ris_points)
-    serving_bs, serving_ris = mc._serve(
-        users, d_ub, np.ones(d_ub.shape, dtype=bool), d_ur, np.ones(d_ur.shape, dtype=bool),
-        dep, clear,
+    dx, dy = mc._offsets(users, dep.ris_points)
+    d_ur = np.sqrt(dx * dx + dy * dy)
+    serving_bs, serving_ris = mc._serve_users(
+        dep, path_loss(d_ub, True, clear), path_loss(d_ur, True, clear), dx, dy
     )
-    assert mc._associate(dep, clear, links) == (serving_bs[0], serving_ris[0]) == (0, 0)
+    assert (typical_bs[0], typical_ris[0]) == (serving_bs[0], serving_ris[0]) == (0, 0)
     # (90, 10) faces the reflector with its BS; (0, 100) is behind it; the
     # BS serving (-250, -50) is behind it
     np.testing.assert_array_equal(serving_bs, [0, 0, 0, 1])
@@ -344,7 +411,118 @@ def test_association_frequencies_match_sinr_codes(cfg):
     assert freq["g_los"] == np.mean((ris == 0) & (leg == 0))
 
 
-# -- the vectorized interference stage against the per-reflector loop ---------
+# -- the block pass against a per-trial reference -------------------------------
+#
+# The reference realizes one trial at a time, each stage on that trial's
+# arrays, with the interference written as one pass per reflector. It draws
+# from the trial's generator in the order the engine promises: link states,
+# activity, interfering beams and profiles, then idle-reflector phases.
+
+
+def _reference_links(dep, cfg, rng):
+    """Distances and LOS states of every link toward the typical user, then
+    of the (n_bs, n_ris) BS-RIS leg matrix."""
+    bs_dist = np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1])
+    ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
+    diff = dep.bs_points[:, None, :] - dep.ris_points[None, :, :]
+    leg_dist = np.hypot(diff[..., 0], diff[..., 1])
+    if dep.blockage_segments is None:
+        bs_los = mc._los_draw(rng, bs_dist, cfg.beta)
+        ris_los = mc._los_draw(rng, ris_dist, cfg.beta)
+        leg_los = mc._los_draw(rng, leg_dist, cfg.beta)
+    else:
+        seg = dep.blockage_segments
+        bs_los = ~crossings(np.zeros_like(dep.bs_points), dep.bs_points, *seg).any(axis=1)
+        ris_los = ~crossings(np.zeros_like(dep.ris_points), dep.ris_points, *seg).any(axis=1)
+        a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
+        b = np.tile(dep.ris_points, (dep.bs_points.shape[0], 1))
+        leg_los = ~crossings(a, b, *seg).any(axis=1).reshape(leg_dist.shape)
+    return SimpleNamespace(
+        bs_dist=bs_dist, bs_los=bs_los, ris_dist=ris_dist, ris_los=ris_los,
+        leg_dist=leg_dist, leg_los=leg_los,
+    )
+
+
+def _reference_serve(users, bs_dist, bs_los, ris_dist, ris_los, dep, cfg):
+    """Serving BS of each user (rows) by max received power, then its
+    strongest eligible reflector on the user-side leg, -1 where none is."""
+    serving_bs = np.argmax(path_loss(bs_dist, bs_los, cfg), axis=1)
+    if dep.ris_points.shape[0] == 0:
+        return serving_bs, np.full(users.shape[0], -1)
+    nx, ny = np.cos(dep.ris_normals), np.sin(dep.ris_normals)
+    eligible = np.ones(ris_dist.shape, dtype=bool)
+    for pts in (users, dep.bs_points[serving_bs]):
+        dx, dy = mc._offsets(pts, dep.ris_points)
+        eligible &= dx * nx + dy * ny > 0.0
+    metric = np.where(eligible, path_loss(ris_dist, ris_los, cfg), -np.inf)
+    return serving_bs, np.where(eligible.any(axis=1), np.argmax(metric, axis=1), -1)
+
+
+def _reference_associate(dep, cfg, links):
+    serving_bs, serving_ris = _reference_serve(
+        np.zeros((1, 2)), links.bs_dist[None], links.bs_los[None],
+        links.ris_dist[None], links.ris_los[None], dep, cfg,
+    )
+    return int(serving_bs[0]), (int(serving_ris[0]) if serving_ris[0] >= 0 else None)
+
+
+def _reference_activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli):
+    bs_active = np.zeros(dep.bs_points.shape[0], dtype=bool)
+    ris_active = np.zeros(dep.ris_points.shape[0], dtype=bool)
+    bs_active[serving_bs] = True
+    if serving_ris is not None:
+        ris_active[serving_ris] = True
+    if bernoulli:
+        bs_active |= rng.random(bs_active.size) < active_prob_bs(cfg)
+        ris_active |= rng.random(ris_active.size) < active_prob_ris(cfg)
+        return bs_active, ris_active
+    users = dep.user_points
+    d_ub = mc._distances(users, dep.bs_points)
+    d_ur = mc._distances(users, dep.ris_points)
+    los_ub = mc._los_draw(rng, d_ub, cfg.beta)
+    los_ur = mc._los_draw(rng, d_ur, cfg.beta)
+    serving, served = _reference_serve(users, d_ub, los_ub, d_ur, los_ur, dep, cfg)
+    bs_active[serving] = True
+    ris_active[served[served >= 0]] = True
+    return bs_active, ris_active
+
+
+def _reference_signal(dep, cfg, links, serving_bs, serving_ris, draw_serving_gains):
+    power = cfg.p_bs_watt
+    bs0 = dep.bs_points[serving_bs]
+    ld0 = path_loss(links.bs_dist[serving_bs], links.bs_los[serving_bs], cfg)
+    if serving_ris is None:
+        nu_bs0 = spatial_frequency(mc._angles(-bs0), cfg)
+        nu_u0 = spatial_frequency(mc._angles(bs0), cfg)
+        return float(power * ld0 * cfg.n_bs * cfg.n_u), nu_bs0, nu_u0
+    ris0 = dep.ris_points[serving_ris]
+    lu0 = path_loss(links.ris_dist[serving_ris], links.ris_los[serving_ris], cfg)
+    lg0 = path_loss(
+        links.leg_dist[serving_bs, serving_ris], links.leg_los[serving_bs, serving_ris], cfg
+    )
+    gain_direct, gain_reflected = serving_gains(cfg)
+    nu_d = spatial_frequency(mc._angles(-bs0), cfg)
+    nu_g = spatial_frequency(mc._angles(ris0 - bs0), cfg)
+    nu_ud = spatial_frequency(mc._angles(bs0), cfg)
+    nu_ur = spatial_frequency(mc._angles(ris0), cfg)
+    if cfg.antenna_scheme == "scheme1":
+        nu_bs0, nu_u0 = nu_g, nu_ur
+        if draw_serving_gains:
+            gain_direct = (
+                fejer_kernel(nu_d - nu_g, cfg.n_bs)
+                * fejer_kernel(nu_ud - nu_ur, cfg.n_u)
+                / (cfg.n_bs * cfg.n_u)
+            )
+    else:
+        nu_bs0, nu_u0 = nu_d, nu_ud
+        if draw_serving_gains:
+            gain_reflected = (
+                fejer_kernel(nu_g - nu_d, cfg.n_bs) / cfg.n_bs
+                * fejer_kernel(nu_ur - nu_ud, cfg.n_u) / cfg.n_u
+                * cfg.n_ris**2
+            )
+    amp = math.sqrt(power * ld0 * gain_direct) + math.sqrt(power * lg0 * lu0 * gain_reflected)
+    return float(amp**2), nu_bs0, nu_u0
 
 
 def _interference_loop(
@@ -397,25 +575,111 @@ def _interference_loop(
     return total
 
 
+def _reference_realize(dep, cfg, rng, draw_serving_gains, bernoulli):
+    """(sinr, state codes) of one trial, stage after stage."""
+    links = _reference_links(dep, cfg, rng)
+    serving_bs, serving_ris = _reference_associate(dep, cfg, links)
+    bs_active, ris_active = _reference_activity(
+        dep, cfg, rng, serving_bs, serving_ris, bernoulli
+    )
+    signal, nu_bs0, nu_u0 = _reference_signal(
+        dep, cfg, links, serving_bs, serving_ris, draw_serving_gains
+    )
+    interference = _interference_loop(
+        dep, cfg, rng, links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0
+    )
+    codes = [int(not links.bs_los[serving_bs]), -1, -1]
+    if serving_ris is not None:
+        codes[1] = int(not links.ris_los[serving_ris])
+        codes[2] = int(not links.leg_los[serving_bs, serving_ris])
+    return signal / (interference + cfg.noise_power_watt), codes
+
+
+def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains, bernoulli):
+    """sinr_samples trial by trial: SINR, state codes, empty trials, and
+    where each trial's generator ends."""
+    sinr, codes, ends = np.zeros(trials), np.zeros((trials, 3), dtype=np.int8), []
+    empty = 0
+    for t in range(trials):
+        rng = mc._rng(seed, (t,))
+        dep = mc._sample(cfg, radius, rng, geometric)
+        if dep.bs_points.shape[0] == 0:
+            codes[t] = (1, -1, -1)
+            empty += 1
+        else:
+            sinr[t], codes[t] = _reference_realize(dep, cfg, rng, draw_serving_gains, bernoulli)
+        ends.append(_position(rng))
+    return sinr, codes, empty, ends
+
+
+@pytest.mark.parametrize("case", (
+    "sampled", "bernoulli", "geometric", "drawn-gains", "scheme2", "no-reflectors", "empty-bs",
+))
+def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
+    run_cfg = {
+        "scheme2": cfg.replace(antenna_scheme="scheme2"),
+        "no-reflectors": cfg.replace(lambda_ris=0.0),
+    }.get(case, cfg)
+    radius = {"geometric": 300.0, "empty-bs": 130.0}.get(case)
+    if radius is None:
+        radius = default_radius(run_cfg)
+    modes = dict(
+        geometric_blockage=case == "geometric",
+        draw_serving_gains=case in ("drawn-gains", "scheme2"),
+        bernoulli_activity=case == "bernoulli",
+    )
+    trials = 30
+    made = _recording_rng(monkeypatch)
+    batch = sinr_samples(run_cfg, trials, radius=radius, seed=17, **modes)
+    block_ends = [_position(used) for _, used in made]
+    sinr, codes, empty, ends = _reference_samples(run_cfg, trials, radius, 17, *modes.values())
+    np.testing.assert_array_equal(batch.bs_state, codes[:, 0])
+    np.testing.assert_array_equal(batch.ris_state, codes[:, 1])
+    np.testing.assert_array_equal(batch.leg_state, codes[:, 2])
+    assert batch.empty_trials == empty
+    np.testing.assert_allclose(batch.sinr, sinr, rtol=1e-12, atol=0.0)
+    # every trial's generator ends where the reference's does
+    assert block_ends == ends
+    if case == "empty-bs":
+        assert 0 < batch.empty_trials < trials
+    elif case == "no-reflectors":
+        assert np.all(batch.ris_state == -1)
+    else:
+        assert batch.empty_trials == 0 and np.any(batch.ris_state >= 0)
+
+
 def _check_against_loop(dep, cfg, seed, bernoulli=False, loaded=None):
-    """Run the stages up to interference, optionally override which
-    reflectors are loaded, then compare the stage with the loop on identical
-    generator states. Returns the stage inputs for case-specific asserts."""
+    """Run the reference stages up to interference, optionally override
+    which reflectors are loaded, then compare the block pass's interference
+    stage, on a block of one, with the loop from the same generator state.
+    Returns the stage inputs for case-specific asserts."""
     rng = np.random.Generator(np.random.Philox(seed))
-    links = mc._link_states(dep, cfg, rng)
-    serving_bs, serving_ris = mc._associate(dep, cfg, links)
-    bs_active, ris_active = mc._activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli)
+    links = _reference_links(dep, cfg, rng)
+    serving_bs, serving_ris = _reference_associate(dep, cfg, links)
+    bs_active, ris_active = _reference_activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli)
     if loaded is not None:
         ris_active = np.full(ris_active.shape, loaded)
-    _, nu_bs0, nu_u0 = mc._signal(dep, cfg, links, serving_bs, serving_ris, False)
+    _, nu_bs0, nu_u0 = _reference_signal(dep, cfg, links, serving_bs, serving_ris, False)
     args = (links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0)
-    stage_rng, loop_rng = copy.deepcopy(rng), copy.deepcopy(rng)
-    stage = mc._interference(dep, cfg, stage_rng, *args)
-    loop = _interference_loop(dep, cfg, loop_rng, *args)
-    assert stage == pytest.approx(loop, rel=1e-12, abs=0.0)
+    loop = _interference_loop(dep, cfg, rng, *args)
+
+    trial = mc._trial(dep, cfg, np.random.Generator(np.random.Philox(seed)), bernoulli)
+    block = mc._Block([trial], cfg)
+    serving, served = mc._associate(block)
+    assert (serving[0], served[0]) == (serving_bs, -1 if serving_ris is None else serving_ris)
+    if loaded is None:
+        # the typical user's pair joins what the other users load
+        bs_on, ris_on = trial.bs_busy.copy(), trial.ris_busy.copy()
+        bs_on[serving] = True
+        ris_on[served[served >= 0]] = True
+        np.testing.assert_array_equal(bs_on, bs_active)
+        np.testing.assert_array_equal(ris_on, ris_active)
+    _, nu_b, nu_u = mc._signal(block, cfg, serving, served, False)
+    stage = mc._interference(block, cfg, serving, served, bs_active, ris_active, nu_b, nu_u)
+    assert stage[0] == pytest.approx(loop, rel=1e-12, abs=0.0)
     # the same draws were consumed, in the same order
-    assert stage_rng.random() == loop_rng.random()
-    return stage, args
+    assert trial.rng.random() == rng.random()
+    return stage[0], args
 
 
 @pytest.mark.parametrize(
