@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0
 
 from ._quad import refined
 from .config import NetworkConfig
@@ -144,16 +143,34 @@ def _fejer_mean_two_angles(n: int, delta: float) -> float:
     return refined(coarse, fine, f"angle average for n={n}", 1e-8, floor=1.0)
 
 
+def _bessel_j0_grid(z: np.ndarray, k: int) -> np.ndarray:
+    """J0(z) as the mean of cos(z*sin a) on k uniform angles a in [0, pi).
+
+    The integrand has period pi, so the rule is off by 2*J_2k(z) + ..., which
+    falls below 1e-17 once 2k exceeds z by 15*z^(1/3) (Trefethen & Weideman,
+    SIAM Review 2014).
+    """
+    a = np.pi * np.arange(k) / k
+    return np.cos(np.multiply.outer(z, np.sin(a))).mean(axis=-1)
+
+
 def _fejer_mean_four_angles(n: int, delta: float) -> float:
     """Mean Fejér gain over the four angles of an interfering reflected path.
 
     Expanding the kernel in harmonics, each uniform angle contributes a
-    J0(2*pi*m*delta) factor, leaving n + 2*sum_{m<n} (n-m)*J0(2*pi*m*delta)^4.
+    J0(2*pi*m*delta) factor, leaving n + 2*sum_{m<n} (n-m)*J0(2*pi*m*delta)^4;
+    the J0 grid is sized to the largest argument and checked against the
+    doubled grid.
     """
     if n == 1:
         return 1.0
     m = np.arange(1, n)
-    return float(n + 2.0 * np.sum((n - m) * j0(_TWO_PI * delta * m) ** 4))
+    z = _TWO_PI * delta * m
+    k = 8 + math.ceil(0.5 * z[-1] + 8.0 * np.cbrt(z[-1]))  # 2k >= z + 16 z^(1/3) + 16
+    coarse, fine = (
+        float(n + 2.0 * np.sum((n - m) * _bessel_j0_grid(z, size) ** 4)) for size in (k, 2 * k)
+    )
+    return refined(coarse, fine, f"four-angle average for n={n}", 1e-13)
 
 
 @lru_cache(maxsize=64)

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 SPEED_OF_LIGHT = 299792458.0  # [m/s]
 
 # Beams aligned to the reflected path (scheme1) or to the direct path (scheme2).
@@ -126,6 +124,8 @@ _FIELDS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
 def parse_config(text: str) -> NetworkConfig:
     """Build a config from a flat key/value document (YAML mapping syntax)."""
+    import yaml  # only documents need it, so importing riscov does not
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

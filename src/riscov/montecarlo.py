@@ -122,9 +122,16 @@ def _rng(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _disk_points(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(count))
+def _disk_points(
+    rng: np.random.Generator, count: int, radius: float, keep: bool = True
+) -> np.ndarray:
+    """``count`` uniform points in the disk; without ``keep`` the draws are
+    made, so the stream moves on as usual, and no point is returned."""
+    u = rng.random(count)
     ang = rng.uniform(0.0, _TWO_PI, count)
+    if not keep:
+        return np.empty((0, 2))
+    r = radius * np.sqrt(u)
     return np.column_stack((r * np.cos(ang), r * np.sin(ang)))
 
 
@@ -133,7 +140,10 @@ def _sample(
     radius: float,
     rng: np.random.Generator,
     geometric_blockage: bool,
+    keep_users: bool = True,
 ) -> Deployment:
+    """One deployment; without ``keep_users`` the other users are drawn but
+    not kept, for passes that never read them."""
     area = math.pi * radius**2
     n_bs = rng.poisson(cfg.lambda_bs * area)
     n_ris = rng.poisson(cfg.lambda_ris * area)
@@ -141,7 +151,7 @@ def _sample(
     bs = _disk_points(rng, n_bs, radius)
     ris = _disk_points(rng, n_ris, radius)
     normals = rng.uniform(0.0, _TWO_PI, n_ris)
-    users = _disk_points(rng, n_user, radius)
+    users = _disk_points(rng, n_user, radius, keep_users)
     segments = None
     if geometric_blockage:
         lo, hi = BLOCKAGE_LENGTH_RANGE
@@ -295,6 +305,9 @@ def _activity(
         return rng.random(n_bs) < active_prob_bs(cfg), rng.random(n_ris) < active_prob_ris(cfg)
 
     users = dep.user_points
+    if users.shape[0] == 0:
+        # the users' draws would be empty, so the stream is where it would be
+        return np.zeros(n_bs, dtype=bool), np.zeros(n_ris, dtype=bool)
     # other users associate exactly like the typical one; their link states
     # stay analytic draws even in geometric mode (they only set cell
     # occupancy, not any path toward the origin)
@@ -614,7 +627,7 @@ def _blocks(
     index, block, links = [], [], 0
     for t in range(trials):
         rng = _rng(seed, (t,))
-        dep = _sample(cfg, radius, rng, geometric_blockage)
+        dep = _sample(cfg, radius, rng, geometric_blockage, keep_users=not links_only)
         n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
         if n_bs == 0:
             continue

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from riscov.beamforming import (
     RisPhaseProfile,
     SteeringAngleSet,
+    _fejer_mean_four_angles,
     average_gains,
     direct_gain,
     fejer_kernel,
@@ -130,6 +132,15 @@ def test_four_angle_mean_against_sampling():
     offset = cfg.d_over_omega * (np.sin(a) - np.sin(b) + np.sin(c) - np.sin(d))
     sampled = fejer_kernel(offset, cfg.n_ris).mean()
     assert average_gains(cfg).m_r_rl == pytest.approx(sampled, rel=0.01)
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 64, 128, 256, 1024))
+@pytest.mark.parametrize("delta", (0.25, 0.37, 0.5))
+def test_four_angle_mean_matches_bessel_series(n, delta):
+    """The periodic-grid J0 reproduces the harmonic series with scipy's J0."""
+    m = np.arange(1, n)
+    series = n + 2.0 * np.sum((n - m) * j0(2 * math.pi * delta * m) ** 4)
+    assert _fejer_mean_four_angles(n, delta) == pytest.approx(series, rel=1e-13, abs=0.0)
 
 
 def test_angle_shift_invariance():

@@ -1,10 +1,15 @@
 """Configuration defaults, unit conversions and document parsing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import riscov
 from riscov.config import (
     ConfigError,
     NetworkConfig,
@@ -119,3 +124,21 @@ def test_load_config(tmp_path):
     path = tmp_path / "net.yaml"
     path.write_text("lambda_ris: 0.0\n")
     assert load_config(path).lambda_ris == 0.0
+
+
+def test_load_config_rejects_malformed_file(tmp_path):
+    path = tmp_path / "net.yaml"
+    path.write_text("beta: {{\n")
+    with pytest.raises(ConfigError, match="malformed"):
+        load_config(path)
+
+
+def test_import_leaves_scipy_and_yaml_unloaded():
+    """scipy is a test dependency only, and YAML loads on the first parse."""
+    src = str(Path(riscov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, riscov; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"

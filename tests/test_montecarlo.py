@@ -614,11 +614,15 @@ def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains,
 
 @pytest.mark.parametrize("case", (
     "sampled", "bernoulli", "geometric", "drawn-gains", "scheme2", "no-reflectors", "empty-bs",
+    "no-users",
 ))
 def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
     run_cfg = {
         "scheme2": cfg.replace(antenna_scheme="scheme2"),
         "no-reflectors": cfg.replace(lambda_ris=0.0),
+        # the activity stage returns at once, and its empty draws must not
+        # have moved the stream
+        "no-users": cfg.replace(lambda_u=0.0),
     }.get(case, cfg)
     radius = {"geometric": 300.0, "empty-bs": 130.0}.get(case)
     if radius is None:
