@@ -13,8 +13,10 @@ class IntegrationError(RuntimeError):
 
 
 def refined(coarse, fine, what: str, rel: float, floor: float = 0.0, abs_tol: float = 0.0):
-    """`fine` if |fine - coarse| <= abs_tol + rel*max(|fine|, floor), else raise."""
-    if abs(fine - coarse) > abs_tol + rel * max(abs(fine), floor):
+    """`fine` if both values are finite and |fine - coarse| <= abs_tol +
+    rel*max(|fine|, floor), else raise."""
+    if not (math.isfinite(coarse) and math.isfinite(fine)
+            and abs(fine - coarse) <= abs_tol + rel * max(abs(fine), floor)):
         raise IntegrationError(f"{what} did not converge: {coarse} vs {fine}")
     return fine
 

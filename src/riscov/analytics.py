@@ -10,8 +10,9 @@ at double weight: the same sum, to rounding.  Interferers enter through four
 thinned point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the
 latter split again into active and idle) whose Laplace transforms share one
 half-line integral template.  The evaluator tabulates each side's summed
-exponent once, in u = ln s, as per-interval polynomial coefficients, so a
-threshold costs two table lookups per Laplace product.
+exponent in u = ln s as per-interval polynomial coefficients, filled on
+demand: an evaluate first fills the intervals its lookups reach that no
+earlier one did, so a threshold costs two table lookups per Laplace product.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ def alzer_epsilon(w: int) -> float:
     if w < 1:
         raise ValueError("w must be >= 1")
     return w * math.factorial(w) ** (-1.0 / w)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
 
 
 def _chebyshev_angle(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,17 +316,53 @@ class _Term(NamedTuple):
     sat: np.ndarray
 
 
+def _ranges(starts, counts):
+    """(range number, value) of each element of the ranges [starts,
+    starts + counts), laid end to end."""
+    stops = np.cumsum(counts)
+    return (np.repeat(np.arange(len(counts)), counts),
+            np.arange(stops[-1]) + np.repeat(starts - (stops - counts), counts))
+
+
+def _horner(coef, rows, t):
+    """Each row of `coef` in `rows` at its variable t, by Horner's rule."""
+    coef = coef.take(rows, axis=0)
+    value = coef[..., 5] * t
+    for p in range(4, 0, -1):
+        value += coef[..., p]
+        value *= t
+    value += coef[..., 0]
+    return value
+
+
+class _Rows(NamedTuple):
+    """The rows an `_ExponentTable` holds, replaced whole by each fill so a
+    lookup reads one consistent set.  Per column, shaped like the
+    exclusions: the lattice index k0 of its first filled interval, their
+    count `width`, and the row `start` of `coef` that holds it; the series
+    row comes just before and the saturated row just after them."""
+
+    coef: np.ndarray
+    k0: np.ndarray
+    width: np.ndarray
+    start: np.ndarray
+
+
 class _ExponentTable:
     """One side's interference exponent L(u) = sum density * J(e^u * scale).
 
     `terms` lists (density, scale, tail table) triples whose tail tables share
     one exclusion shape; each exclusion node is a column with its own run of
     lattice nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
-    six coefficients in `coef`, one after the other: the two-term series
+    six coefficients, one after the other: the two-term series
     s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
     Hermite of L in t from its value and first two u-derivatives (with
     x = c*B, J_u = sum A*x*exp(-x) and J_uu = sum A*x*(1-x)*exp(-x)); and
     the saturated sum(A*density) above the run.  A lookup is one Horner pass.
+
+    Intervals are filled on demand: `cover` fills those a u range reads, and
+    each column holds one contiguous span of them.  `residual` is the worst
+    midpoint error over the intervals filled so far.
     """
 
     def __init__(self, terms):
@@ -351,37 +393,101 @@ class _ExponentTable:
         empty = ~(hi > lo)
         k_lo = np.floor(np.where(empty, 0.0, lo) / h).astype(np.intp)
         count = np.ceil(np.where(empty, h, hi) / h).astype(np.intp) - k_lo + 1
-        offset = np.cumsum(count) - count
-        # per-column constants, shaped like the exclusions; a column's rows
-        # follow the previous column's, and `first` is the row of its first
-        # interval, one after its series row
-        first = offset + np.arange(size) + 1
-        self.k_lo, self.count, self.first = (v.reshape(shape) for v in (k_lo, count, first))
+        # per-column constants, shaped like the exclusions
+        self.k_lo, self.count = k_lo.reshape(shape), count.reshape(shape)
         self.s_edge = np.exp(self.k_lo * h)
+        # the series and saturated rows
+        self._outside = (s1, -0.5 * s2, sat)
+        self._rows = None  # until the first fill
+        # (f, h*f', h^2*f'') at each column's span's two end nodes
+        self._ends = np.zeros((2, size, 3))
+        self._lock = threading.Lock()
+        self.residual = 0.0
 
-        node_col = np.repeat(np.arange(size), count)
-        node_k = np.arange(count.sum()) - np.repeat(offset, count) + np.repeat(k_lo, count)
-        node_row = np.arange(count.sum()) + node_col + 1
-        f, df, ddf = self._exact(node_k * h, node_col, derivatives=True)
-        # (f, h*f', h^2*f'') per node at its row; row j is the quintic of the
-        # six values from row j
-        values = np.zeros((len(node_row) + size + 1, 3))
-        values[node_row] = np.stack([f, h * df, h * h * ddf], axis=-1)
-        self.coef = np.lib.stride_tricks.sliding_window_view(values.ravel(), 6)[::3] @ _HERMITE
-        # the row before a column's first node takes the series, and the row
-        # of its last node, which starts no interval, the saturated value
-        series, last = first - 1, first + count - 1
-        self.coef[series] = self.coef[last] = 0.0
-        self.coef[series, 1], self.coef[series, 2], self.coef[last, 0] = s1, -0.5 * s2, sat
-        # build check: the interpolant against the exact sum at every midpoint
-        left = np.flatnonzero(np.diff(node_col, append=-1) == 0)
-        exact = self._exact((node_k[left] + 0.5) * h, node_col[left])[0]
-        interp = self._horner(node_row[left], 0.5)
-        rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
-        worst = int(np.argmax(rel))
-        self.residual = float(rel[worst])
-        refined(float(interp[worst]), float(exact[worst]),
-                "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
+    def cover(self, u_lo, u_hi):
+        """Fill the intervals that lookups at u in [u_lo, u_hi] read.
+
+        u_lo and u_hi broadcast against the columns.  A range off a column's
+        lattice fills the interval nearest to it, so a span filled for two
+        ranges holds every range between them.  Each column's span grows to
+        the one run that holds its old span and the new range; only the new
+        nodes and intervals are computed, and every new interval is held to
+        _TABLE_RTOL at its midpoint before a lookup can read it.  Fills run
+        under the table's lock, so threads may share a table.
+        """
+        h = _TABLE_STEP
+        k_lo = self.k_lo.ravel()
+        end = self.count.ravel() - 1  # intervals 0 .. count - 2 hold quintics
+        # the lookups' interval index, floor(u/h) - k_lo, at either end
+        i_lo, i_hi = (np.floor(np.broadcast_to(u, self.k_lo.shape).ravel() / h) - k_lo
+                      for u in (u_lo, u_hi))
+        want_lo = np.clip(i_lo, 0, end - 1).astype(np.intp)
+        want_hi = np.clip(i_hi + 1, want_lo + 1, end).astype(np.intp)
+        with self._lock:
+            old = self._rows
+            # every fill leaves each column at least one interval; before the
+            # first, each has the empty span (count - 1, 0)
+            if old is None:
+                old_lo, old_hi = end, np.zeros_like(end)
+            else:
+                old_lo = old.k0.ravel() - k_lo
+                old_hi = old_lo + old.width.ravel()
+            lo, hi = np.minimum(old_lo, want_lo), np.maximum(old_hi, want_hi)
+            if np.array_equal(lo, old_lo) and np.array_equal(hi, old_hi):
+                return
+            moved = lo < old_lo, hi > old_hi
+            # per column two runs of new intervals, [lo, old_lo) and
+            # [old_hi, hi) beside a span, else [lo, hi) and none; a run of n
+            # intervals has n + 1 nodes, and the span's end nodes are known
+            mid = np.minimum(old_lo, hi)
+            n = np.maximum(np.stack([mid - lo, hi - np.maximum(old_hi, mid)], axis=-1).ravel(), 0)
+            nodes = n + (n > 0)
+            run, i = _ranges(np.stack([lo, np.maximum(old_hi, mid)], axis=-1).ravel(), nodes)
+            col = run // 2
+            tail = np.cumsum(nodes) - 1  # each run's last node, and head its first
+            head = tail + 1 - nodes
+            values = np.empty((len(i), 3))
+            known = np.zeros(len(i), dtype=bool)
+            if old is not None:
+                for side, at in ((0, tail[0::2]), (1, head[1::2])):
+                    values[at[moved[side]]] = self._ends[side, moved[side]]
+                    known[at[moved[side]]] = True
+            new = ~known
+            f, df, ddf = self._exact((i[new] + k_lo[col[new]]) * h, col[new], derivatives=True)
+            values[new] = np.stack([f, h * df, h * h * ddf], axis=-1)
+            # per column its series row, intervals lo .. hi - 1, saturated row
+            width = hi - lo
+            start = np.cumsum(width + 2) - width - 1
+            coef = np.zeros((start[-1] + width[-1] + 1, 6))
+            coef[start - 1, 1:3] = np.stack(self._outside[:2], axis=-1)
+            coef[start + width, 0] = self._outside[2]
+            if old is not None:
+                c, j = _ranges(old_lo, old_hi - old_lo)
+                coef[start[c] + j - lo[c]] = old.coef[old.start.ravel()[c] + j - old_lo[c]]
+            # an interval starts at every node but a run's last
+            left = np.ones(len(i), dtype=bool)
+            left[tail[n > 0]] = False
+            cols = col[left]
+            rows = start[cols] + i[left] - lo[cols]
+            windows = np.lib.stride_tricks.sliding_window_view(values.ravel(), 6)[::3][left[:-1]]
+            # matmul takes matrix-vector code, which rounds otherwise, for a
+            # lone row; a pair keeps each row independent of the batching
+            if len(rows) == 1:
+                windows = np.repeat(windows, 2, axis=0)
+            coef[rows] = (windows @ _HERMITE)[:len(rows)]
+            # the interpolant against the exact sum at every new midpoint
+            exact = self._exact((i[left] + k_lo[cols] + 0.5) * h, cols)[0]
+            interp = _horner(coef, rows, 0.5)
+            rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
+            worst = int(np.argmax(rel))
+            refined(float(interp[worst]), float(exact[worst]),
+                    "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
+            self.residual = max(self.residual, float(rel[worst]))
+            # a moved end node heads a column's first run or tails its last
+            for side, at in ((0, head[0::2]), (1, tail[1::2])):
+                self._ends[side, moved[side]] = values[at[moved[side]]]
+            self._rows = _Rows(coef, *(v.reshape(self.k_lo.shape)
+                                       for v in (k_lo + lo, width, start)))
 
     def _exact(self, u, cols, derivatives: bool = False):
         """(L,) or (L, L_u, L_uu) at each (u, column) pair; `cols` is sorted
@@ -415,26 +521,22 @@ class _ExponentTable:
                 table = (a[:, col:col + 1], b[:, col:col + 1])
                 for start in range(starts[col], stops[col], chunk):
                     part = slice(start, min(start + chunk, stops[col]))
-                    out[:, part] += d * np.array(_j(np.exp(u[part]) * sc, table, derivatives),
-                                                 ndmin=2)
+                    c = np.exp(u[part]) * sc
+                    # einsum sums over the nodes in another order for a lone
+                    # c; a pair keeps each value independent of the batching
+                    value = np.array(_j(np.repeat(c, 2) if c.size == 1 else c, table,
+                                        derivatives), ndmin=2)
+                    out[:, part] += d * value[:, :c.size]
         return out
-
-    def _horner(self, rows, t):
-        """Each row of `coef` in `rows` at its variable t, by Horner's rule."""
-        coef = self.coef.take(rows, axis=0)
-        value = coef[..., 5] * t
-        for p in range(4, 0, -1):
-            value += coef[..., p]
-            value *= t
-        value += coef[..., 0]
-        return value
 
     def __call__(self, s, k, t):
         """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1); s, k and
-        t broadcast against the columns.  The series rows take min(s, s_edge)
-        in place of t."""
-        i = np.minimum(np.maximum(k - self.k_lo, -1), self.count - 1)
-        return self._horner(self.first + i, np.where(i < 0, np.minimum(s, self.s_edge), t))
+        t broadcast against the columns, whose intervals at k `cover` has
+        filled.  Below the span a lookup takes the series row, with
+        min(s, s_edge) in place of t, and above it the saturated row."""
+        rows = self._rows
+        j = np.minimum(np.maximum(k - rows.k0, -1), rows.width)
+        return _horner(rows.coef, rows.start + j, np.where(j < 0, np.minimum(s, self.s_edge), t))
 
 
 def laplace_interference(
@@ -478,14 +580,16 @@ class _CoverageEvaluator:
     exclusions without reflectors, the reflectors over the y exclusions with
     them.  It keeps that side's point sets `sets`, tail tables and, per
     serving state, one `_ExponentTable` of the interference exponent in
-    u = ln s; the NLOS-free set is filled on the first `coverage_small_beta`
-    call.  The base-station side (x grid, its weights `fdw` and tables) is
-    built only by the configuration's reflector-free twin; an evaluator with
-    reflectors holds the twin's evaluator as `base` and reads that side from
-    it, so the cache keeps one copy for both.  Evaluating one threshold forms
-    s = gamma*T/signal on the grid and looks each side up once per Laplace
-    product; it keeps no result.  Arrays live on the (x, y, angle) grid, with
-    size-1 axes where a quantity does not depend on that coordinate.
+    u = ln s for all factors and one for the LOS factors alone
+    (`coverage_small_beta`).  The base-station side (x grid, its weights
+    `fdw` and tables) is built only by the configuration's reflector-free
+    twin; an evaluator with reflectors holds the twin's evaluator as `base`
+    and reads that side from it, so the cache keeps one copy for both.
+    Evaluating one threshold first covers each table it reads over the s
+    range of its lookups, then forms s = gamma*T/signal on the grid and
+    looks each side up once per Laplace product; it keeps no result.  Arrays
+    live on the (x, y, angle) grid, with size-1 axes where a quantity does
+    not depend on that coordinate.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -495,7 +599,6 @@ class _CoverageEvaluator:
         self.quad = quad
         self.has_ris = cfg.lambda_ris > 0.0
         self.sigma2 = cfg.noise_power_watt
-        self._lock = threading.Lock()
         # nothing on the base-station side depends on lambda_ris: a
         # configuration with reflectors shares that side with its twin
         # without them, whose evaluator comes from (and lands in) the cache;
@@ -582,29 +685,21 @@ class _CoverageEvaluator:
                 excl = (np.zeros((1, 1, 1)) if serving is None
                         else equivalent_distance(d, _STATES[serving], state, cfg))
                 self.tables[fstate, serving] = _tail_table(state, excl, cfg, self.quad.q_tail)
-        self.exponents = {}
-        self._exponent_tables(los_only=False)
-
-    def _exponent_tables(self, los_only: bool) -> dict:
-        """This side's exponent tables, keyed by serving state.
-
-        The los_only set is filled on first use, once even when sweep threads
-        ask together.
-        """
-        with self._lock:
-            if los_only not in self.exponents:
-                fstates = (0,) if los_only else (0, 1)
-                self.exponents[los_only] = {
-                    serving: _ExponentTable([
-                        (density, power_gain * path_law(_STATES[f], self.cfg)[0],
-                         self.tables[f, serving])
-                        for f in fstates
-                        for density, power_gain in self.sets
-                    ])
-                    for fstate, serving in self.tables
-                    if fstate == 0
-                }
-        return self.exponents[los_only]
+        # keyed by los_only, then serving state; rows are filled on demand
+        self.exponents = {
+            los_only: {
+                serving: _ExponentTable([
+                    (density, power_gain * path_law(_STATES[f], cfg)[0], self.tables[f, serving])
+                    for f in ((0,) if los_only else (0, 1))
+                    for density, power_gain in self.sets
+                ])
+                for fstate, serving in self.tables
+                if fstate == 0
+            }
+            for los_only in (False, True)
+        }
+        # (direct_signal, los_only) -> lowest and highest threshold covered
+        self._covered = {}
 
     def _sides(self) -> tuple:
         """The evaluators of the Laplace product's sides, base stations first."""
@@ -622,8 +717,50 @@ class _CoverageEvaluator:
         k = k.astype(np.intp)
         expo = -(s * self.sigma2)
         for side, serving in zip(self._sides(), (irho, ixi)):
-            expo = expo - side._exponent_tables(los_only)[serving](s, k, t)
+            expo = expo - side.exponents[los_only][serving](s, k, t)
         return expo
+
+    def _signals(self, irho: int, ixi: int | None, direct_signal: bool) -> list:
+        """(probability, signal power) pairs that mix into one case's kernel."""
+        if ixi is None or direct_signal:
+            return [(1.0, self.sig_direct[irho])]
+        return self.reflected[irho, ixi]
+
+    def _cover(self, threshold: float, direct_signal: bool, los_only: bool) -> None:
+        """Fill each exponent table an evaluate reads over the rows its
+        lookups reach: per column, ln s = ln(gamma*T/signal) from the first
+        Alzer term at the largest signal to the last at the smallest, over
+        the cases that read the table, one lattice step wider each way
+        against the rounding of s.
+
+        Spans are contiguous, so two covered thresholds cover every one
+        between them.
+        """
+        key = (direct_signal, los_only)
+        t_lo, t_hi = self._covered.get(key, (math.inf, -math.inf))
+        if t_lo <= threshold <= t_hi:
+            return
+        w_terms = self.quad.w_alzer
+        eps = alzer_epsilon(w_terms)
+        u_t = math.log(threshold)
+        u_lo = u_t + math.log(eps) - _TABLE_STEP
+        u_hi = u_t + math.log(w_terms * eps) + _TABLE_STEP
+        spans, sides = {}, self._sides()
+        for irho in (0, 1):
+            for ixi in (0, 1, None) if self.has_ris else (None,):
+                for side, serving in zip(sides, (irho, ixi)):
+                    table = side.exponents[los_only][serving]
+                    axes = tuple(i for i, n in enumerate(table.k_lo.shape) if n == 1)
+                    for _, sig in self._signals(irho, ixi, direct_signal):
+                        lo = u_lo - np.log(sig.max(axis=axes, keepdims=True))
+                        hi = u_hi - np.log(sig.min(axis=axes, keepdims=True))
+                        if table in spans:
+                            lo = np.minimum(lo, spans[table][0])
+                            hi = np.maximum(hi, spans[table][1])
+                        spans[table] = lo, hi
+        for table, (lo, hi) in spans.items():
+            table.cover(lo, hi)
+        self._covered[key] = min(t_lo, threshold), max(t_hi, threshold)
 
     # public evaluation
 
@@ -633,8 +770,8 @@ class _CoverageEvaluator:
         direct_signal: bool = False,
         los_only: bool = False,
     ) -> CoverageResult:
-        if threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        _check_threshold(threshold)
+        self._cover(threshold, direct_signal, los_only)
         w_terms = self.quad.w_alzer
         eps = alzer_epsilon(w_terms)
         # gamma-dummy sum: (scale of s, binomial coefficient) per term
@@ -645,22 +782,21 @@ class _CoverageEvaluator:
 
         by_case: dict[AssociationCase, float] = {}
         for irho, rho in enumerate(_STATES):
-            direct = [(1.0, self.sig_direct[irho])]
             fdw = self.fdw[irho][:, None, None] * self.wv
             # cases served through a reflector
             for ixi, xi in enumerate(_STATES):
                 if self.has_ris:
-                    signals = direct if direct_signal else self.reflected[irho, ixi]
                     value = self._case_value(
-                        threshold, terms, signals, fdw * self.gw[ixi], irho, ixi, los_only
+                        threshold, terms, self._signals(irho, ixi, direct_signal),
+                        fdw * self.gw[ixi], irho, ixi, los_only
                     )
                 else:
                     value = 0.0
                 by_case[AssociationCase(rho, xi)] = value
             # no-reflector bucket: direct signal only
             by_case[AssociationCase(rho, None)] = self._case_value(
-                threshold, terms, direct, fdw * self.remainder[:, None, :],
-                irho, None, los_only,
+                threshold, terms, self._signals(irho, None, direct_signal),
+                fdw * self.remainder[:, None, :], irho, None, los_only,
             )
 
         total = sum(by_case.values()) / self.norm
@@ -673,9 +809,10 @@ class _CoverageEvaluator:
             "los_only_interference": los_only,
             "clamped": clamped,
             "raw_total": float(total),
+            # the worst midpoint over the intervals filled so far
             "table_residual": max(
                 table.residual for side in self._sides()
-                for table in side._exponent_tables(los_only).values()
+                for table in side.exponents[los_only].values()
             ),
         }
         engine = "analytic-small-beta" if los_only else "analytic"
@@ -814,6 +951,7 @@ def energy_efficiency(
     if given, maps direct_signal to the coverage total of (threshold, cfg,
     quad), so a caller that has it already need not evaluate it again.
     """
+    _check_threshold(threshold)
     p_bs = active_prob_bs(cfg)
     p_ris = active_prob_ris(cfg)
     served_bs = cfg.lambda_bs * p_bs

@@ -269,8 +269,10 @@ def ris_joint_expectation(
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
         values = [None if k is None else k(xg[part], y[part], vg) for k in kernels]
+        # ris_case_density's intensity, shared by both states
+        intensity = np.pi * cfg.lambda_ris * side_condition(xg[part], y[part], vg)
         for i, state in enumerate(states):
-            g = ris_case_density(y[part], xg[part], vg, state, cfg)
+            g = _serving_density(y[part], intensity, state, cfg)
             for j, value in enumerate(values):
                 inner[j, i, part] = np.sum(wy[part] * (g if value is None else g * value),
                                            axis=-1)

@@ -720,7 +720,7 @@ def empirical_coverage(
     Pass a precomputed ``samples`` batch to evaluate several thresholds on
     the same draws; its trials/radius/seed then take precedence.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if samples is None:
         samples = sinr_samples(cfg, trials, radius, seed, **modes)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from riscov.analytics import (
     laplace_interference,
     ris_interference_power,
 )
+from riscov.sweeps import THRESHOLD_GRID_DB
 from riscov.association import equivalent_distance, path_law, state_weight
 from riscov.beamforming import mean_direct_interference_gain
 from riscov.config import NetworkConfig
@@ -341,6 +345,7 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
         for ixi, xi in enumerate(states):
             _, sig = ev.reflected[irho, ixi][0]
             s = threshold / sig
+            _cover(ev, s, irho, ixi, los_only=False)
             expo = ev._log_laplace(s, irho, ixi, los_only=False)
             for i, j, k in nodes:
                 x, y, s_node = float(ev.x[i]), float(ev.y[j]), float(s[i, j, k])
@@ -364,7 +369,22 @@ def _sides(ev, irho=None, ixi=None):
 
 def _all_exponent_tables(ev, los_only):
     """The exponent tables of both sides, the twin's base-station ones included."""
-    return [table for side, _ in _sides(ev) for table in side._exponent_tables(los_only).values()]
+    return [table for side, _ in _sides(ev) for table in side.exponents[los_only].values()]
+
+
+def _cover(ev, s, irho, ixi, los_only):
+    """Fill the rows that `_log_laplace` at s reads from each side's table."""
+    u = np.log(s)
+    for side, serving in _sides(ev, irho, ixi):
+        side.exponents[los_only][serving].cover(u.min(), u.max())
+
+
+def _fresh_evaluator(cfg, quad, monkeypatch):
+    """An evaluator whose base-station twin is built for it alone, so no
+    other test's evaluates have filled any of its rows."""
+    monkeypatch.setattr(analytics, "_get_evaluator",
+                        analytics._BuildOnce(_CoverageEvaluator, maxsize=8))
+    return _CoverageEvaluator(cfg, quad)
 
 
 def _exact_log_laplace(ev, s, irho, ixi, los_only):
@@ -403,6 +423,7 @@ def test_log_laplace_beyond_table_edges(cfg):
         edges = np.array([k_lo - 30.0, k_lo - 0.5, k_hi + 0.5, k_hi + 30.0])
         s = np.exp(_TABLE_STEP * edges)[None, None, :]
         for irho, ixi in _serving_pairs(ev):
+            _cover(ev, s, irho, ixi, los_only)
             got = ev._log_laplace(s, irho, ixi, los_only)
             want = _exact_log_laplace(ev, s, irho, ixi, los_only)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
@@ -414,6 +435,7 @@ def test_lookup_at_column_row_edges(cfg):
     ev = _get_evaluator(cfg, QuadratureSpec())
     for los_only in (False, True):
         for table in _all_exponent_tables(ev, los_only):
+            table.cover(-np.inf, np.inf)
             cols = np.arange(table.k_lo.size)
             last = table.k_lo + table.count - 1
             for k in (table.k_lo - 1, table.k_lo, last - 1, last, last + 4):
@@ -439,24 +461,91 @@ def test_coverage_tables_match_exact_sum(cfg, light_quad):
 
 
 def test_small_beta_tables_built_lazily(cfg, light_quad):
+    """The LOS-only tables get their rows on the first los_only evaluate."""
     weak = cfg.replace(beta=0.001)
     tabled = _CoverageEvaluator(weak, light_quad)
-    assert True not in tabled.exponents
+    assert all(table._rows is None for table in tabled.exponents[True].values())
     exact = _exact_evaluator(weak, light_quad)
     for threshold in (1e-6, 1.0, 1e6):
         got = tabled.evaluate(threshold, los_only=True)
         want = exact.evaluate(threshold, los_only=True)
         assert got.total == pytest.approx(want.total, abs=1e-9)
         assert got.by_case == pytest.approx(want.by_case, abs=1e-9)
-    assert True in tabled.exponents
+    assert all(table._rows is not None for table in tabled.exponents[True].values())
     assert 0.0 < got.meta["table_residual"] < 1e-9
 
 
 def test_table_check_rejects_coarse_lattice(cfg, light_quad, monkeypatch):
-    # a tenfold step leaves the quintic interpolant ~1e-4 off at the midpoints
+    # a tenfold step leaves the quintic interpolant ~1e-4 off at the
+    # midpoints; the check runs when the first evaluate fills its rows, on
+    # tables (the twin's too) that have the coarse lattice from the start
     monkeypatch.setattr(analytics, "_TABLE_STEP", 1.0)
+    ev = _fresh_evaluator(cfg, light_quad, monkeypatch)
     with pytest.raises(IntegrationError, match="interference exponent table"):
-        _CoverageEvaluator(cfg, light_quad)
+        ev.evaluate(1.0)
+
+
+@pytest.mark.parametrize("direct, los_only", [(False, False), (True, False), (False, True)])
+def test_span_fill_matches_whole_lattice(cfg, monkeypatch, direct, los_only):
+    """Tables filled span by span, over the 21-point threshold grid, give
+    bitwise the coverage of tables filled over their whole lattice first."""
+    spans = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    whole = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    for los in (False, True):
+        for table in _all_exponent_tables(whole, los):
+            table.cover(-np.inf, np.inf)
+    for db in THRESHOLD_GRID_DB:
+        got = spans.evaluate(10.0 ** (db / 10.0), direct, los_only)
+        want = whole.evaluate(10.0 ** (db / 10.0), direct, los_only)
+        assert got.total == want.total
+        assert got.by_case == want.by_case
+
+
+def test_evaluate_fills_a_minority_of_rows(cfg, monkeypatch):
+    """One default 0 dB evaluate fills fewer than half of the interval rows
+    of the tables it reads, and none of the LOS-only tables."""
+    ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    ev.evaluate(1.0)
+    tables = _all_exponent_tables(ev, False)
+    filled = sum(int(np.sum(table._rows.width)) for table in tables)
+    intervals = sum(int(np.sum(table.count - 1)) for table in tables)
+    assert 0 < filled < 0.5 * intervals
+    assert all(table._rows is None for table in _all_exponent_tables(ev, True))
+
+
+def test_threads_share_table_fills(cfg, light_quad, monkeypatch):
+    """Four threads, more than the host's cores, evaluating different
+    thresholds on one fresh evaluator get bitwise what a serial run gets."""
+    thresholds = (0.02, 0.5, 5.0, 60.0)
+    serial = _fresh_evaluator(cfg, light_quad, monkeypatch)
+    want = [[serial.evaluate(t, direct) for direct in (False, True)] for t in thresholds]
+    start = threading.Barrier(len(thresholds), timeout=60)
+
+    def run(shared, threshold):
+        start.wait()
+        return [shared.evaluate(threshold, direct) for direct in (False, True)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):  # a lost update shows in some interleavings only
+            shared = _fresh_evaluator(cfg, light_quad, monkeypatch)
+            with ThreadPoolExecutor(max_workers=len(thresholds)) as pool:
+                futures = [pool.submit(run, shared, t) for t in thresholds]
+                got = [future.result(timeout=120) for future in futures]
+            for part, ref in zip(got, want):
+                assert [r.total for r in part] == [r.total for r in ref]
+                assert [r.by_case for r in part] == [r.by_case for r in ref]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0])
+def test_analytic_rejects_bad_threshold(cfg, threshold):
+    for evaluate in (coverage_probability, coverage_direct, coverage_small_beta,
+                     energy_efficiency):
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate(threshold, cfg)
 
 
 def _full_sum(table, u, cols):
@@ -560,6 +649,7 @@ def test_log_laplace_matches_exact_sum(
         sig = ev.reflected[irho, ixi][0][1] if ixi is not None else ev.sig_direct[irho]
         for scale, los_only in itertools.product((1.0, 1e-4, 1e4), (False, True)):
             s = scale * 10.0**log_threshold / sig
+            _cover(ev, s, irho, ixi, los_only)
             got = ev._log_laplace(s, irho, ixi, los_only)
             want = _exact_log_laplace(ev, s, irho, ixi, los_only)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)

@@ -280,6 +280,15 @@ def test_empirical_coverage_structure(cfg):
         empirical_coverage(-1.0, cfg, 10)
 
 
+def test_empirical_coverage_rejects_nan_threshold(cfg):
+    """NaN would count every trial uncovered; an infinite threshold is a
+    threshold no SINR reaches."""
+    batch = sinr_samples(cfg, 20, seed=3)
+    with pytest.raises(ValueError, match="threshold"):
+        empirical_coverage(math.nan, cfg, 20, samples=batch)
+    assert empirical_coverage(math.inf, cfg, 20, samples=batch).total == 0.0
+
+
 def test_empirical_coverage_reports_empty_trials(cfg):
     # a 130 m disk holds no BS at the default density about half the time
     batch = sinr_samples(cfg, 60, radius=130.0, seed=12)

@@ -1,9 +1,11 @@
 """Gauss-Legendre rules from Newton's method on the Legendre recurrence."""
 
+import math
+
 import numpy as np
 import pytest
 
-from riscov._quad import _gauss_legendre, gauss_legendre_01
+from riscov._quad import IntegrationError, _gauss_legendre, gauss_legendre_01, refined
 
 SIZES = (1, 2, 5, 48, 384, 768)
 
@@ -33,3 +35,16 @@ def test_rule_is_cached_and_read_only():
     t, w = gauss_legendre_01(48)
     assert gauss_legendre_01(48)[0] is t
     assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("coarse, fine", [(1.0, math.nan), (math.nan, 1.0), (math.nan, math.nan),
+                                          (1.0, math.inf), (math.inf, math.inf)])
+def test_refined_rejects_non_finite_values(coarse, fine):
+    with pytest.raises(IntegrationError, match="probe"):
+        refined(coarse, fine, "probe", 1e-9, floor=1.0)
+
+
+def test_refined_returns_the_fine_value():
+    assert refined(1.0, 1.0 + 1e-12, "probe", 1e-9) == 1.0 + 1e-12
+    with pytest.raises(IntegrationError):
+        refined(1.0, 1.0 + 1e-6, "probe", 1e-9)

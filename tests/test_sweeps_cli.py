@@ -124,14 +124,15 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_tradeoff_sweep_evaluates_once_per_point(cfg, light_quad, monkeypatch):
     # per point: p1 and ee share one evaluate of the point's configuration,
-    # p_t one of its twin, which also holds the point's base-station tables
+    # p_t one of its twin, which also holds the point's base-station tables;
+    # the LOS-only tables are made too but never filled
     evaluates = _count_calls(monkeypatch, analytics._CoverageEvaluator, "evaluate")
-    tables = _count_calls(monkeypatch, analytics._ExponentTable, "__init__")
+    tables = _count_calls(monkeypatch, analytics._ExponentTable, "cover")
     fresh = cfg.replace(beta=cfg.beta * 1.0151)
     run_sweep("ris-density-tradeoff", fresh, metrics=("p1", "p_t", "ee"), quad=light_quad)
     assert sum(ev.has_ris for ev in evaluates) == 9
     assert len(evaluates) == 18
-    assert len(tables) == 9 * (2 + 3)
+    assert len({id(table) for table in tables}) == 9 * (2 + 3)
 
 
 @pytest.mark.parametrize("kind", ["ris-density-tradeoff", "ris-density-fixed-bs"])
