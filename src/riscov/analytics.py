@@ -539,38 +539,6 @@ class _ExponentTable:
         return _horner(rows.coef, rows.start + j, np.where(j < 0, np.minimum(s, self.s_edge), t))
 
 
-def laplace_interference(
-    set_kind: str,
-    state: LinkKind,
-    s: float,
-    exclusion: float,
-    cfg: NetworkConfig,
-) -> float:
-    """Laplace transform of the interference from one thinned point set.
-
-    set_kind: "bs", "ris" or "ris_idle"; state selects the LOS or NLOS
-    thinning; exclusion is the guard radius of the serving link's void.
-    """
-    if s < 0.0:
-        raise ValueError("s must be >= 0")
-    if exclusion < 0.0:
-        raise ValueError("exclusion must be >= 0")
-    try:
-        side, index = {"bs": ("bs", 0), "ris": ("ris", 0), "ris_idle": ("ris", 1)}[set_kind]
-    except KeyError:
-        raise ValueError(f"unknown interferer set {set_kind!r}") from None
-    density, power_gain = _interferers(side, cfg)[index]
-    if s == 0.0 or density == 0.0 or power_gain == 0.0:
-        return 1.0
-    intercept, alpha = path_law(state, cfg)
-    c = s * power_gain * intercept
-    knee = c ** (1.0 / alpha)
-    total = _j(c, _tail_table(state, exclusion, cfg, 192, knee))
-    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384, knee)),
-                    "interference tail integral", 1e-8, floor=1e-12)
-    return float(np.exp(-density * check))
-
-
 # -- coverage evaluator ------------------------------------------------------
 
 class _CoverageEvaluator:

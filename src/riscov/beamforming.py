@@ -1,13 +1,14 @@
 """ULA and RIS array gains: Fejér kernels, phase profiles, average gains.
 
 Spatial frequencies are differences of (d/omega)*sin(angle); every gain here
-is a product of Fejér kernels evaluated at such offsets.
+is a product of Fejér kernels, or of a reflector's phase-profile sum,
+evaluated at such offsets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,44 +17,6 @@ from ._quad import refined
 from .config import NetworkConfig
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _wrap(angle: float) -> float:
-    return float(np.mod(angle, _TWO_PI))
-
-
-@dataclass(frozen=True)
-class SteeringAngleSet:
-    """Departure/arrival angles of one BS-user link and its reflected path."""
-
-    theta_d: float = 0.0  # BS AoD, direct link
-    phi_d: float = 0.0    # user AoA, direct link
-    theta_g: float = 0.0  # BS AoD toward the RIS
-    phi_g: float = 0.0    # RIS AoA from the BS
-    theta_u: float = 0.0  # RIS AoD toward the user
-    phi_u: float = 0.0    # user AoA from the RIS
-
-    def __post_init__(self) -> None:
-        for name in ("theta_d", "phi_d", "theta_g", "phi_g", "theta_u", "phi_u"):
-            object.__setattr__(self, name, _wrap(getattr(self, name)))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "SteeringAngleSet":
-        return cls(*rng.uniform(0.0, _TWO_PI, size=6))
-
-
-@dataclass(frozen=True, eq=False)
-class RisPhaseProfile:
-    psi: np.ndarray = field(repr=False)  # one phase per element, radians
-
-    def __post_init__(self) -> None:
-        psi = np.mod(np.asarray(self.psi, dtype=float).ravel(), _TWO_PI)
-        if psi.size < 1:
-            raise ValueError("phase profile must contain at least one element")
-        object.__setattr__(self, "psi", psi)
-
-    def __len__(self) -> int:
-        return self.psi.size
 
 
 @dataclass(frozen=True)
@@ -85,62 +48,38 @@ def spatial_frequency(angle, cfg: NetworkConfig):
     return cfg.d_over_omega * np.sin(np.asarray(angle, dtype=float))
 
 
-def direct_gain(
-    angles: SteeringAngleSet, beam_target: SteeringAngleSet, cfg: NetworkConfig
-) -> float:
-    """Gain of a BS-user link whose beams point at ``beam_target``."""
-    bs_off = spatial_frequency(angles.theta_d, cfg) - spatial_frequency(beam_target.theta_d, cfg)
-    u_off = spatial_frequency(angles.phi_d, cfg) - spatial_frequency(beam_target.phi_d, cfg)
-    return (
-        fejer_kernel(bs_off, cfg.n_bs) * fejer_kernel(u_off, cfg.n_u) / (cfg.n_bs * cfg.n_u)
-    )
+# complex elements in one chunk of the phase-profile sum (256 KiB, which
+# stays in cache), so memory stays flat however many reflectors are summed
+_IDLE_BLOCK_ELEMENTS = 2**14
 
 
-def optimal_ris_phases(theta_u: float, phi_g: float, cfg: NetworkConfig) -> RisPhaseProfile:
-    """Element phases that align the reflection toward the served user."""
-    delta = spatial_frequency(theta_u, cfg) - spatial_frequency(phi_g, cfg)
-    n = np.arange(cfg.n_ris, dtype=float)
-    return RisPhaseProfile(_TWO_PI * n * delta)
+def profile_gain(offset: np.ndarray, profile: np.ndarray, row) -> np.ndarray:
+    """|sum_m exp(2 pi i m x) * profile[row, m]|^2 at each offset x, where
+    each row of ``profile`` holds one reflector's element weights
+    exp(-i psi_m) and ``row`` (an array like ``offset``, or one index)
+    picks each offset's reflector.
 
-
-def ris_array_gain(
-    theta_u: float, phi_g: float, phases: RisPhaseProfile, cfg: NetworkConfig
-) -> float:
-    """|sum_n exp(j(2pi(n-1)(nu_u - nu_g) - psi_n))|^2 for one reflected path."""
-    if len(phases) != cfg.n_ris:
-        raise ValueError(f"phase profile has {len(phases)} elements, config says {cfg.n_ris}")
-    delta = spatial_frequency(theta_u, cfg) - spatial_frequency(phi_g, cfg)
-    n = np.arange(cfg.n_ris, dtype=float)
-    return float(np.abs(np.exp(1j * (_TWO_PI * n * delta - phases.psi)).sum()) ** 2)
-
-
-def reflected_gain_serving(cfg: NetworkConfig) -> float:
-    """Gain of the serving reflected path under the optimal phase profile."""
-    return float(cfg.n_bs * cfg.n_u * cfg.n_ris**2)
+    The m-th phase factor is built as the m-th power of exp(2 pi i x) by a
+    running product: one complex exponential per offset instead of one per
+    element, at the same accuracy (both err by about m ulp).
+    """
+    row = np.broadcast_to(row, offset.shape)
+    n = profile.shape[-1]
+    gain = np.empty(offset.shape)
+    step = max(1, _IDLE_BLOCK_ELEMENTS // n)
+    for lo in range(0, offset.size, step):
+        x = offset[lo:lo + step]
+        terms = np.empty((x.size, n), dtype=complex)
+        terms[:, 0] = 1.0
+        terms[:, 1:] = np.exp(1j * _TWO_PI * x)[:, None]
+        np.cumprod(terms, axis=-1, out=terms)
+        terms *= profile[row[lo:lo + step]]
+        total = terms.sum(axis=-1)
+        gain[lo:lo + step] = total.real**2 + total.imag**2
+    return gain
 
 
 # -- average gains ----------------------------------------------------------
-
-
-def _fejer_mean_grid(n: int, delta: float, k: int) -> float:
-    """Mean of fejer(delta*(sin a - sin b), n) on a k x k uniform angle grid."""
-    a = _TWO_PI * np.arange(k) / k
-    diff = delta * (np.sin(a)[:, None] - np.sin(a)[None, :])
-    return float(fejer_kernel(diff, n).mean())
-
-
-def _fejer_mean_two_angles(n: int, delta: float) -> float:
-    """Mean Fejér gain over two independent uniform angles.
-
-    The integrand is periodic, so the uniform grid converges exponentially;
-    the doubled grid serves as the convergence check.
-    """
-    if n == 1:
-        return 1.0
-    k = max(64, 16 * n)
-    coarse = _fejer_mean_grid(n, delta, k)
-    fine = _fejer_mean_grid(n, delta, 2 * k)
-    return refined(coarse, fine, f"angle average for n={n}", 1e-8, floor=1.0)
 
 
 def _bessel_j0_grid(z: np.ndarray, k: int) -> np.ndarray:
@@ -154,11 +93,13 @@ def _bessel_j0_grid(z: np.ndarray, k: int) -> np.ndarray:
     return np.cos(np.multiply.outer(z, np.sin(a))).mean(axis=-1)
 
 
-def _fejer_mean_four_angles(n: int, delta: float) -> float:
-    """Mean Fejér gain over the four angles of an interfering reflected path.
+def _fejer_mean(n: int, delta: float, angles: int) -> float:
+    """Mean Fejér gain at offset delta*(sin a1 - sin a2 + sin a3 - ...) over
+    ``angles`` independent uniform angles: 2 for a BS or user factor, 4 for
+    a reflector's.
 
     Expanding the kernel in harmonics, each uniform angle contributes a
-    J0(2*pi*m*delta) factor, leaving n + 2*sum_{m<n} (n-m)*J0(2*pi*m*delta)^4;
+    J0(2*pi*m*delta) factor, leaving n + 2*sum_{m<n} (n-m)*J0(2*pi*m*delta)^angles;
     the J0 grid is sized to the largest argument and checked against the
     doubled grid.
     """
@@ -168,21 +109,22 @@ def _fejer_mean_four_angles(n: int, delta: float) -> float:
     z = _TWO_PI * delta * m
     k = 8 + math.ceil(0.5 * z[-1] + 8.0 * np.cbrt(z[-1]))  # 2k >= z + 16 z^(1/3) + 16
     coarse, fine = (
-        float(n + 2.0 * np.sum((n - m) * _bessel_j0_grid(z, size) ** 4)) for size in (k, 2 * k)
+        float(n + 2.0 * np.sum((n - m) * _bessel_j0_grid(z, size) ** angles))
+        for size in (k, 2 * k)
     )
-    return refined(coarse, fine, f"four-angle average for n={n}", 1e-13)
+    return refined(coarse, fine, f"{angles}-angle average for n={n}", 1e-13)
 
 
 @lru_cache(maxsize=64)
 def _average_gains_cached(n_bs: int, n_u: int, n_ris: int, delta: float) -> AverageGains:
-    m_bs_dl = _fejer_mean_two_angles(n_bs, delta)
-    m_u_dl = _fejer_mean_two_angles(n_u, delta)
+    m_bs_dl = _fejer_mean(n_bs, delta, 2)
+    m_u_dl = _fejer_mean(n_u, delta, 2)
     return AverageGains(
         m_bs_dl=m_bs_dl,
         m_u_dl=m_u_dl,
         m_bs_rl=m_bs_dl / n_bs,
         m_u_rl=m_u_dl / n_u,
-        m_r_rl=_fejer_mean_four_angles(n_ris, delta),
+        m_r_rl=_fejer_mean(n_ris, delta, 4),
         m_r_rl_idle=float(n_ris),
     )
 
@@ -223,8 +165,5 @@ def serving_gains(cfg: NetworkConfig) -> tuple[float, float]:
         # no reflected path exists; beams can only point at the direct link
         return aligned_direct, 0.0
     if cfg.antenna_scheme == "scheme1":
-        return (
-            g.m_bs_dl * g.m_u_dl / (cfg.n_bs * cfg.n_u),
-            reflected_gain_serving(cfg),
-        )
+        return g.m_bs_dl * g.m_u_dl / (cfg.n_bs * cfg.n_u), aligned_direct * cfg.n_ris**2
     return aligned_direct, g.m_bs_rl * g.m_u_rl * cfg.n_ris**2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytics import CoverageResult, active_prob_bs, active_prob_ris
 from .association import AssociationCase
-from .beamforming import fejer_kernel, serving_gains, spatial_frequency
+from .beamforming import fejer_kernel, profile_gain, serving_gains, spatial_frequency
 from .config import NetworkConfig
 from .propagation import (
     LinkKind,
@@ -197,10 +197,6 @@ def sample_deployment(
 # links (BS, reflector and BS-reflector ones) in one block of trials; a block
 # closes once it holds this many, which bounds the block's arrays
 _BLOCK_LINKS = 2**13
-# complex elements in one chunk of the idle-reflector element sum (256 KiB,
-# which stays in cache), so memory stays flat however many reflectors a
-# trial deploys
-_IDLE_BLOCK_ELEMENTS = 2**14
 
 
 def _los_draw(rng: np.random.Generator, dist: np.ndarray, beta: float) -> np.ndarray:
@@ -494,35 +490,17 @@ def _signal(
 
 
 def _idle_element(block: _Block, offset: np.ndarray, ris: np.ndarray, n_ris: int) -> np.ndarray:
-    """|sum_m exp(i(2 pi m x - psi_m))|^2 at the offset x of each leg into
-    an idle reflector (global index ``ris``), with one uniform phase profile
-    psi per idle reflector. Each trial draws its idle reflectors' profiles in
-    reflector order, as its last draws.
-
-    The m-th phase factor is built as the m-th power of exp(2 pi i x) by a
-    running product: one complex exponential per offset instead of one per
-    element, at the same accuracy (both err by about m ulp).
-    """
+    """Element gain at the offset x of each leg into an idle reflector
+    (global index ``ris``), with one uniform phase profile psi per idle
+    reflector. Each trial draws its idle reflectors' profiles in reflector
+    order, as its last draws."""
     idle = np.zeros(block.ris.shape[0], dtype=bool)
     idle[ris] = True
     counts = np.bincount(block.ris_trial[idle], minlength=block.size)
     psi = np.concatenate([
         t.rng.uniform(0.0, _TWO_PI, (count, n_ris)) for t, count in zip(block.trials, counts)
     ])
-    profile = np.exp(-1j * psi)
-    row = (np.cumsum(idle) - 1)[ris]
-    element = np.empty(offset.shape)
-    step = max(1, _IDLE_BLOCK_ELEMENTS // n_ris)
-    for lo in range(0, offset.size, step):
-        x = offset[lo:lo + step]
-        terms = np.empty((x.size, n_ris), dtype=complex)
-        terms[:, 0] = 1.0
-        terms[:, 1:] = np.exp(1j * _TWO_PI * x)[:, None]
-        np.cumprod(terms, axis=-1, out=terms)
-        terms *= profile[row[lo:lo + step]]
-        total = terms.sum(axis=-1)
-        element[lo:lo + step] = total.real**2 + total.imag**2
-    return element
+    return profile_gain(offset, np.exp(-1j * psi), (np.cumsum(idle) - 1)[ris])
 
 
 def _interference(

@@ -29,13 +29,11 @@ from riscov.association import (
     side_condition,
 )
 from riscov.beamforming import (
-    SteeringAngleSet,
     average_gains,
-    direct_gain,
     fejer_kernel,
-    optimal_ris_phases,
-    reflected_gain_serving,
-    ris_array_gain,
+    profile_gain,
+    serving_gains,
+    spatial_frequency,
 )
 from riscov.config import NetworkConfig
 from riscov.montecarlo import association_frequencies, empirical_coverage, sinr_samples
@@ -143,27 +141,31 @@ def _chunked_mean(draw, total: int, chunk: int) -> float:
 
 def test_criterion_5_beam_and_reflection_gains():
     """Aligned gains are exact and average gains match sampling oracles."""
-    angles = SteeringAngleSet(theta_d=0.7, phi_d=1.9)
-    aligned = direct_gain(angles, angles, CFG)
-    exact_direct = aligned == pytest.approx(CFG.n_bs * CFG.n_u, rel=1e-12)
-    exact_reflected = reflected_gain_serving(CFG) == pytest.approx(
+    # beams aimed along the path they serve: the kernels Monte Carlo
+    # evaluates, and the serving gains both engines take
+    nu_bs, nu_u = spatial_frequency(0.7, CFG), spatial_frequency(1.9, CFG)
+    aligned = (fejer_kernel(nu_bs - nu_bs, CFG.n_bs) * fejer_kernel(nu_u - nu_u, CFG.n_u)
+               / (CFG.n_bs * CFG.n_u))
+    scheme2_direct = serving_gains(CFG.replace(antenna_scheme="scheme2"))[0]
+    exact_direct = all(
+        g == pytest.approx(CFG.n_bs * CFG.n_u, rel=1e-12) for g in (aligned, scheme2_direct)
+    )
+    exact_reflected = serving_gains(CFG)[1] == pytest.approx(
         CFG.n_bs * CFG.n_u * CFG.n_ris**2, rel=1e-12
     )
 
     # brute force a 4-element reflector over a full 16-level phase grid: no
-    # profile may beat the closed-form optimum
+    # profile may beat the one aligned to the reflected path
     cfg4 = CFG.replace(n_ris=4)
     rng = np.random.default_rng(77)
     grid = np.indices((16,) * 4).reshape(4, -1).T * (2.0 * math.pi / 16.0)
     brute_ok = True
     for _ in range(3):
         theta_u, phi_g = rng.uniform(0.0, 2.0 * math.pi, 2)
-        opt = ris_array_gain(
-            theta_u, phi_g, optimal_ris_phases(theta_u, phi_g, cfg4), cfg4
-        )
-        delta = cfg4.d_over_omega * (math.sin(theta_u) - math.sin(phi_g))
-        base = 2.0 * math.pi * np.arange(4) * delta
-        vals = np.abs(np.exp(1j * (base[None, :] - grid)).sum(axis=1)) ** 2
+        delta = spatial_frequency(theta_u, cfg4) - spatial_frequency(phi_g, cfg4)
+        aligned_profile = np.exp(-2j * math.pi * np.arange(4) * delta)[None, :]
+        opt = float(profile_gain(np.array([delta]), aligned_profile, 0)[0])
+        vals = profile_gain(np.full(len(grid), delta), np.exp(-1j * grid), np.arange(len(grid)))
         brute = float(vals.max())
         brute_ok &= (
             opt == pytest.approx(16.0, rel=1e-12)

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from riscov import analytics
-from riscov._quad import IntegrationError, tan_halfline_nodes
+from riscov._quad import IntegrationError, refined, tan_halfline_nodes
 from riscov.analytics import (
     _TABLE_STEP,
     QuadratureSpec,
     _CoverageEvaluator,
     _chebyshev_angle,
     _get_evaluator,
+    _interferers,
     _j,
     _tail_table,
     active_prob_bs,
@@ -28,7 +29,6 @@ from riscov.analytics import (
     coverage_probability,
     coverage_small_beta,
     energy_efficiency,
-    laplace_interference,
     ris_interference_power,
 )
 from riscov.sweeps import THRESHOLD_GRID_DB
@@ -174,6 +174,39 @@ def test_laplace_converges_at_large_s(cfg, state, exclusion):
                   for s in np.logspace(-6.0, 40.0, 47)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(values, values[1:]))
+
+
+def laplace_interference(
+    set_kind: str,
+    state: LinkKind,
+    s: float,
+    exclusion: float,
+    cfg: NetworkConfig,
+) -> float:
+    """Laplace transform of the interference from one thinned point set: the
+    single-set oracle the evaluator's exponent tables are checked against.
+
+    set_kind: "bs", "ris" or "ris_idle"; state selects the LOS or NLOS
+    thinning; exclusion is the guard radius of the serving link's void.
+    """
+    if s < 0.0:
+        raise ValueError("s must be >= 0")
+    if exclusion < 0.0:
+        raise ValueError("exclusion must be >= 0")
+    try:
+        side, index = {"bs": ("bs", 0), "ris": ("ris", 0), "ris_idle": ("ris", 1)}[set_kind]
+    except KeyError:
+        raise ValueError(f"unknown interferer set {set_kind!r}") from None
+    density, power_gain = _interferers(side, cfg)[index]
+    if s == 0.0 or density == 0.0 or power_gain == 0.0:
+        return 1.0
+    intercept, alpha = path_law(state, cfg)
+    c = s * power_gain * intercept
+    knee = c ** (1.0 / alpha)
+    total = _j(c, _tail_table(state, exclusion, cfg, 192, knee))
+    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384, knee)),
+                    "interference tail integral", 1e-8, floor=1e-12)
+    return float(np.exp(-density * check))
 
 
 def _void_free_reference(cfg, state, c):

@@ -7,16 +7,11 @@ import pytest
 from scipy.special import j0
 
 from riscov.beamforming import (
-    RisPhaseProfile,
-    SteeringAngleSet,
-    _fejer_mean_four_angles,
+    _fejer_mean,
     average_gains,
-    direct_gain,
     fejer_kernel,
     mean_direct_interference_gain,
-    optimal_ris_phases,
-    reflected_gain_serving,
-    ris_array_gain,
+    profile_gain,
     serving_gains,
     spatial_frequency,
 )
@@ -57,36 +52,55 @@ def test_spatial_frequency(cfg):
     assert spatial_frequency(-math.pi / 2, cfg) == pytest.approx(-0.5)
 
 
+def _direct_gain(arrival, beam, cfg):
+    """Gain of a BS-user link whose beams aim at ``beam`` = (BS AoD, user
+    AoA) while the path leaves and arrives at ``arrival``."""
+    bs_off, u_off = (
+        spatial_frequency(a, cfg) - spatial_frequency(b, cfg) for a, b in zip(arrival, beam)
+    )
+    return fejer_kernel(bs_off, cfg.n_bs) * fejer_kernel(u_off, cfg.n_u) / (cfg.n_bs * cfg.n_u)
+
+
+def _aligned_profile(delta, n):
+    """Element weights exp(-i psi_m) of the profile aligned to offset delta."""
+    return np.exp(-2j * math.pi * np.arange(n) * delta)[None, :]
+
+
 def test_direct_gain_aligned_is_element_product(cfg):
-    angles = SteeringAngleSet(theta_d=0.7, phi_d=-1.1)
-    assert direct_gain(angles, angles, cfg) == pytest.approx(cfg.n_bs * cfg.n_u)
+    angles = (0.7, -1.1)
+    assert _direct_gain(angles, angles, cfg) == pytest.approx(cfg.n_bs * cfg.n_u)
 
 
 def test_direct_gain_misaligned_below_aligned(cfg):
     rng = np.random.default_rng(3)
     aligned = cfg.n_bs * cfg.n_u
     for _ in range(16):
-        angles = SteeringAngleSet.random(rng)
-        target = SteeringAngleSet.random(rng)
-        assert direct_gain(angles, target, cfg) <= aligned + 1e-9
+        arrival, beam = rng.uniform(0.0, 2 * math.pi, size=(2, 2))
+        assert _direct_gain(arrival, beam, cfg) <= aligned + 1e-9
 
 
 def test_optimal_phases_reach_full_array_gain(cfg):
     rng = np.random.default_rng(4)
     for _ in range(8):
         theta_u, phi_g = rng.uniform(0.0, 2 * math.pi, size=2)
-        phases = optimal_ris_phases(theta_u, phi_g, cfg)
-        gain = ris_array_gain(theta_u, phi_g, phases, cfg)
-        assert gain == pytest.approx(cfg.n_ris**2, rel=1e-9)
+        delta = spatial_frequency(theta_u, cfg) - spatial_frequency(phi_g, cfg)
+        gain = profile_gain(np.array([delta]), _aligned_profile(delta, cfg.n_ris), 0)
+        assert gain[0] == pytest.approx(cfg.n_ris**2, rel=1e-9)
 
 
-def test_ris_array_gain_checks_profile_length(cfg):
-    with pytest.raises(ValueError):
-        ris_array_gain(0.1, 0.2, RisPhaseProfile(np.zeros(3)), cfg)
+@pytest.mark.parametrize("n", (1, 4, 128))
+def test_loaded_profile_gain_is_shifted_fejer_kernel(n):
+    """The closed form Monte Carlo uses for a loaded reflector equals the
+    element sum it runs for an idle one."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, size=64)
+    delta = rng.uniform(-1.0, 1.0)
+    gain = profile_gain(x, _aligned_profile(delta, n), 0)
+    np.testing.assert_allclose(gain, fejer_kernel(x - delta, n), rtol=1e-9, atol=0.0)
 
 
 def test_reflected_serving_gain(cfg):
-    assert reflected_gain_serving(cfg) == cfg.n_bs * cfg.n_u * cfg.n_ris**2
+    assert serving_gains(cfg)[1] == cfg.n_bs * cfg.n_u * cfg.n_ris**2
 
 
 def test_serving_gains_by_scheme():
@@ -140,7 +154,19 @@ def test_four_angle_mean_matches_bessel_series(n, delta):
     """The periodic-grid J0 reproduces the harmonic series with scipy's J0."""
     m = np.arange(1, n)
     series = n + 2.0 * np.sum((n - m) * j0(2 * math.pi * delta * m) ** 4)
-    assert _fejer_mean_four_angles(n, delta) == pytest.approx(series, rel=1e-13, abs=0.0)
+    assert _fejer_mean(n, delta, 4) == pytest.approx(series, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 8, 16, 64))
+@pytest.mark.parametrize("delta", (0.25, 0.5, 1.0))
+def test_two_angle_mean_matches_angle_grid(n, delta):
+    """The J0 series reproduces the mean of the kernel on a uniform k x k
+    angle grid, k = max(64, 16n), which converges exponentially because the
+    integrand is periodic."""
+    k = max(64, 16 * n)
+    a = 2 * math.pi * np.arange(k) / k
+    grid = fejer_kernel(delta * (np.sin(a)[:, None] - np.sin(a)[None, :]), n).mean()
+    assert _fejer_mean(n, delta, 2) == pytest.approx(grid, rel=1e-13, abs=0.0)
 
 
 def test_angle_shift_invariance():

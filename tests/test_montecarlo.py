@@ -10,7 +10,12 @@ import pytest
 
 from riscov import montecarlo as mc
 from riscov.analytics import active_prob_bs, active_prob_ris
-from riscov.beamforming import fejer_kernel, serving_gains, spatial_frequency
+from riscov.beamforming import (
+    _IDLE_BLOCK_ELEMENTS,
+    fejer_kernel,
+    serving_gains,
+    spatial_frequency,
+)
 from riscov.config import NetworkConfig
 from riscov.montecarlo import (
     Deployment,
@@ -749,4 +754,4 @@ def test_interference_stage_chunks_idle_reflectors(cfg):
     _, args = _check_against_loop(dep, big, 41)
     bs_active, ris_active = args[3], args[4]
     idle_elements = bs_active.sum() * (~ris_active).sum() * big.n_ris
-    assert idle_elements > 4 * mc._IDLE_BLOCK_ELEMENTS
+    assert idle_elements > 4 * _IDLE_BLOCK_ELEMENTS
