@@ -11,8 +11,9 @@ thinned point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the
 latter split again into active and idle) whose Laplace transforms share one
 half-line integral template.  The evaluator tabulates each side's summed
 exponent in u = ln s as per-interval polynomial coefficients, filled on
-demand: an evaluate first fills the intervals its lookups reach that no
-earlier one did, so a threshold costs two table lookups per Laplace product.
+demand: an evaluate first fills the intervals that its lookups at grid nodes
+of nonzero weight reach and no earlier one did, so a threshold costs two
+table lookups per Laplace product.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 from ._quad import fold_circle, halfline_nodes, log_halfline_nodes, refined, tan_halfline_nodes
 from .association import (
     AssociationCase,
+    _serving_density,
     bs_ris_distance,
     equivalent_distance,
     path_law,
-    ris_case_density,
     ris_joint_expectation,
     serving_bs_density,
     side_condition,
@@ -147,9 +148,8 @@ def active_prob_ris(cfg: NetworkConfig) -> float:
     # the eligible-user region around a reflector is a half-plane sector; its
     # effective cell is 1/c times larger than the isotropic Voronoi cell of a
     # process with density lambda_ris / 2, hence the 2/c load scaling
-    def idle_kernel(x, y, v):
-        c = side_condition(x, y, v)
-        return _empty_cell_prob(2.0 * cfg.lambda_u / (c * cfg.lambda_ris))
+    def idle_kernel(x, y, v, side):
+        return _empty_cell_prob(2.0 * cfg.lambda_u / (side * cfg.lambda_ris))
 
     # the kernel lies in [0, 1], so 0 <= idle_mass <= total_mass
     idle_mass, total_mass = ris_joint_expectation(cfg, (idle_kernel, None))
@@ -352,7 +352,8 @@ class _ExponentTable:
     """One side's interference exponent L(u) = sum density * J(e^u * scale).
 
     `terms` lists (density, scale, tail table) triples whose tail tables share
-    one exclusion shape; each exclusion node is a column with its own run of
+    one exclusion shape (consecutive terms given the same tail table object
+    share its `_j` calls); each exclusion node is a column with its own run of
     lattice nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
     six coefficients, one after the other: the two-term series
     s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
@@ -371,10 +372,13 @@ class _ExponentTable:
         lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
         s1, s2, sat = np.zeros((3, size))
         self.terms = []
-        for d, sc, (a, b) in terms:
+        flat = {}  # terms that share a tail table share its flattened view
+        for d, sc, table in terms:
             if not (d > 0.0 and sc > 0.0):
                 continue
-            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+            if id(table) not in flat:
+                flat[id(table)] = tuple(t.reshape(len(t), -1) for t in table)
+            a, b = table = flat[id(table)]
             with np.errstate(divide="ignore"):
                 b_max = b.max(axis=0)
                 b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
@@ -386,7 +390,7 @@ class _ExponentTable:
             s1 += d * sc * ab
             s2 += d * sc**2 * abb
             sat += d * a_sum
-            self.terms.append(_Term(d, sc, (a, b), np.log(_TERM_SERIES_EDGE / (sc * b_max)),
+            self.terms.append(_Term(d, sc, table, np.log(_TERM_SERIES_EDGE / (sc * b_max)),
                                     live_hi, ab, abb, a_sum))
         h = _TABLE_STEP
         # a column no term reaches is zero everywhere: two zero nodes
@@ -490,43 +494,52 @@ class _ExponentTable:
                                        for v in (k_lo + lo, width, start)))
 
     def _exact(self, u, cols, derivatives: bool = False):
-        """(L,) or (L, L_u, L_uu) at each (u, column) pair; `cols` is sorted
-        and u ascends within each column's run of pairs.
+        """(L,) or (L, L_u, L_uu) at each (u, column) pair.
 
         A term takes its two-term series below its live range and its
-        saturated value above it; inside, `_j` reads a (nodes, 1) slice of
-        the tail tables, _CHUNK elements at a time.
+        saturated value above it.  Inside, consecutive terms that share a
+        tail table share its `_j` calls: one per column, on a (nodes, 1)
+        slice of the table, over every such term's live c laid end to end,
+        _CHUNK elements at a time.  Each pair then adds its terms in term
+        order, so no value depends on how the terms share calls.
         """
         out = np.zeros((3 if derivatives else 1, len(u)))
-        runs = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
-        for term in self.terms:
-            d, sc, (a, b) = term.density, term.scale, term.table
-            below = u < term.live_lo[cols]
-            above = u > term.live_hi[cols]
-            i = np.flatnonzero(below)
-            c = np.exp(u[i]) * sc
-            first, second = c * term.ab[cols[i]], c * c * term.abb[cols[i]]
-            out[0, i] += d * (first - 0.5 * second)
-            if derivatives:
-                out[1, i] += d * (first - second)
-                out[2, i] += d * (first - 2.0 * second)
-            i = np.flatnonzero(above)
-            out[0, i] += d * term.sat[cols[i]]
-            # below is a prefix and above a suffix of each run
-            n_below = np.diff(np.concatenate(([0], np.cumsum(below)))[runs])
-            n_above = np.diff(np.concatenate(([0], np.cumsum(above)))[runs])
-            starts, stops = runs[:-1] + n_below, runs[1:] - n_above
+        for _, group in itertools.groupby(self.terms, key=lambda term: id(term.table)):
+            group = list(group)
+            a, b = group[0].table
+            live = [np.flatnonzero((u >= term.live_lo[cols]) & (u <= term.live_hi[cols]))
+                    for term in group]
+            c = np.concatenate([np.exp(u[i]) * term.scale for i, term in zip(live, group)])
+            # the group's live pairs by column, each column's terms in order
+            col_of = cols[np.concatenate(live)]
+            order = np.argsort(col_of, kind="stable")
+            bounds = np.searchsorted(col_of[order], np.arange(self.k_lo.size + 1))
+            c = c[order]
+            values = np.empty((len(out), len(c)))
             chunk = max(1, _CHUNK // len(a))
-            for col in np.flatnonzero(stops > starts):
+            for col in np.flatnonzero(np.diff(bounds)):
                 table = (a[:, col:col + 1], b[:, col:col + 1])
-                for start in range(starts[col], stops[col], chunk):
-                    part = slice(start, min(start + chunk, stops[col]))
-                    c = np.exp(u[part]) * sc
+                for start in range(bounds[col], bounds[col + 1], chunk):
+                    stop = min(start + chunk, bounds[col + 1])
+                    part = c[start:stop]
                     # einsum sums over the nodes in another order for a lone
                     # c; a pair keeps each value independent of the batching
-                    value = np.array(_j(np.repeat(c, 2) if c.size == 1 else c, table,
-                                        derivatives), ndmin=2)
-                    out[:, part] += d * value[:, :c.size]
+                    value = _j(np.repeat(part, 2) if part.size == 1 else part, table, derivatives)
+                    values[:, order[start:stop]] = np.array(value, ndmin=2)[:, :part.size]
+            offset = 0
+            for i, term in zip(live, group):
+                d = term.density
+                below = np.flatnonzero(u < term.live_lo[cols])
+                c = np.exp(u[below]) * term.scale
+                first, second = c * term.ab[cols[below]], c * c * term.abb[cols[below]]
+                out[0, below] += d * (first - 0.5 * second)
+                if derivatives:
+                    out[1, below] += d * (first - second)
+                    out[2, below] += d * (first - 2.0 * second)
+                above = np.flatnonzero(u > term.live_hi[cols])
+                out[0, above] += d * term.sat[cols[above]]
+                out[:, i] += d * values[:, offset:offset + len(i)]
+                offset += len(i)
         return out
 
     def __call__(self, s, k, t):
@@ -540,6 +553,16 @@ class _ExponentTable:
 
 
 # -- coverage evaluator ------------------------------------------------------
+
+def _reduce_to(ufunc, values, shape):
+    """`ufunc`'s reduction of `values` over the axes where `shape` has size
+    1, kept as size-1 axes.  The first axis goes alone and the rest
+    together, which keeps numpy's inner loops long."""
+    axes = tuple(i for i, n in enumerate(shape) if n == 1)
+    if axes[:1] == (0,):
+        values, axes = ufunc.reduce(values, axis=0, keepdims=True), axes[1:]
+    return ufunc.reduce(values, axis=axes, keepdims=True)
+
 
 class _CoverageEvaluator:
     """Precomputed grids and exponent tables for one (cfg, quad) pair.
@@ -589,10 +612,14 @@ class _CoverageEvaluator:
             yg = self.y[None, :, None]
             vg = self.v[None, None, :]
             self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
+            # ris_case_density per state, with the intensity computed once
+            # and dropped before the rest of the build
+            intensity = np.pi * cfg.lambda_ris * side_condition(xg, yg, vg)
             self.gw = [
-                wy[None, :, None] * ris_case_density(yg, xg, vg, state, cfg)
+                wy[None, :, None] * _serving_density(yg, intensity, state, cfg)
                 for state in _STATES
             ]
+            del intensity
             mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
             # conditional case masses cannot exceed one per (x, angle) node; far
             # off the grid's natural scale the tan-map tail can overshoot, which
@@ -611,6 +638,7 @@ class _CoverageEvaluator:
 
         self._build_signal_tables()
         self._build_factor_tables()
+        self._build_spans()
 
     # signal powers per association case
 
@@ -669,6 +697,37 @@ class _CoverageEvaluator:
         # (direct_signal, los_only) -> lowest and highest threshold covered
         self._covered = {}
 
+    def _build_spans(self) -> None:
+        """The threshold-free part of `_cover`'s spans.
+
+        Keyed by direct_signal, then by (side index, serving state) of each
+        table an evaluate reads: per column, the log of the largest and the
+        smallest signal over the grid nodes whose case weight is nonzero,
+        and a mask of the columns where no such node reads the table.  A
+        lookup at a zero-weight node is multiplied by 0, so any finite row
+        serves it.
+        """
+        sides = self._sides()
+        self._log_signals = {}
+        for direct_signal in (False, True):
+            top, bottom = {}, {}
+            for irho in (0, 1):
+                for ixi in (0, 1, None) if self.has_ris else (None,):
+                    live = self._weight(irho, ixi) != 0.0
+                    for (_, sig), (extremes, ufunc, fill) in itertools.product(
+                            self._signals(irho, ixi, direct_signal),
+                            ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
+                        masked = np.where(live, sig, fill)
+                        for key in zip(range(len(sides)), (irho, ixi)):
+                            shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
+                            extremes[key] = ufunc(extremes.get(key, fill),
+                                                  _reduce_to(ufunc, masked, shape))
+            self._log_signals[direct_signal] = {
+                key: (np.log(np.where(hi > 0.0, hi, 1.0)),
+                      np.log(np.where(hi > 0.0, bottom[key], 1.0)), ~(hi > 0.0))
+                for key, hi in top.items()
+            }
+
     def _sides(self) -> tuple:
         """The evaluators of the Laplace product's sides, base stations first."""
         return (self.base, self) if self.has_ris else (self,)
@@ -688,6 +747,12 @@ class _CoverageEvaluator:
             expo = expo - side.exponents[los_only][serving](s, k, t)
         return expo
 
+    def _weight(self, irho: int, ixi: int | None):
+        """Grid weight of one case: fdw*wv times the serving-reflector case
+        density, or for ixi None the no-reflector remainder."""
+        fdw = self.fdw[irho][:, None, None] * self.wv
+        return fdw * (self.remainder[:, None, :] if ixi is None else self.gw[ixi])
+
     def _signals(self, irho: int, ixi: int | None, direct_signal: bool) -> list:
         """(probability, signal power) pairs that mix into one case's kernel."""
         if ixi is None or direct_signal:
@@ -696,10 +761,12 @@ class _CoverageEvaluator:
 
     def _cover(self, threshold: float, direct_signal: bool, los_only: bool) -> None:
         """Fill each exponent table an evaluate reads over the rows its
-        lookups reach: per column, ln s = ln(gamma*T/signal) from the first
-        Alzer term at the largest signal to the last at the smallest, over
-        the cases that read the table, one lattice step wider each way
-        against the rounding of s.
+        weighted lookups reach: per column, ln s = ln(gamma*T/signal) from
+        the first Alzer term at the largest signal to the last at the
+        smallest, over the nodes of nonzero weight of the cases that read
+        the table, one lattice step wider each way against the rounding of
+        s.  A column no such lookup reads keeps the first interval of its
+        lattice.
 
         Spans are contiguous, so two covered thresholds cover every one
         between them.
@@ -713,21 +780,13 @@ class _CoverageEvaluator:
         u_t = math.log(threshold)
         u_lo = u_t + math.log(eps) - _TABLE_STEP
         u_hi = u_t + math.log(w_terms * eps) + _TABLE_STEP
-        spans, sides = {}, self._sides()
-        for irho in (0, 1):
-            for ixi in (0, 1, None) if self.has_ris else (None,):
-                for side, serving in zip(sides, (irho, ixi)):
-                    table = side.exponents[los_only][serving]
-                    axes = tuple(i for i, n in enumerate(table.k_lo.shape) if n == 1)
-                    for _, sig in self._signals(irho, ixi, direct_signal):
-                        lo = u_lo - np.log(sig.max(axis=axes, keepdims=True))
-                        hi = u_hi - np.log(sig.min(axis=axes, keepdims=True))
-                        if table in spans:
-                            lo = np.minimum(lo, spans[table][0])
-                            hi = np.maximum(hi, spans[table][1])
-                        spans[table] = lo, hi
-        for table, (lo, hi) in spans.items():
-            table.cover(lo, hi)
+        sides = self._sides()
+        for (side, serving), extremes in self._log_signals[direct_signal].items():
+            log_top, log_bottom, unread = extremes
+            table = sides[side].exponents[los_only][serving]
+            start = table.k_lo * _TABLE_STEP
+            table.cover(np.where(unread, start, u_lo - log_top),
+                        np.where(unread, start, u_hi - log_bottom))
         self._covered[key] = min(t_lo, threshold), max(t_hi, threshold)
 
     # public evaluation
@@ -750,22 +809,13 @@ class _CoverageEvaluator:
 
         by_case: dict[AssociationCase, float] = {}
         for irho, rho in enumerate(_STATES):
-            fdw = self.fdw[irho][:, None, None] * self.wv
-            # cases served through a reflector
-            for ixi, xi in enumerate(_STATES):
-                if self.has_ris:
-                    value = self._case_value(
-                        threshold, terms, self._signals(irho, ixi, direct_signal),
-                        fdw * self.gw[ixi], irho, ixi, los_only
-                    )
-                else:
-                    value = 0.0
-                by_case[AssociationCase(rho, xi)] = value
-            # no-reflector bucket: direct signal only
-            by_case[AssociationCase(rho, None)] = self._case_value(
-                threshold, terms, self._signals(irho, None, direct_signal),
-                fdw * self.remainder[:, None, :], irho, None, los_only,
-            )
+            # cases served through a reflector, then the no-reflector bucket
+            # (direct signal only)
+            for ixi, xi in (*enumerate(_STATES), (None, None)):
+                by_case[AssociationCase(rho, xi)] = self._case_value(
+                    threshold, terms, self._signals(irho, ixi, direct_signal),
+                    self._weight(irho, ixi), irho, ixi, los_only
+                ) if self.has_ris or ixi is None else 0.0
 
         total = sum(by_case.values()) / self.norm
         by_case = {case: val / self.norm for case, val in by_case.items()}
@@ -777,7 +827,8 @@ class _CoverageEvaluator:
             "los_only_interference": los_only,
             "clamped": clamped,
             "raw_total": float(total),
-            # the worst midpoint over the intervals filled so far
+            # the worst midpoint over the intervals filled so far: those
+            # that lookups with nonzero weight reach
             "table_residual": max(
                 table.residual for side in self._sides()
                 for table in side.exponents[los_only].values()

@@ -256,8 +256,10 @@ def ris_joint_expectation(
     For each of `kernels`, in order, the sum over the requested RIS states of
     E_x E_upsilon [ integral g_state(y; x, upsilon) * kernel(x, y, upsilon) dy ]
     where g_state is the unnormalized case density; a kernel None means 1.
-    A kernel must depend on upsilon through cos upsilon only (`_ris_grid`).
-    One grid pass serves every kernel, each total bitwise its lone pass's.
+    A kernel takes (x, y, upsilon, C) with C = side_condition(x, y, upsilon),
+    which the densities need as well, and must depend on upsilon through
+    cos upsilon only (`_ris_grid`).  One grid pass serves every kernel, each
+    total bitwise its lone pass's.
     """
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
         return (0.0,) * len(kernels)
@@ -268,9 +270,12 @@ def ris_joint_expectation(
     inner = np.empty((len(kernels), len(states)) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
-        values = [None if k is None else k(xg[part], y[part], vg) for k in kernels]
-        # ris_case_density's intensity, shared by both states
-        intensity = np.pi * cfg.lambda_ris * side_condition(xg[part], y[part], vg)
+        side = side_condition(xg[part], y[part], vg)
+        values = [None if k is None else k(xg[part], y[part], vg, side) for k in kernels]
+        # ris_case_density's intensity, shared by both states; the side
+        # condition is dropped before the densities' temporaries exist
+        intensity = np.pi * cfg.lambda_ris * side
+        del side
         for i, state in enumerate(states):
             g = _serving_density(y[part], intensity, state, cfg)
             for j, value in enumerate(values):
@@ -306,7 +311,7 @@ def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
         return 0.0
 
-    def los_kernel(x, y, v):
+    def los_kernel(x, y, v, side):
         return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), cfg.beta)
 
     (both_los,) = ris_joint_expectation(cfg, (los_kernel,), states=(LinkKind.LOS,))

@@ -1,5 +1,6 @@
 """Semianalytical engine: quadrature tables, Laplace factors and coverage."""
 
+import copy
 import itertools
 import math
 import sys
@@ -17,6 +18,7 @@ from riscov.analytics import (
     _TABLE_STEP,
     QuadratureSpec,
     _CoverageEvaluator,
+    _ExponentTable,
     _chebyshev_angle,
     _get_evaluator,
     _interferers,
@@ -535,15 +537,119 @@ def test_span_fill_matches_whole_lattice(cfg, monkeypatch, direct, los_only):
 
 
 def test_evaluate_fills_a_minority_of_rows(cfg, monkeypatch):
-    """One default 0 dB evaluate fills fewer than half of the interval rows
-    of the tables it reads, and none of the LOS-only tables."""
+    """One default 0 dB evaluate fills fewer than a quarter of the interval
+    rows of the tables it reads, and none of the LOS-only tables."""
     ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
     ev.evaluate(1.0)
     tables = _all_exponent_tables(ev, False)
     filled = sum(int(np.sum(table._rows.width)) for table in tables)
     intervals = sum(int(np.sum(table.count - 1)) for table in tables)
-    assert 0 < filled < 0.5 * intervals
+    assert 0 < filled < 0.25 * intervals
     assert all(table._rows is None for table in _all_exponent_tables(ev, True))
+
+
+def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
+    """Only lookups at grid nodes of nonzero case weight set the spans:
+    signals scaled by 1e30 at every zero-weight node leave each filled span
+    and the coverage bitwise unchanged.  Every range `cover` gets is
+    finite, also in the columns that no weighted lookup reads."""
+    cover = _ExponentTable.cover
+
+    def finite_cover(table, u_lo, u_hi):
+        assert np.all(np.isfinite(u_lo)) and np.all(np.isfinite(u_hi))
+        cover(table, u_lo, u_hi)
+
+    monkeypatch.setattr(_ExponentTable, "cover", finite_cover)
+
+    def run():
+        ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+        results = [ev.evaluate(1.0, direct) for direct in (False, True)]
+        spans = [(table._rows.k0, table._rows.width) for table in _all_exponent_tables(ev, False)]
+        return ev, results, spans
+
+    ev, want, want_spans = run()
+    assert any(unread.any() for _, _, unread in ev._log_signals[False].values())
+    build = _CoverageEvaluator._build_signal_tables
+    scaled = []
+
+    def build_scaled(ev):
+        build(ev)
+        for irho in (0, 1):
+            live = {ixi: ev._weight(irho, ixi) != 0.0 for ixi in (0, 1, None)
+                    if ev.has_ris or ixi is None}
+            # the direct signal of x rows no case of irho weights
+            dead = ~np.logical_or.reduce([w.any(axis=(1, 2)) for w in live.values()])
+            ev.sig_direct[irho] = np.where(dead[:, None, None], 1e30, 1.0) * ev.sig_direct[irho]
+            scaled.append(int(dead.sum()))
+            for ixi in (0, 1) if ev.has_ris else ():
+                ev.reflected[irho, ixi] = [(prob, np.where(live[ixi], 1.0, 1e30) * sig)
+                                           for prob, sig in ev.reflected[irho, ixi]]
+                scaled.append(int(np.sum(~live[ixi])))
+
+    monkeypatch.setattr(_CoverageEvaluator, "_build_signal_tables", build_scaled)
+    _, got, got_spans = run()
+    assert sum(scaled) > 0
+    for (k0, width), (want_k0, want_width) in zip(got_spans, want_spans):
+        assert np.array_equal(k0, want_k0) and np.array_equal(width, want_width)
+    for result, ref in zip(got, want):
+        assert result.total == ref.total
+        assert result.by_case == ref.by_case
+
+
+def _lattice(table):
+    """(u, column) of every lattice node and interval midpoint of a table."""
+    count = table.count.ravel()
+    cols = np.repeat(np.arange(count.size), count)
+    k = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+         + np.repeat(table.k_lo.ravel(), count))
+    left = np.flatnonzero(np.diff(cols, append=-1) == 0)
+    return ((k * _TABLE_STEP, cols), ((k[left] + 0.5) * _TABLE_STEP, cols[left]))
+
+
+def test_shared_tail_table_fill_is_per_term_fill(cfg, light_quad):
+    """The active and idle reflector sets share each `_j` call on their tail
+    table; every node and midpoint value is bitwise the one-term-at-a-time
+    fill's."""
+    ev = _CoverageEvaluator(cfg, light_quad)
+    shared = 0
+    for los_only in (False, True):
+        for table in ev.exponents[los_only].values():
+            alone = copy.copy(table)
+            # a tail table of its own for each term
+            alone.terms = [term._replace(table=tuple(term.table)) for term in table.terms]
+            shared += len(table.terms) - len({id(term.table) for term in table.terms})
+            for u, cols in _lattice(table):
+                got = table._exact(u, cols, derivatives=True)
+                assert np.array_equal(got, alone._exact(u, cols, derivatives=True))
+    assert shared > 0
+
+
+def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
+    """A fresh reflector evaluator calls `_j` once per (tail table, live
+    column, chunk) of each fill, however many terms share the table."""
+    ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    calls, triples, per_term = [0], [0], [0]
+    j, exact = analytics._j, _ExponentTable._exact
+
+    def counted_j(*args):
+        calls[0] += 1
+        return j(*args)
+
+    def counted_exact(table, u, cols, derivatives=False):
+        live = {}  # per tail table, its live pairs per column and its chunk
+        for term in table.terms:
+            chunk = max(1, analytics._CHUNK // len(term.table[0]))
+            inside = (u >= term.live_lo[cols]) & (u <= term.live_hi[cols])
+            count = np.bincount(cols[inside], minlength=table.k_lo.size)
+            per_term[0] += int(np.sum(-(-count // chunk)))
+            live[id(term.table)] = live.get(id(term.table), (0,))[0] + count, chunk
+        triples[0] += sum(int(np.sum(-(-count // chunk))) for count, chunk in live.values())
+        return exact(table, u, cols, derivatives)
+
+    monkeypatch.setattr(analytics, "_j", counted_j)
+    monkeypatch.setattr(_ExponentTable, "_exact", counted_exact)
+    ev.evaluate(1.0)
+    assert 0 < calls[0] == triples[0] < per_term[0]
 
 
 def test_threads_share_table_fills(cfg, light_quad, monkeypatch):
@@ -613,12 +719,7 @@ def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
     pruned = 0
     for los_only in (False, True):
         for table in _all_exponent_tables(ev, los_only):
-            count = table.count.ravel()
-            cols = np.repeat(np.arange(count.size), count)
-            k = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-                 + np.repeat(table.k_lo.ravel(), count))
-            left = np.flatnonzero(np.diff(cols, append=-1) == 0)
-            for u, c in ((k * _TABLE_STEP, cols), ((k[left] + 0.5) * _TABLE_STEP, cols[left])):
+            for u, c in _lattice(table):
                 got = table._exact(u, c, derivatives=True)
                 want = _full_sum(table, u, c)
                 scale = np.maximum(np.abs(want[0]), 1e-300)

@@ -172,7 +172,9 @@ def test_joint_expectation_kernels_share_one_pass(cfg):
                                                             (1e-4, 0.1))
     ]
     for case in configs:
-        def occupancy(x, y, v):
+        def occupancy(x, y, v, side):
+            # the pass hands each kernel the block's side condition
+            assert np.array_equal(side, side_condition(x, y, v))
             load = 2.0 * case.lambda_u / (side_condition(x, y, v) * case.lambda_ris)
             return (1.0 + load) ** -3.5
 
@@ -234,11 +236,11 @@ def test_joint_expectation_folded_matches_full_circle(cfg, q_v):
     """The folded angle rule sums every kernel as the full q_v-node rule does."""
     unit = 1.0 / (math.pi * 500.0**2)
     for case in (cfg, cfg.replace(lambda_u=1e4 * unit, lambda_ris=0.1 * unit, beta=1e-4)):
-        def occupancy(x, y, v):
+        def occupancy(x, y, v, side):
             load = 2.0 * case.lambda_u / (side_condition(x, y, v) * case.lambda_ris)
             return (1.0 + load) ** -3.5
 
-        def los_leg(x, y, v):
+        def los_leg(x, y, v, side):
             return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), case.beta)
 
         kernels = (occupancy, los_leg, None)

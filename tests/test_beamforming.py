@@ -170,9 +170,14 @@ def test_two_angle_mean_matches_angle_grid(n, delta):
 
 
 def test_angle_shift_invariance():
-    """Misalignment statistics do not depend on a common angle offset."""
+    """Misalignment statistics do not depend on a common angle offset.
+
+    The kernel is a smooth periodic function of both angles, so the
+    periodic grid's mean is shift-free to rounding at 256 points; a wider
+    limit guard in `fejer_kernel` (|sin| < 1e-2 in place of 1e-9) moves it
+    by 9e-6 here."""
     n, delta = 8, 0.5
-    k = 4096
+    k = 256
     base = 2 * math.pi * np.arange(k) / k
     reference = None
     for shift in (0.0, 0.4, 1.9):
