@@ -73,7 +73,7 @@ class QuadratureSpec:
             count = getattr(self, name)
             if not isinstance(count, int) or count < 4:
                 raise ValueError(f"{name} must be an integer >= 4, got {count!r}")
-        if not isinstance(self.w_alzer, int) or self.w_alzer < 1:
+        if isinstance(self.w_alzer, bool) or not isinstance(self.w_alzer, int) or self.w_alzer < 1:
             raise ValueError(f"w_alzer must be a positive integer, got {self.w_alzer!r}")
 
 
@@ -278,9 +278,6 @@ _SERIES_EDGE = 1e-5
 # above it every node with weight has c*B >= this: J is saturated to exp(-40)
 # and exp(-x) rounds to zero, so `_j` returns sum(A) and zero derivatives
 _SATURATION_EDGE = 40.0
-# below it one term takes the two-term series in the fill: J, J_u and J_uu
-# are then within (c*B)^2/6, (c*B)^2/2 and 3*(c*B)^2/2 < 4e-13 relative
-_TERM_SERIES_EDGE = 5e-7
 # elements of one (nodes, lattice points) temporary while filling a table
 _CHUNK = 1 << 16
 # the build check holds every table to this relative error at its midpoints;
@@ -302,18 +299,11 @@ _HERMITE = np.array([
 
 
 class _Term(NamedTuple):
-    """One (density, scale, tail table) summand of an `_ExponentTable`, with
-    per column the u range where `_j` is needed, and the series sums
-    sum(A*B), sum(A*B^2) and the saturated sum(A) that stand in outside."""
+    """One (density, scale, tail table) summand of an `_ExponentTable`."""
 
     density: float
     scale: float
     table: tuple
-    live_lo: np.ndarray
-    live_hi: np.ndarray
-    ab: np.ndarray
-    abb: np.ndarray
-    sat: np.ndarray
 
 
 def _ranges(starts, counts):
@@ -380,18 +370,13 @@ class _ExponentTable:
                 flat[id(table)] = tuple(t.reshape(len(t), -1) for t in table)
             a, b = table = flat[id(table)]
             with np.errstate(divide="ignore"):
-                b_max = b.max(axis=0)
+                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
                 b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
-                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b_max)))
-                live_hi = np.log(_SATURATION_EDGE / (sc * b_live))
-                hi = np.maximum(hi, live_hi)
-            ab, abb = np.sum(a * b, axis=0), np.sum(a * b * b, axis=0)
-            a_sum = np.sum(a, axis=0)
-            s1 += d * sc * ab
-            s2 += d * sc**2 * abb
-            sat += d * a_sum
-            self.terms.append(_Term(d, sc, table, np.log(_TERM_SERIES_EDGE / (sc * b_max)),
-                                    live_hi, ab, abb, a_sum))
+                hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
+            s1 += d * sc * np.sum(a * b, axis=0)
+            s2 += d * sc**2 * np.sum(a * b * b, axis=0)
+            sat += d * np.sum(a, axis=0)
+            self.terms.append(_Term(d, sc, table))
         h = _TABLE_STEP
         # a column no term reaches is zero everywhere: two zero nodes
         empty = ~(hi > lo)
@@ -403,8 +388,6 @@ class _ExponentTable:
         # the series and saturated rows
         self._outside = (s1, -0.5 * s2, sat)
         self._rows = None  # until the first fill
-        # (f, h*f', h^2*f'') at each column's span's two end nodes
-        self._ends = np.zeros((2, size, 3))
         self._lock = threading.Lock()
         self.residual = 0.0
 
@@ -415,9 +398,9 @@ class _ExponentTable:
         lattice fills the interval nearest to it, so a span filled for two
         ranges holds every range between them.  Each column's span grows to
         the one run that holds its old span and the new range; only the new
-        nodes and intervals are computed, and every new interval is held to
-        _TABLE_RTOL at its midpoint before a lookup can read it.  Fills run
-        under the table's lock, so threads may share a table.
+        intervals and their end nodes are computed, and every new interval is
+        held to _TABLE_RTOL at its midpoint before a lookup can read it.
+        Fills run under the table's lock, so threads may share a table.
         """
         h = _TABLE_STEP
         k_lo = self.k_lo.ravel()
@@ -439,26 +422,15 @@ class _ExponentTable:
             lo, hi = np.minimum(old_lo, want_lo), np.maximum(old_hi, want_hi)
             if np.array_equal(lo, old_lo) and np.array_equal(hi, old_hi):
                 return
-            moved = lo < old_lo, hi > old_hi
-            # per column two runs of new intervals, [lo, old_lo) and
-            # [old_hi, hi) beside a span, else [lo, hi) and none; a run of n
-            # intervals has n + 1 nodes, and the span's end nodes are known
-            mid = np.minimum(old_lo, hi)
-            n = np.maximum(np.stack([mid - lo, hi - np.maximum(old_hi, mid)], axis=-1).ravel(), 0)
-            nodes = n + (n > 0)
-            run, i = _ranges(np.stack([lo, np.maximum(old_hi, mid)], axis=-1).ravel(), nodes)
-            col = run // 2
-            tail = np.cumsum(nodes) - 1  # each run's last node, and head its first
-            head = tail + 1 - nodes
+            # every node lo .. hi of each column; interval i runs from node i
+            # to node i + 1, and it is new outside the old span
+            col, i = _ranges(lo, hi - lo + 1)
+            k = i + k_lo[col]  # the lattice index
+            new = ((i < old_lo[col]) | (i >= old_hi[col])) & (i < hi[col])
+            needed = new | np.concatenate(([False], new[:-1]))
             values = np.empty((len(i), 3))
-            known = np.zeros(len(i), dtype=bool)
-            if old is not None:
-                for side, at in ((0, tail[0::2]), (1, head[1::2])):
-                    values[at[moved[side]]] = self._ends[side, moved[side]]
-                    known[at[moved[side]]] = True
-            new = ~known
-            f, df, ddf = self._exact((i[new] + k_lo[col[new]]) * h, col[new], derivatives=True)
-            values[new] = np.stack([f, h * df, h * h * ddf], axis=-1)
+            f, df, ddf = self._exact(k[needed] * h, col[needed], derivatives=True)
+            values[needed] = np.stack([f, h * df, h * h * ddf], axis=-1)
             # per column its series row, intervals lo .. hi - 1, saturated row
             width = hi - lo
             start = np.cumsum(width + 2) - width - 1
@@ -468,78 +440,54 @@ class _ExponentTable:
             if old is not None:
                 c, j = _ranges(old_lo, old_hi - old_lo)
                 coef[start[c] + j - lo[c]] = old.coef[old.start.ravel()[c] + j - old_lo[c]]
-            # an interval starts at every node but a run's last
-            left = np.ones(len(i), dtype=bool)
-            left[tail[n > 0]] = False
-            cols = col[left]
-            rows = start[cols] + i[left] - lo[cols]
-            windows = np.lib.stride_tricks.sliding_window_view(values.ravel(), 6)[::3][left[:-1]]
+            cols = col[new]
+            rows = start[cols] + i[new] - lo[cols]
+            windows = np.lib.stride_tricks.sliding_window_view(values.ravel(), 6)[::3][new[:-1]]
             # matmul takes matrix-vector code, which rounds otherwise, for a
             # lone row; a pair keeps each row independent of the batching
             if len(rows) == 1:
                 windows = np.repeat(windows, 2, axis=0)
             coef[rows] = (windows @ _HERMITE)[:len(rows)]
             # the interpolant against the exact sum at every new midpoint
-            exact = self._exact((i[left] + k_lo[cols] + 0.5) * h, cols)[0]
+            exact = self._exact((k[new] + 0.5) * h, cols)[0]
             interp = _horner(coef, rows, 0.5)
             rel = np.abs(interp - exact) / np.maximum(np.abs(exact), _TABLE_FLOOR)
             worst = int(np.argmax(rel))
             refined(float(interp[worst]), float(exact[worst]),
                     "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
             self.residual = max(self.residual, float(rel[worst]))
-            # a moved end node heads a column's first run or tails its last
-            for side, at in ((0, head[0::2]), (1, tail[1::2])):
-                self._ends[side, moved[side]] = values[at[moved[side]]]
             self._rows = _Rows(coef, *(v.reshape(self.k_lo.shape)
                                        for v in (k_lo + lo, width, start)))
 
     def _exact(self, u, cols, derivatives: bool = False):
-        """(L,) or (L, L_u, L_uu) at each (u, column) pair.
+        """(L,) or (L, L_u, L_uu) at each (u, column) pair; the pairs come in
+        column order, the order `cover` builds them in.
 
-        A term takes its two-term series below its live range and its
-        saturated value above it.  Inside, consecutive terms that share a
-        tail table share its `_j` calls: one per column, on a (nodes, 1)
-        slice of the table, over every such term's live c laid end to end,
-        _CHUNK elements at a time.  Each pair then adds its terms in term
-        order, so no value depends on how the terms share calls.
+        Consecutive terms that share a tail table share its `_j` calls: one
+        per column, on a (nodes, 1) slice of the table, over each pair's c
+        for every such term, _CHUNK elements at a time.  Each pair then adds
+        its terms in term order, so no value depends on how they share calls.
         """
         out = np.zeros((3 if derivatives else 1, len(u)))
+        bounds = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
         for _, group in itertools.groupby(self.terms, key=lambda term: id(term.table)):
             group = list(group)
             a, b = group[0].table
-            live = [np.flatnonzero((u >= term.live_lo[cols]) & (u <= term.live_hi[cols]))
-                    for term in group]
-            c = np.concatenate([np.exp(u[i]) * term.scale for i, term in zip(live, group)])
-            # the group's live pairs by column, each column's terms in order
-            col_of = cols[np.concatenate(live)]
-            order = np.argsort(col_of, kind="stable")
-            bounds = np.searchsorted(col_of[order], np.arange(self.k_lo.size + 1))
-            c = c[order]
+            # each column's pairs, and within a pair its terms, end to end
+            c = np.multiply.outer(np.exp(u), [term.scale for term in group]).ravel()
             values = np.empty((len(out), len(c)))
             chunk = max(1, _CHUNK // len(a))
             for col in np.flatnonzero(np.diff(bounds)):
                 table = (a[:, col:col + 1], b[:, col:col + 1])
-                for start in range(bounds[col], bounds[col + 1], chunk):
-                    stop = min(start + chunk, bounds[col + 1])
-                    part = c[start:stop]
+                stop = bounds[col + 1] * len(group)
+                for start in range(bounds[col] * len(group), stop, chunk):
+                    part = c[start:min(start + chunk, stop)]
                     # einsum sums over the nodes in another order for a lone
                     # c; a pair keeps each value independent of the batching
                     value = _j(np.repeat(part, 2) if part.size == 1 else part, table, derivatives)
-                    values[:, order[start:stop]] = np.array(value, ndmin=2)[:, :part.size]
-            offset = 0
-            for i, term in zip(live, group):
-                d = term.density
-                below = np.flatnonzero(u < term.live_lo[cols])
-                c = np.exp(u[below]) * term.scale
-                first, second = c * term.ab[cols[below]], c * c * term.abb[cols[below]]
-                out[0, below] += d * (first - 0.5 * second)
-                if derivatives:
-                    out[1, below] += d * (first - second)
-                    out[2, below] += d * (first - 2.0 * second)
-                above = np.flatnonzero(u > term.live_hi[cols])
-                out[0, above] += d * term.sat[cols[above]]
-                out[:, i] += d * values[:, offset:offset + len(i)]
-                offset += len(i)
+                    values[:, start:start + part.size] = np.array(value, ndmin=2)[:, :part.size]
+            for k, term in enumerate(group):
+                out += term.density * values[:, k::len(group)]
         return out
 
     def __call__(self, s, k, t):
@@ -638,7 +586,6 @@ class _CoverageEvaluator:
 
         self._build_signal_tables()
         self._build_factor_tables()
-        self._build_spans()
 
     # signal powers per association case
 
@@ -696,37 +643,40 @@ class _CoverageEvaluator:
         }
         # (direct_signal, los_only) -> lowest and highest threshold covered
         self._covered = {}
-
-    def _build_spans(self) -> None:
-        """The threshold-free part of `_cover`'s spans.
-
-        Keyed by direct_signal, then by (side index, serving state) of each
-        table an evaluate reads: per column, the log of the largest and the
-        smallest signal over the grid nodes whose case weight is nonzero,
-        and a mask of the columns where no such node reads the table.  A
-        lookup at a zero-weight node is multiplied by 0, so any finite row
-        serves it.
-        """
-        sides = self._sides()
+        # direct_signal -> `_spans`, made on that signal's first evaluate
         self._log_signals = {}
-        for direct_signal in (False, True):
-            top, bottom = {}, {}
-            for irho in (0, 1):
-                for ixi in (0, 1, None) if self.has_ris else (None,):
-                    live = self._weight(irho, ixi) != 0.0
-                    for (_, sig), (extremes, ufunc, fill) in itertools.product(
-                            self._signals(irho, ixi, direct_signal),
-                            ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
-                        masked = np.where(live, sig, fill)
-                        for key in zip(range(len(sides)), (irho, ixi)):
-                            shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
-                            extremes[key] = ufunc(extremes.get(key, fill),
-                                                  _reduce_to(ufunc, masked, shape))
-            self._log_signals[direct_signal] = {
-                key: (np.log(np.where(hi > 0.0, hi, 1.0)),
-                      np.log(np.where(hi > 0.0, bottom[key], 1.0)), ~(hi > 0.0))
-                for key, hi in top.items()
-            }
+
+    def _spans(self, direct_signal: bool) -> dict:
+        """The threshold-free part of `_cover`'s spans for one signal.
+
+        Keyed by (side index, serving state) of each table an evaluate
+        reads: per column, the log of the largest and the smallest signal
+        over the grid nodes whose case weight is nonzero, and a mask of the
+        columns where no such node reads the table.  A lookup at a
+        zero-weight node is multiplied by 0, so any finite row serves it.
+        """
+        if direct_signal in self._log_signals:
+            return self._log_signals[direct_signal]
+        sides = self._sides()
+        top, bottom = {}, {}
+        for irho in (0, 1):
+            for ixi in (0, 1, None) if self.has_ris else (None,):
+                live = self._weight(irho, ixi) != 0.0
+                for (_, sig), (extremes, ufunc, fill) in itertools.product(
+                        self._signals(irho, ixi, direct_signal),
+                        ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
+                    masked = np.where(live, sig, fill)
+                    for key in zip(range(len(sides)), (irho, ixi)):
+                        shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
+                        extremes[key] = ufunc(extremes.get(key, fill),
+                                              _reduce_to(ufunc, masked, shape))
+        # threads that race here store equal spans
+        spans = self._log_signals[direct_signal] = {
+            key: (np.log(np.where(hi > 0.0, hi, 1.0)),
+                  np.log(np.where(hi > 0.0, bottom[key], 1.0)), ~(hi > 0.0))
+            for key, hi in top.items()
+        }
+        return spans
 
     def _sides(self) -> tuple:
         """The evaluators of the Laplace product's sides, base stations first."""
@@ -781,7 +731,7 @@ class _CoverageEvaluator:
         u_lo = u_t + math.log(eps) - _TABLE_STEP
         u_hi = u_t + math.log(w_terms * eps) + _TABLE_STEP
         sides = self._sides()
-        for (side, serving), extremes in self._log_signals[direct_signal].items():
+        for (side, serving), extremes in self._spans(direct_signal).items():
             log_top, log_bottom, unread = extremes
             table = sides[side].exponents[los_only][serving]
             start = table.k_lo * _TABLE_STEP

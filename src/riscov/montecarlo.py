@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import CoverageResult, active_prob_bs, active_prob_ris
+from .analytics import CoverageResult
 from .association import AssociationCase
 from .beamforming import fejer_kernel, profile_gain, serving_gains, spatial_frequency
 from .config import NetworkConfig
@@ -58,10 +58,14 @@ class Deployment:
             pts = getattr(self, name)
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ValueError(f"{name} must be an (n, 2) array, got {pts.shape}")
+            if not np.isfinite(pts).all():
+                raise ValueError(f"{name} must be finite")
             if pts.size and np.hypot(pts[:, 0], pts[:, 1]).max() > self.radius * (1 + 1e-9):
                 raise ValueError(f"{name} contains points outside the simulation disk")
         if self.ris_normals.shape != (self.ris_points.shape[0],):
             raise ValueError("ris_normals must hold one angle per RIS")
+        if not np.isfinite(self.ris_normals).all():
+            raise ValueError("ris_normals must be finite")
         segs = self.blockage_segments
         if segs is not None and not (
             isinstance(segs, tuple)
@@ -108,6 +112,16 @@ def default_radius(cfg: NetworkConfig) -> float:
     if cfg.lambda_bs <= 0.0:
         raise ValueError("default radius requires lambda_bs > 0")
     return 5.0 / math.sqrt(cfg.lambda_bs * math.pi)
+
+
+def _radius(cfg: NetworkConfig, radius: float | None) -> float:
+    """``radius``, or the default radius for None; it must be positive and
+    finite."""
+    if radius is None:
+        return default_radius(cfg)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    return radius
 
 
 # stream keys under one seed: sample_deployment draws from the root key (),
@@ -173,11 +187,7 @@ def sample_deployment(
     geometric_blockage: bool = False,
 ) -> Deployment:
     """Draw one deployment; identical seeds give identical point sets."""
-    if radius is None:
-        radius = default_radius(cfg)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return _sample(cfg, radius, _rng(seed), geometric_blockage)
+    return _sample(cfg, _radius(cfg, radius), _rng(seed), geometric_blockage)
 
 
 # -- trials in blocks ---------------------------------------------------------
@@ -291,15 +301,11 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _activity(
-    dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator, bernoulli: bool
+    dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """BSs and RISs loaded by the other users, from their own associations
-    or, with ``bernoulli``, thinned at the analytic activity probabilities."""
+    """BSs and RISs loaded by the other users, from their own associations."""
     n_bs = dep.bs_points.shape[0]
     n_ris = dep.ris_points.shape[0]
-    if bernoulli:
-        return rng.random(n_bs) < active_prob_bs(cfg), rng.random(n_ris) < active_prob_ris(cfg)
-
     users = dep.user_points
     if users.shape[0] == 0:
         # the users' draws would be empty, so the stream is where it would be
@@ -359,14 +365,13 @@ def _trial(
     dep: Deployment,
     cfg: NetworkConfig,
     rng: np.random.Generator,
-    bernoulli: bool,
     links_only: bool = False,
 ) -> _Trial:
     """The per-trial pass; ``links_only`` stops after the link states."""
     links = _link_draws(dep, cfg, rng)
     if links_only:
         return _Trial(dep, rng, links)
-    bs_busy, ris_busy = _activity(dep, cfg, rng, bernoulli)
+    bs_busy, ris_busy = _activity(dep, cfg, rng)
     n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
     azimuths = _split(rng.uniform(0.0, _TWO_PI, n_bs + 2 * n_ris), n_bs, n_ris)
     return _Trial(dep, rng, links, bs_busy, ris_busy, azimuths)
@@ -595,7 +600,6 @@ def _blocks(
     radius: float,
     seed: int,
     geometric_blockage: bool,
-    bernoulli_activity: bool = False,
     links_only: bool = False,
 ):
     """The per-trial pass of trials 0 .. trials - 1, trial t on the (seed, t)
@@ -610,7 +614,7 @@ def _blocks(
         if n_bs == 0:
             continue
         index.append(t)
-        block.append(_trial(dep, cfg, rng, bernoulli_activity, links_only))
+        block.append(_trial(dep, cfg, rng, links_only))
         links += n_bs * (1 + n_ris) + n_ris
         if links >= _BLOCK_LINKS:
             yield index, block
@@ -627,12 +631,11 @@ def realize_sinr(
     cfg: NetworkConfig,
     seed: int = 0,
     draw_serving_gains: bool = False,
-    bernoulli_activity: bool = False,
 ) -> SinrSample:
     """Realize link states, beams and activity on a fixed deployment."""
     if dep.bs_points.shape[0] == 0:
         raise ValueError("deployment has no base stations")
-    trial = _trial(dep, cfg, _rng(seed, _REALIZE_KEY), bernoulli_activity)
+    trial = _trial(dep, cfg, _rng(seed, _REALIZE_KEY))
     signal, interference, codes = _realize([trial], cfg, draw_serving_gains)
     noise = cfg.noise_power_watt
     rho, xi, leg = (_CODE_STATE.get(int(c)) for c in codes[0])
@@ -649,7 +652,6 @@ def sinr_samples(
     seed: int = 0,
     geometric_blockage: bool = False,
     draw_serving_gains: bool = False,
-    bernoulli_activity: bool = False,
 ) -> SinrBatch:
     """Independent SINR draws; trial t uses the (seed, t) counter stream.
 
@@ -658,14 +660,11 @@ def sinr_samples(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if radius is None:
-        radius = default_radius(cfg)
+    radius = _radius(cfg, radius)
     sinr = np.zeros(trials)
     codes = np.tile(np.array([1, -1, -1], dtype=np.int8), (trials, 1))
     done = 0
-    for index, block in _blocks(
-        cfg, trials, radius, seed, geometric_blockage, bernoulli_activity
-    ):
+    for index, block in _blocks(cfg, trials, radius, seed, geometric_blockage):
         signal, interference, block_codes = _realize(block, cfg, draw_serving_gains)
         sinr[index] = signal / (interference + cfg.noise_power_watt)
         codes[index] = block_codes
@@ -740,8 +739,7 @@ def association_frequencies(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if radius is None:
-        radius = default_radius(cfg)
+    radius = _radius(cfg, radius)
     counts = dict.fromkeys(("d_los", "u_los", "u_nlos", "g_los"), 0)
     done = 0
     for index, trial_block in _blocks(cfg, trials, radius, seed, False, links_only=True):

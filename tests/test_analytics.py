@@ -82,6 +82,8 @@ def test_quadrature_spec_validation():
         QuadratureSpec(q_tail=3)
     with pytest.raises(ValueError):
         QuadratureSpec(w_alzer=0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(w_alzer=True)
 
 
 def test_active_prob_bs_closed_form(cfg):
@@ -625,8 +627,8 @@ def test_shared_tail_table_fill_is_per_term_fill(cfg, light_quad):
 
 
 def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
-    """A fresh reflector evaluator calls `_j` once per (tail table, live
-    column, chunk) of each fill, however many terms share the table."""
+    """A fresh reflector evaluator calls `_j` once per (tail table, column,
+    chunk) of each fill, however many terms share the table."""
     ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
     calls, triples, per_term = [0], [0], [0]
     j, exact = analytics._j, _ExponentTable._exact
@@ -636,14 +638,14 @@ def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
         return j(*args)
 
     def counted_exact(table, u, cols, derivatives=False):
-        live = {}  # per tail table, its live pairs per column and its chunk
+        count = np.bincount(cols, minlength=table.k_lo.size)  # pairs per column
+        shared = {}  # per tail table, its terms and its chunk
         for term in table.terms:
             chunk = max(1, analytics._CHUNK // len(term.table[0]))
-            inside = (u >= term.live_lo[cols]) & (u <= term.live_hi[cols])
-            count = np.bincount(cols[inside], minlength=table.k_lo.size)
             per_term[0] += int(np.sum(-(-count // chunk)))
-            live[id(term.table)] = live.get(id(term.table), (0,))[0] + count, chunk
-        triples[0] += sum(int(np.sum(-(-count // chunk))) for count, chunk in live.values())
+            shared[id(term.table)] = shared.get(id(term.table), (0,))[0] + 1, chunk
+        triples[0] += sum(int(np.sum(-(-(terms * count) // chunk)))
+                          for terms, chunk in shared.values())
         return exact(table, u, cols, derivatives)
 
     monkeypatch.setattr(analytics, "_j", counted_j)
@@ -713,10 +715,9 @@ def _fill_configs(cfg):
 
 @pytest.mark.parametrize("index", range(9))
 def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
-    """Each term skips `_j` outside its own live range; the fill stays within
-    1e-12 of the full sum at every lattice node and midpoint."""
+    """The fill, with its shared `_j` calls over whole columns, stays within
+    1e-12 of the term-by-term sum at every lattice node and midpoint."""
     ev = _CoverageEvaluator(_fill_configs(cfg)[index], light_quad)
-    pruned = 0
     for los_only in (False, True):
         for table in _all_exponent_tables(ev, los_only):
             for u, c in _lattice(table):
@@ -724,9 +725,6 @@ def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
                 want = _full_sum(table, u, c)
                 scale = np.maximum(np.abs(want[0]), 1e-300)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale)
-                pruned += sum(np.count_nonzero((u < term.live_lo[c]) | (u > term.live_hi[c]))
-                              for term in table.terms)
-    assert pruned > 0
 
 
 @pytest.mark.parametrize("q3", [8, 7])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from riscov import montecarlo as mc
-from riscov.analytics import active_prob_bs, active_prob_ris
 from riscov.beamforming import (
     _IDLE_BLOCK_ELEMENTS,
     fejer_kernel,
@@ -73,11 +72,29 @@ def test_deployment_validation():
     ):
         with pytest.raises(ValueError):
             Deployment(**valid, blockage_segments=bad)
+    # a NaN point is never outside the disk, and would reach the SINR
+    for name, bad in (("bs_points", np.array([[np.nan, 0.0]])),
+                      ("user_points", np.array([[np.inf, 0.0]]))):
+        with pytest.raises(ValueError, match="finite"):
+            Deployment(**{**valid, name: bad})
+    with pytest.raises(ValueError, match="finite"):
+        Deployment(**{**valid, "ris_points": np.zeros((1, 2)), "ris_normals": np.array([np.nan])})
 
 
 def test_default_radius(cfg):
     # five nearest-neighbor scales of the BS process
     assert default_radius(cfg) == pytest.approx(5.0 / math.sqrt(cfg.lambda_bs * math.pi))
+
+
+@pytest.mark.parametrize("radius", [-5.0, 0.0, math.nan, math.inf])
+def test_sampling_rejects_bad_radius(cfg, radius):
+    """A radius that is not positive and finite is refused, not read as an
+    all-outage batch or handed to numpy's Poisson draw."""
+    for sample in (lambda: sample_deployment(cfg, radius=radius),
+                   lambda: sinr_samples(cfg, 3, radius=radius),
+                   lambda: association_frequencies(cfg, 3, radius=radius)):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sample()
 
 
 def test_sample_deployment_determinism(cfg):
@@ -332,7 +349,7 @@ def test_serve_rule_is_the_typical_user_rule(cfg):
         radius=500.0,
     )
     clear = cfg.replace(beta=0.0)
-    block = mc._Block([mc._trial(dep, clear, np.random.default_rng(0), False, True)], clear)
+    block = mc._Block([mc._trial(dep, clear, np.random.default_rng(0), links_only=True)], clear)
     typical_bs, typical_ris = mc._associate(block)
     users = np.vstack((np.zeros((1, 2)), dep.user_points))
     d_ub = mc._distances(users, dep.bs_points)
@@ -375,16 +392,6 @@ def test_blockage_modes_agree_on_coverage(cfg):
         1.0, cfg, 1200, radius=450.0, seed=14, geometric_blockage=True
     ).total
     assert geometric == pytest.approx(drawn, abs=0.06)
-
-
-def test_activity_modes_agree_on_coverage(cfg):
-    # cells are almost surely loaded at ten users per BS, so the thinning
-    # approximation and the sampled user assignment nearly coincide
-    exact = empirical_coverage(1.0, cfg, 1200, radius=450.0, seed=15).total
-    thinned = empirical_coverage(
-        1.0, cfg, 1200, radius=450.0, seed=15, bernoulli_activity=True
-    ).total
-    assert thinned == pytest.approx(exact, abs=0.06)
 
 
 def test_drawn_serving_gains_lower_coverage(cfg):
@@ -480,16 +487,12 @@ def _reference_associate(dep, cfg, links):
     return int(serving_bs[0]), (int(serving_ris[0]) if serving_ris[0] >= 0 else None)
 
 
-def _reference_activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli):
+def _reference_activity(dep, cfg, rng, serving_bs, serving_ris):
     bs_active = np.zeros(dep.bs_points.shape[0], dtype=bool)
     ris_active = np.zeros(dep.ris_points.shape[0], dtype=bool)
     bs_active[serving_bs] = True
     if serving_ris is not None:
         ris_active[serving_ris] = True
-    if bernoulli:
-        bs_active |= rng.random(bs_active.size) < active_prob_bs(cfg)
-        ris_active |= rng.random(ris_active.size) < active_prob_ris(cfg)
-        return bs_active, ris_active
     users = dep.user_points
     d_ub = mc._distances(users, dep.bs_points)
     d_ur = mc._distances(users, dep.ris_points)
@@ -589,13 +592,11 @@ def _interference_loop(
     return total
 
 
-def _reference_realize(dep, cfg, rng, draw_serving_gains, bernoulli):
+def _reference_realize(dep, cfg, rng, draw_serving_gains):
     """(sinr, state codes) of one trial, stage after stage."""
     links = _reference_links(dep, cfg, rng)
     serving_bs, serving_ris = _reference_associate(dep, cfg, links)
-    bs_active, ris_active = _reference_activity(
-        dep, cfg, rng, serving_bs, serving_ris, bernoulli
-    )
+    bs_active, ris_active = _reference_activity(dep, cfg, rng, serving_bs, serving_ris)
     signal, nu_bs0, nu_u0 = _reference_signal(
         dep, cfg, links, serving_bs, serving_ris, draw_serving_gains
     )
@@ -609,7 +610,7 @@ def _reference_realize(dep, cfg, rng, draw_serving_gains, bernoulli):
     return signal / (interference + cfg.noise_power_watt), codes
 
 
-def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains, bernoulli):
+def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains):
     """sinr_samples trial by trial: SINR, state codes, empty trials, and
     where each trial's generator ends."""
     sinr, codes, ends = np.zeros(trials), np.zeros((trials, 3), dtype=np.int8), []
@@ -621,14 +622,13 @@ def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains,
             codes[t] = (1, -1, -1)
             empty += 1
         else:
-            sinr[t], codes[t] = _reference_realize(dep, cfg, rng, draw_serving_gains, bernoulli)
+            sinr[t], codes[t] = _reference_realize(dep, cfg, rng, draw_serving_gains)
         ends.append(_position(rng))
     return sinr, codes, empty, ends
 
 
 @pytest.mark.parametrize("case", (
-    "sampled", "bernoulli", "geometric", "drawn-gains", "scheme2", "no-reflectors", "empty-bs",
-    "no-users",
+    "sampled", "geometric", "drawn-gains", "scheme2", "no-reflectors", "empty-bs", "no-users",
 ))
 def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
     run_cfg = {
@@ -644,7 +644,6 @@ def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
     modes = dict(
         geometric_blockage=case == "geometric",
         draw_serving_gains=case in ("drawn-gains", "scheme2"),
-        bernoulli_activity=case == "bernoulli",
     )
     trials = 30
     made = _recording_rng(monkeypatch)
@@ -666,7 +665,7 @@ def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
         assert batch.empty_trials == 0 and np.any(batch.ris_state >= 0)
 
 
-def _check_against_loop(dep, cfg, seed, bernoulli=False, loaded=None):
+def _check_against_loop(dep, cfg, seed, loaded=None):
     """Run the reference stages up to interference, optionally override
     which reflectors are loaded, then compare the block pass's interference
     stage, on a block of one, with the loop from the same generator state.
@@ -674,14 +673,14 @@ def _check_against_loop(dep, cfg, seed, bernoulli=False, loaded=None):
     rng = np.random.Generator(np.random.Philox(seed))
     links = _reference_links(dep, cfg, rng)
     serving_bs, serving_ris = _reference_associate(dep, cfg, links)
-    bs_active, ris_active = _reference_activity(dep, cfg, rng, serving_bs, serving_ris, bernoulli)
+    bs_active, ris_active = _reference_activity(dep, cfg, rng, serving_bs, serving_ris)
     if loaded is not None:
         ris_active = np.full(ris_active.shape, loaded)
     _, nu_bs0, nu_u0 = _reference_signal(dep, cfg, links, serving_bs, serving_ris, False)
     args = (links, serving_bs, serving_ris, bs_active, ris_active, nu_bs0, nu_u0)
     loop = _interference_loop(dep, cfg, rng, *args)
 
-    trial = mc._trial(dep, cfg, np.random.Generator(np.random.Philox(seed)), bernoulli)
+    trial = mc._trial(dep, cfg, np.random.Generator(np.random.Philox(seed)))
     block = mc._Block([trial], cfg)
     serving, served = mc._associate(block)
     assert (serving[0], served[0]) == (serving_bs, -1 if serving_ris is None else serving_ris)
@@ -701,7 +700,7 @@ def _check_against_loop(dep, cfg, seed, bernoulli=False, loaded=None):
 
 
 @pytest.mark.parametrize(
-    "case", ("sampled", "all-active", "all-idle", "scheme2", "geometric", "bernoulli")
+    "case", ("sampled", "all-active", "all-idle", "scheme2", "geometric")
 )
 def test_interference_stage_matches_loop(cfg, case):
     geometric = case == "geometric"
@@ -710,7 +709,7 @@ def test_interference_stage_matches_loop(cfg, case):
     mixed = False
     for seed in (31, 32, 33):
         dep = sample_deployment(run_cfg, radius=500.0, seed=seed, geometric_blockage=geometric)
-        _, args = _check_against_loop(dep, run_cfg, seed, case == "bernoulli", loaded)
+        _, args = _check_against_loop(dep, run_cfg, seed, loaded)
         ris_active = args[4]
         assert len(ris_active) > 1  # several reflectors, so the loop has work
         mixed |= ris_active.any() and not ris_active.all()
