@@ -298,14 +298,6 @@ _HERMITE = np.array([
 ])
 
 
-class _Term(NamedTuple):
-    """One (density, scale, tail table) summand of an `_ExponentTable`."""
-
-    density: float
-    scale: float
-    table: tuple
-
-
 def _ranges(starts, counts):
     """(range number, value) of each element of the ranges [starts,
     starts + counts), laid end to end."""
@@ -341,10 +333,10 @@ class _Rows(NamedTuple):
 class _ExponentTable:
     """One side's interference exponent L(u) = sum density * J(e^u * scale).
 
-    `terms` lists (density, scale, tail table) triples whose tail tables share
-    one exclusion shape (consecutive terms given the same tail table object
-    share its `_j` calls); each exclusion node is a column with its own run of
-    lattice nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
+    `groups` lists (tail table, [(density, scale), ...]) pairs whose tail
+    tables share one exclusion shape; the terms of a group share the table's
+    `_j` calls.  Each exclusion node is a column with its own run of lattice
+    nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
     six coefficients, one after the other: the two-term series
     s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
     Hermite of L in t from its value and first two u-derivatives (with
@@ -356,27 +348,28 @@ class _ExponentTable:
     midpoint error over the intervals filled so far.
     """
 
-    def __init__(self, terms):
-        shape = terms[0][2][0].shape[1:]  # the exclusion shape of the tail tables
+    def __init__(self, groups):
+        shape = groups[0][0][0].shape[1:]  # the exclusion shape of the tail tables
         size = math.prod(shape)
         lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
         s1, s2, sat = np.zeros((3, size))
-        self.terms = []
-        flat = {}  # terms that share a tail table share its flattened view
-        for d, sc, table in terms:
-            if not (d > 0.0 and sc > 0.0):
+        # the groups with their terms of zero density or scale dropped, and
+        # the tail tables flattened to (nodes, columns)
+        self.groups = []
+        for table, terms in groups:
+            terms = [(d, sc) for d, sc in terms if d > 0.0 and sc > 0.0]
+            if not terms:
                 continue
-            if id(table) not in flat:
-                flat[id(table)] = tuple(t.reshape(len(t), -1) for t in table)
-            a, b = table = flat[id(table)]
-            with np.errstate(divide="ignore"):
-                lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
-                b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
-                hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
-            s1 += d * sc * np.sum(a * b, axis=0)
-            s2 += d * sc**2 * np.sum(a * b * b, axis=0)
-            sat += d * np.sum(a, axis=0)
-            self.terms.append(_Term(d, sc, table))
+            a, b = table = tuple(t.reshape(len(t), -1) for t in table)
+            for d, sc in terms:
+                with np.errstate(divide="ignore"):
+                    lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
+                    b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
+                    hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
+                s1 += d * sc * np.sum(a * b, axis=0)
+                s2 += d * sc**2 * np.sum(a * b * b, axis=0)
+                sat += d * np.sum(a, axis=0)
+            self.groups.append((table, terms))
         h = _TABLE_STEP
         # a column no term reaches is zero everywhere: two zero nodes
         empty = ~(hi > lo)
@@ -463,31 +456,30 @@ class _ExponentTable:
         """(L,) or (L, L_u, L_uu) at each (u, column) pair; the pairs come in
         column order, the order `cover` builds them in.
 
-        Consecutive terms that share a tail table share its `_j` calls: one
-        per column, on a (nodes, 1) slice of the table, over each pair's c
-        for every such term, _CHUNK elements at a time.  Each pair then adds
-        its terms in term order, so no value depends on how they share calls.
+        The terms of a group share its `_j` calls: one per column, on a
+        (nodes, 1) slice of the tail table, over each pair's c for every
+        term, _CHUNK elements at a time.  Each pair then adds its terms in
+        group then term order, so no value depends on how they share calls.
         """
         out = np.zeros((3 if derivatives else 1, len(u)))
         bounds = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
-        for _, group in itertools.groupby(self.terms, key=lambda term: id(term.table)):
-            group = list(group)
-            a, b = group[0].table
+        for (a, b), terms in self.groups:
+            n = len(terms)
             # each column's pairs, and within a pair its terms, end to end
-            c = np.multiply.outer(np.exp(u), [term.scale for term in group]).ravel()
+            c = np.multiply.outer(np.exp(u), [sc for _, sc in terms]).ravel()
             values = np.empty((len(out), len(c)))
             chunk = max(1, _CHUNK // len(a))
             for col in np.flatnonzero(np.diff(bounds)):
                 table = (a[:, col:col + 1], b[:, col:col + 1])
-                stop = bounds[col + 1] * len(group)
-                for start in range(bounds[col] * len(group), stop, chunk):
+                stop = bounds[col + 1] * n
+                for start in range(bounds[col] * n, stop, chunk):
                     part = c[start:min(start + chunk, stop)]
                     # einsum sums over the nodes in another order for a lone
                     # c; a pair keeps each value independent of the batching
                     value = _j(np.repeat(part, 2) if part.size == 1 else part, table, derivatives)
                     values[:, start:start + part.size] = np.array(value, ndmin=2)[:, :part.size]
-            for k, term in enumerate(group):
-                out += term.density * values[:, k::len(group)]
+            for k, (d, _) in enumerate(terms):
+                out += d * values[:, k::n]
         return out
 
     def __call__(self, s, k, t):
@@ -560,8 +552,8 @@ class _CoverageEvaluator:
             yg = self.y[None, :, None]
             vg = self.v[None, None, :]
             self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
-            # ris_case_density per state, with the intensity computed once
-            # and dropped before the rest of the build
+            # each state's serving-reflector density, with the intensity
+            # computed once and dropped before the rest of the build
             intensity = np.pi * cfg.lambda_ris * side_condition(xg, yg, vg)
             self.gw = [
                 wy[None, :, None] * _serving_density(yg, intensity, state, cfg)
@@ -632,9 +624,10 @@ class _CoverageEvaluator:
         self.exponents = {
             los_only: {
                 serving: _ExponentTable([
-                    (density, power_gain * path_law(_STATES[f], cfg)[0], self.tables[f, serving])
+                    (self.tables[f, serving],
+                     [(density, power_gain * path_law(_STATES[f], cfg)[0])
+                      for density, power_gain in self.sets])
                     for f in ((0,) if los_only else (0, 1))
-                    for density, power_gain in self.sets
                 ])
                 for fstate, serving in self.tables
                 if fstate == 0

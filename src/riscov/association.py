@@ -120,11 +120,10 @@ def serving_bs_density(x, state: LinkKind, cfg: NetworkConfig):
     return _serving_density(x, _TWO_PI * cfg.lambda_bs, state, cfg)
 
 
-def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float,
-                        q: int = 192) -> float:
+def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float) -> float:
     """Integrate a decaying density over (0, inf) with a convergence check."""
     totals = []
-    for nodes in (q, 2 * q):
+    for nodes in (192, 384):
         x, w = tan_halfline_nodes(nodes, scale)
         totals.append(float(np.sum(w * density(x))))
     return refined(totals[0], totals[1], "half-line mass integral", 1e-6, floor=1e-3)
@@ -156,16 +155,6 @@ def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
     return mass_los if state is LinkKind.LOS else mass_nlos
 
 
-def serving_bs_mixture_density(x, cfg: NetworkConfig):
-    """Serving-BS distance density regardless of link state (normalized)."""
-    mass_los, mass_nlos = _bs_masses(cfg)
-    total = mass_los + mass_nlos
-    combined = serving_bs_density(x, LinkKind.LOS, cfg) + serving_bs_density(
-        x, LinkKind.NLOS, cfg
-    )
-    return combined / total
-
-
 # -- RIS side condition and distributions ------------------------------------
 
 
@@ -195,16 +184,6 @@ def bs_ris_distance(x, y, upsilon, r_min: float = 0.0):
     return np.maximum(np.sqrt(np.maximum(z2, 0.0)), r_min)
 
 
-def ris_case_density(y, x, upsilon, state: LinkKind, cfg: NetworkConfig):
-    """Unnormalized serving-RIS distance density for one link state.
-
-    Conditioned on the serving-BS distance x and direction angle upsilon;
-    integrates over y to the per-(x, upsilon) association probability.
-    """
-    intensity = np.pi * cfg.lambda_ris * side_condition(x, y, upsilon)
-    return _serving_density(y, intensity, state, cfg)
-
-
 # -- marginalized RIS-side expectations --------------------------------------
 
 
@@ -220,7 +199,11 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     scale_los, scale_nlos = _bs_length_scales(cfg)
     x_scale = max(scale_los, scale_nlos)
     x, wx = tan_halfline_nodes(q_x, x_scale)
-    fx = serving_bs_mixture_density(x, cfg)
+    # the serving-BS distance density regardless of link state, normalized
+    mass_los, mass_nlos = _bs_masses(cfg)
+    density_los, density_nlos = (serving_bs_density(x, state, cfg)
+                                 for state in (LinkKind.LOS, LinkKind.NLOS))
+    fx = (density_los + density_nlos) / (mass_los + mass_nlos)
     # (1/2pi) d-upsilon as a periodic average
     v, wv = fold_circle(_TWO_PI * (np.arange(q_v) + 0.5) / q_v, np.full(q_v, 1.0 / q_v))
 
@@ -272,7 +255,7 @@ def ris_joint_expectation(
         part = slice(start, start + rows)
         side = side_condition(xg[part], y[part], vg)
         values = [None if k is None else k(xg[part], y[part], vg, side) for k in kernels]
-        # ris_case_density's intensity, shared by both states; the side
+        # the reflectors' radial intensity, shared by both states; the side
         # condition is dropped before the densities' temporaries exist
         intensity = np.pi * cfg.lambda_ris * side
         del side
@@ -301,20 +284,13 @@ def assoc_prob_ris(state: LinkKind, cfg: NetworkConfig) -> float:
     return mass_los if state is LinkKind.LOS else mass_nlos
 
 
-def assoc_prob_via_ris(state: LinkKind, cfg: NetworkConfig) -> float:
-    """Probability the whole reflected path is LOS, or its complement.
-
-    The LOS bucket requires both the RIS-user and BS-RIS links LOS. The NLOS
-    bucket is everything else: with points everywhere, a reflected path always
-    exists, so the two buckets partition the event space.
-    """
+def assoc_prob_via_ris(cfg: NetworkConfig) -> float:
+    """Probability that the user is served through a LOS reflector whose
+    BS-RIS leg is LOS as well: the whole reflected path is LOS."""
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
         return 0.0
 
     def los_kernel(x, y, v, side):
         return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), cfg.beta)
 
-    (both_los,) = ris_joint_expectation(cfg, (los_kernel,), states=(LinkKind.LOS,))
-    if state is LinkKind.LOS:
-        return both_los
-    return 1.0 - both_los
+    return ris_joint_expectation(cfg, (los_kernel,), states=(LinkKind.LOS,))[0]

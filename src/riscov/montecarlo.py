@@ -54,6 +54,8 @@ class Deployment:
     blockage_segments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         for name in ("bs_points", "ris_points", "user_points"):
             pts = getattr(self, name)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -74,6 +76,8 @@ class Deployment:
             and segs[0].shape == segs[1].shape
         ):
             raise ValueError("blockage_segments must be two (n, 2) endpoint arrays of equal n")
+        if segs is not None and not (np.isfinite(segs[0]).all() and np.isfinite(segs[1]).all()):
+            raise ValueError("blockage_segments must be finite")
 
 
 @dataclass(frozen=True)
@@ -672,11 +676,11 @@ def sinr_samples(
     return SinrBatch(sinr, codes[:, 0], codes[:, 1], codes[:, 2], radius, seed, trials - done)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95 %) for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    p = successes / trials
+    p, z = successes / trials, _Z95
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z**2 / (4 * trials**2)) / denom
@@ -690,7 +694,6 @@ def empirical_coverage(
     radius: float | None = None,
     seed: int = 0,
     samples: SinrBatch | None = None,
-    **modes,
 ) -> CoverageResult:
     """Fraction of realizations with SINR at or above the threshold.
 
@@ -700,7 +703,7 @@ def empirical_coverage(
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if samples is None:
-        samples = sinr_samples(cfg, trials, radius, seed, **modes)
+        samples = sinr_samples(cfg, trials, radius, seed)
     n = samples.sinr.size
     covered = samples.sinr >= threshold
     by_case = {}
@@ -732,10 +735,10 @@ def association_frequencies(
     """Empirical association-case frequencies over independent deployments.
 
     Keys: serving direct-link state (d_los, d_nlos), serving reflector state
-    (u_los, u_nlos, no_ris) and the full reflected path state (g_los, g_nlos),
-    where g_los needs both reflected legs unblocked. Trial t draws the same
-    link states as trial t of ``sinr_samples`` without geometric blockage,
-    so the two agree on every association code.
+    (u_los, u_nlos, no_ris), and g_los, a serving reflected path with both
+    legs unblocked. Trial t draws the same link states as trial t of
+    ``sinr_samples`` without geometric blockage, so the two agree on every
+    association code.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -755,6 +758,5 @@ def association_frequencies(
     freq = {key: val / done for key, val in counts.items()}
     freq["d_nlos"] = 1.0 - freq["d_los"]
     freq["no_ris"] = 1.0 - freq["u_los"] - freq["u_nlos"]
-    freq["g_nlos"] = 1.0 - freq["g_los"]
     freq["trials"] = float(done)
     return freq

@@ -228,7 +228,6 @@ def run_sweep(
     kind: str,
     cfg: NetworkConfig,
     engines=("analytic",),
-    output: str | Path | None = None,
     metrics=None,
     threshold_db: float = 0.0,
     trials: int = 2000,
@@ -236,7 +235,7 @@ def run_sweep(
     quad: QuadratureSpec = QuadratureSpec(),
     workers: int = 1,
 ) -> SweepTable:
-    """Evaluate one sweep and optionally write it to `output`.
+    """Evaluate one sweep into a `SweepTable`.
 
     Density and size sweeps hold the threshold fixed at `threshold_db`; the
     sampling engine draws `trials` deployments per grid point (one shared
@@ -323,8 +322,6 @@ def run_sweep(
             table.errors.append(err)
 
     table.finalize()
-    if output is not None:
-        table.write(output)
     return table
 
 
@@ -447,8 +444,7 @@ def validate(
             "d_los": assoc_prob_bs(LinkKind.LOS, cfg),
             "d_nlos": assoc_prob_bs(LinkKind.NLOS, cfg),
             "u_los": assoc_prob_ris(LinkKind.LOS, cfg),
-            "g_los": assoc_prob_via_ris(LinkKind.LOS, cfg),
-            "g_nlos": assoc_prob_via_ris(LinkKind.NLOS, cfg),
+            "g_los": assoc_prob_via_ris(cfg),
         }
         for key, ana in expected.items():
             checks.append(

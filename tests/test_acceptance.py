@@ -115,8 +115,7 @@ def test_criterion_4_association_statistics():
         "d_los": assoc_prob_bs(LinkKind.LOS, CFG),
         "d_nlos": assoc_prob_bs(LinkKind.NLOS, CFG),
         "u_los": assoc_prob_ris(LinkKind.LOS, CFG),
-        "g_los": assoc_prob_via_ris(LinkKind.LOS, CFG),
-        "g_nlos": assoc_prob_via_ris(LinkKind.NLOS, CFG),
+        "g_los": assoc_prob_via_ris(CFG),
     }
     deltas = {key: expected[key] - freq[key] for key in expected}
     worst = max(abs(d) for d in deltas.values())

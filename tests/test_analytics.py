@@ -485,16 +485,22 @@ def test_lookup_at_column_row_edges(cfg):
 
 def test_coverage_tables_match_exact_sum(cfg, light_quad):
     # at 1e-6 some s fall below the base-station and reflector tables; no s
-    # of an evaluate grid gets above them (test_log_laplace_beyond_table_edges)
-    tabled = _CoverageEvaluator(cfg, light_quad)
-    exact = _exact_evaluator(cfg, light_quad)
-    for threshold in (1e-6, 1.0, 1e6):
-        for direct in (False, True):
-            got = tabled.evaluate(threshold, direct_signal=direct)
-            want = exact.evaluate(threshold, direct_signal=direct)
-            assert got.total == pytest.approx(want.total, abs=1e-9)
-            assert got.by_case == pytest.approx(want.by_case, abs=1e-9)
-    assert 0.0 < got.meta["table_residual"] < 1e-9
+    # of an evaluate grid gets above them (test_log_laplace_beyond_table_edges).
+    # Without users no base station and no reflector is active: the tables
+    # drop the zero-density terms, and the base-station side has none left
+    for case in (cfg, cfg.replace(lambda_u=0.0)):
+        tabled = _CoverageEvaluator(case, light_quad)
+        exact = _exact_evaluator(case, light_quad)
+        for threshold in (1e-6, 1.0, 1e6):
+            for direct in (False, True):
+                got = tabled.evaluate(threshold, direct_signal=direct)
+                want = exact.evaluate(threshold, direct_signal=direct)
+                assert got.total == pytest.approx(want.total, abs=1e-9)
+                assert got.by_case == pytest.approx(want.by_case, abs=1e-9)
+        assert 0.0 < got.meta["table_residual"] < 1e-9
+    groups = [[len(terms) for _, terms in table.groups]
+              for table in _all_exponent_tables(tabled, False)]
+    assert groups == [[], [], [1, 1], [1, 1], [1, 1]]
 
 
 def test_small_beta_tables_built_lazily(cfg, light_quad):
@@ -617,9 +623,9 @@ def test_shared_tail_table_fill_is_per_term_fill(cfg, light_quad):
     for los_only in (False, True):
         for table in ev.exponents[los_only].values():
             alone = copy.copy(table)
-            # a tail table of its own for each term
-            alone.terms = [term._replace(table=tuple(term.table)) for term in table.terms]
-            shared += len(table.terms) - len({id(term.table) for term in table.terms})
+            # a group of its own for each term
+            alone.groups = [(tail, [term]) for tail, terms in table.groups for term in terms]
+            shared += len(alone.groups) - len(table.groups)
             for u, cols in _lattice(table):
                 got = table._exact(u, cols, derivatives=True)
                 assert np.array_equal(got, alone._exact(u, cols, derivatives=True))
@@ -639,13 +645,10 @@ def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
 
     def counted_exact(table, u, cols, derivatives=False):
         count = np.bincount(cols, minlength=table.k_lo.size)  # pairs per column
-        shared = {}  # per tail table, its terms and its chunk
-        for term in table.terms:
-            chunk = max(1, analytics._CHUNK // len(term.table[0]))
-            per_term[0] += int(np.sum(-(-count // chunk)))
-            shared[id(term.table)] = shared.get(id(term.table), (0,))[0] + 1, chunk
-        triples[0] += sum(int(np.sum(-(-(terms * count) // chunk)))
-                          for terms, chunk in shared.values())
+        for (a, _), terms in table.groups:
+            chunk = max(1, analytics._CHUNK // len(a))
+            per_term[0] += len(terms) * int(np.sum(-(-count // chunk)))
+            triples[0] += int(np.sum(-(-(len(terms) * count) // chunk)))
         return exact(table, u, cols, derivatives)
 
     monkeypatch.setattr(analytics, "_j", counted_j)
@@ -692,13 +695,13 @@ def test_analytic_rejects_bad_threshold(cfg, threshold):
 def _full_sum(table, u, cols):
     """(L, L_u, L_uu) with `_j` over every term at every (u, column) pair."""
     out = np.zeros((3, len(u)))
-    for term in table.terms:
-        a, b = term.table
-        for col in np.unique(cols):
-            i = cols == col
-            out[:, i] += term.density * np.array(
-                _j(np.exp(u[i]) * term.scale, (a[:, col:col + 1], b[:, col:col + 1]), True)
-            )
+    for (a, b), terms in table.groups:
+        for density, scale in terms:
+            for col in np.unique(cols):
+                i = cols == col
+                out[:, i] += density * np.array(
+                    _j(np.exp(u[i]) * scale, (a[:, col:col + 1], b[:, col:col + 1]), True)
+                )
     return out
 
 

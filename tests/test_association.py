@@ -11,6 +11,7 @@ from scipy import integrate
 from riscov import association
 from riscov.analytics import _chebyshev_angle
 from riscov.association import (
+    _serving_density,
     assoc_prob_bs,
     assoc_prob_ris,
     assoc_prob_via_ris,
@@ -18,10 +19,8 @@ from riscov.association import (
     equivalent_distance,
     los_weighted_area,
     nlos_weighted_area,
-    ris_case_density,
     ris_joint_expectation,
     serving_bs_density,
-    serving_bs_mixture_density,
     side_condition,
     state_weight,
 )
@@ -90,8 +89,12 @@ def test_serving_bs_masses(cfg):
 
 
 def test_serving_bs_mixture_normalizes(cfg):
+    # the state-blind serving-BS density that weights `_ris_grid`'s x axis
+    total = assoc_prob_bs(LinkKind.LOS, cfg) + assoc_prob_bs(LinkKind.NLOS, cfg)
     mass, _ = integrate.quad(
-        lambda x: serving_bs_mixture_density(x, cfg), 0.0, 4000.0, limit=400
+        lambda x: (serving_bs_density(x, LinkKind.LOS, cfg)
+                   + serving_bs_density(x, LinkKind.NLOS, cfg)) / total,
+        0.0, 4000.0, limit=400,
     )
     assert mass == pytest.approx(1.0, rel=1e-6)
 
@@ -135,19 +138,25 @@ def test_bs_ris_distance_law_of_cosines():
     assert bs_ris_distance(10.0, 10.0, 0.0, r_min=1.0) == 1.0
 
 
+def _ris_case_density(y, x, upsilon, state, cfg):
+    """Serving-reflector distance density of one state at (x, upsilon)."""
+    intensity = np.pi * cfg.lambda_ris * side_condition(x, y, upsilon)
+    return _serving_density(y, intensity, state, cfg)
+
+
 def test_nearest_los_ris_pdf_mass(cfg):
     # conditional on (x, ups): total mass is the LOS-reflector hit probability;
     # a vanishing NLOS intercept removes the NLOS guard
     x, ups = 150.0, 1.3
     no_guard = cfg.replace(c_nlos=1e-30)
     mass, _ = integrate.quad(
-        lambda y: ris_case_density(y, x, ups, LinkKind.LOS, no_guard), 0.0, 3000.0, limit=400
+        lambda y: _ris_case_density(y, x, ups, LinkKind.LOS, no_guard), 0.0, 3000.0, limit=400
     )
     assert 0.0 < mass < 1.0
     # doubling the density increases the hit probability
     dense = no_guard.replace(lambda_ris=2.0 * cfg.lambda_ris)
     mass2, _ = integrate.quad(
-        lambda y: ris_case_density(y, x, ups, LinkKind.LOS, dense), 0.0, 3000.0, limit=400
+        lambda y: _ris_case_density(y, x, ups, LinkKind.LOS, dense), 0.0, 3000.0, limit=400
     )
     assert mass2 > mass
 
@@ -222,7 +231,7 @@ def test_angle_integrands_symmetric(count, midpoint, x, y, beta):
         return (1.0 + 2.0 * cfg.lambda_u / (side_condition(x, y, v) * cfg.lambda_ris)) ** -3.5
 
     integrands = [bs_ris_distance, side_condition, los_leg, idle] + [
-        lambda x, y, v, state=state: ris_case_density(y, x, v, state, cfg)
+        lambda x, y, v, state=state: _ris_case_density(y, x, v, state, cfg)
         for state in (LinkKind.LOS, LinkKind.NLOS)
     ]
     for integrand in integrands:
@@ -252,8 +261,6 @@ def test_joint_expectation_folded_matches_full_circle(cfg, q_v):
 
 
 def test_reflected_path_state_split(cfg):
-    a_gl = assoc_prob_via_ris(LinkKind.LOS, cfg)
-    a_gn = assoc_prob_via_ris(LinkKind.NLOS, cfg)
-    assert a_gl + a_gn == pytest.approx(1.0, abs=1e-12)
+    a_gl = assoc_prob_via_ris(cfg)
     # a fully LOS reflected path requires an LOS serving reflector
-    assert a_gl <= assoc_prob_ris(LinkKind.LOS, cfg) + 1e-9
+    assert 0.0 < a_gl <= assoc_prob_ris(LinkKind.LOS, cfg) + 1e-9
