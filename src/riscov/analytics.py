@@ -152,7 +152,7 @@ def active_prob_ris(cfg: NetworkConfig) -> float:
         return _empty_cell_prob(2.0 * cfg.lambda_u / (side * cfg.lambda_ris))
 
     # the kernel lies in [0, 1], so 0 <= idle_mass <= total_mass
-    idle_mass, total_mass = ris_joint_expectation(cfg, (idle_kernel, None))
+    idle_mass, total_mass = map(sum, ris_joint_expectation(cfg, (idle_kernel, None)))
     if total_mass <= 0.0:
         return 0.0
     return 1.0 - idle_mass / total_mass
@@ -216,16 +216,14 @@ _VOID_FREE_FLOOR = 1e-9
 _VOID_FREE_NODES = 8
 
 
-def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int,
-                knee: float = 0.0):
+def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int):
     """Tables (A, B) with J(c) = sum_k A[k] * (1 - exp(-c * B[k])).
 
     J(c) integrates the state-thinning weight times (1 - exp(-c*r^-alpha))*r
     over r beyond `exclusion`: the exponent of one interfering set's Laplace
     transform per unit density.  The node axis comes first; the other axes
     follow `exclusion`.  An all-zero `exclusion` (no void) adds a rule in
-    ln r below the map scale.  `knee`, the c^(1/alpha) of a table serving
-    one c, is a floor on the map scale wherever blockage does not bound it.
+    ln r below the map scale.
     """
     exclusion = np.asarray(exclusion, dtype=float)
     # support is bounded by the blockage decay for LOS sets and by the
@@ -233,8 +231,6 @@ def _tail_table(state: LinkKind, exclusion, cfg: NetworkConfig, nodes: int,
     scale = np.maximum(3.0 * exclusion, 100.0 * cfg.r_min)
     if state is LinkKind.LOS and cfg.beta > 0.0:
         scale = np.maximum(np.minimum(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
-    else:
-        scale = np.maximum(scale, knee)
     if exclusion.any():
         r, w = halfline_nodes(nodes, scale, exclusion)
     else:

@@ -149,12 +149,6 @@ def _bs_masses(cfg: NetworkConfig) -> tuple[float, float]:
     return mass_los, mass_nlos
 
 
-def assoc_prob_bs(state: LinkKind, cfg: NetworkConfig) -> float:
-    """Probability that the serving BS link is LOS (or NLOS)."""
-    mass_los, mass_nlos = _bs_masses(cfg)
-    return mass_los if state is LinkKind.LOS else mass_nlos
-
-
 # -- RIS side condition and distributions ------------------------------------
 
 
@@ -229,28 +223,27 @@ _GRID_BLOCK = 1 << 15
 def ris_joint_expectation(
     cfg: NetworkConfig,
     kernels: Sequence[Callable | None],
-    states: tuple[LinkKind, ...] = (LinkKind.LOS, LinkKind.NLOS),
     q_x: int = 96,
     q_v: int = 48,
     q_y: int = 96,
-) -> tuple[float, ...]:
+) -> tuple[tuple[float, float], ...]:
     """Mass-weighted integrals over the serving-RIS joint distribution.
 
-    For each of `kernels`, in order, the sum over the requested RIS states of
+    For each of `kernels`, in order, the (LOS, NLOS) pair of
     E_x E_upsilon [ integral g_state(y; x, upsilon) * kernel(x, y, upsilon) dy ]
     where g_state is the unnormalized case density; a kernel None means 1.
     A kernel takes (x, y, upsilon, C) with C = side_condition(x, y, upsilon),
     which the densities need as well, and must depend on upsilon through
     cos upsilon only (`_ris_grid`).  One grid pass serves every kernel, each
-    total bitwise its lone pass's.
+    pair bitwise its lone pass's.
     """
     if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
-        return (0.0,) * len(kernels)
+        return ((0.0, 0.0),) * len(kernels)
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
     # a block of x rows at a time keeps the kernels' temporaries small; the
     # y sums are per row, so the blocks change no bit of the result
     rows = max(1, _GRID_BLOCK // (vg.size * q_y))
-    inner = np.empty((len(kernels), len(states)) + weight_xv.shape)
+    inner = np.empty((len(kernels), 2) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
         side = side_condition(xg[part], y[part], vg)
@@ -259,38 +252,28 @@ def ris_joint_expectation(
         # condition is dropped before the densities' temporaries exist
         intensity = np.pi * cfg.lambda_ris * side
         del side
-        for i, state in enumerate(states):
+        for i, state in enumerate((LinkKind.LOS, LinkKind.NLOS)):
             g = _serving_density(y[part], intensity, state, cfg)
             for j, value in enumerate(values):
                 inner[j, i, part] = np.sum(wy[part] * (g if value is None else g * value),
                                            axis=-1)
-    return tuple(sum((float(np.sum(weight_xv * one)) for one in per_state), 0.0)
-                 for per_state in inner)
+    return tuple((float(np.sum(weight_xv * los)), float(np.sum(weight_xv * nlos)))
+                 for los, nlos in inner)
 
 
-@lru_cache(maxsize=128)
-def _ris_masses(cfg: NetworkConfig) -> tuple[float, float]:
-    (mass_los,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.LOS,))
-    (mass_nlos,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.NLOS,))
-    (check_los,) = ris_joint_expectation(cfg, (None,), states=(LinkKind.LOS,),
-                                         q_x=144, q_v=64, q_y=144)
-    refined(mass_los, check_los, "RIS association mass", 1e-3, abs_tol=2e-4)
-    return mass_los, mass_nlos
+def association_probabilities(cfg: NetworkConfig) -> dict[str, float]:
+    """Association probabilities of the typical user.
 
-
-def assoc_prob_ris(state: LinkKind, cfg: NetworkConfig) -> float:
-    """Probability that the serving reflected path uses a LOS (NLOS) RIS."""
-    mass_los, mass_nlos = _ris_masses(cfg)
-    return mass_los if state is LinkKind.LOS else mass_nlos
-
-
-def assoc_prob_via_ris(cfg: NetworkConfig) -> float:
-    """Probability that the user is served through a LOS reflector whose
-    BS-RIS leg is LOS as well: the whole reflected path is LOS."""
-    if cfg.lambda_ris == 0.0 or cfg.lambda_bs == 0.0:
-        return 0.0
+    d_los: the serving BS link is LOS.  u_los, u_nlos: the serving reflector
+    is LOS, NLOS.  g_los: the serving reflector is LOS and so is its BS-RIS
+    leg, so the whole reflected path is LOS.  Each key is also one of
+    `montecarlo.association_frequencies`.
+    """
 
     def los_kernel(x, y, v, side):
         return state_weight(LinkKind.LOS, bs_ris_distance(x, y, v), cfg.beta)
 
-    return ris_joint_expectation(cfg, (los_kernel,), states=(LinkKind.LOS,))[0]
+    (u_los, u_nlos), (g_los, _) = ris_joint_expectation(cfg, (None, los_kernel))
+    ((check_los, _),) = ris_joint_expectation(cfg, (None,), q_x=144, q_v=64, q_y=144)
+    refined(u_los, check_los, "RIS association mass", 1e-3, abs_tol=2e-4)
+    return {"d_los": _bs_masses(cfg)[0], "u_los": u_los, "u_nlos": u_nlos, "g_los": g_los}

@@ -35,16 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="model config file (YAML key: value)")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    common.add_argument(
-        "--engine", choices=sorted(_ENGINE_SETS), default="analytic",
-        help="evaluation engine(s) (default analytic)",
-    )
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", parents=[common], help="run a parameter sweep")
+    p = sub.add_parser("sweep", parents=[sampled], help="run a parameter sweep")
+    p.add_argument("--engine", choices=sorted(_ENGINE_SETS), default="analytic",
+                   help="evaluation engine(s) (default analytic)")
     p.add_argument("--kind", required=True, choices=sweeps.SWEEP_KINDS)
     p.add_argument(
         "--metrics", metavar="LIST",
@@ -56,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sampling trials per grid point (default 2000)")
     p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
 
-    p = sub.add_parser("coverage", parents=[common], help="coverage at one threshold")
+    p = sub.add_parser("coverage", parents=[sampled], help="coverage at one threshold")
+    p.add_argument("--engine", choices=sweeps.ENGINES, default="analytic",
+                   help="evaluation engine (default analytic)")
     p.add_argument("--threshold-db", type=float, default=0.0)
     p.add_argument("--metric", choices=("p1", "p2", "p_d", "p_t"), default="p1")
     p.add_argument("--trials", type=int, default=10_000)
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("gains", parents=[common], help="dump average misalignment gains")
 
-    p = sub.add_parser("validate", parents=[common], help="cross-engine tolerance checks")
+    p = sub.add_parser("validate", parents=[sampled], help="cross-engine tolerance checks")
     p.add_argument("--trials", type=int, default=10_000,
                    help="trial budget for sampling checks; 0 skips them")
     return parser
@@ -113,9 +114,6 @@ def _cmd_sweep(args, cfg: NetworkConfig) -> int:
 
 
 def _cmd_coverage(args, cfg: NetworkConfig) -> int:
-    if args.engine == "both":
-        print("error: coverage reports one engine per call", file=sys.stderr)
-        return 2
     threshold = 10.0 ** (args.threshold_db / 10.0)
     metric_cfg = sweeps.metric_config(args.metric, cfg)
     payload = {"metric": args.metric, "threshold_db": args.threshold_db}
@@ -141,10 +139,7 @@ def _cmd_coverage(args, cfg: NetworkConfig) -> int:
     return 0
 
 
-def _cmd_efficiency(args, cfg: NetworkConfig, field: str) -> int:
-    if args.engine != "analytic":
-        print(f"error: {field} is computed by the analytic engine only", file=sys.stderr)
-        return 2
+def _cmd_efficiency(args, cfg: NetworkConfig) -> int:
     threshold = 10.0 ** (args.threshold_db / 10.0)
     res = energy_efficiency(threshold, cfg)
     payload = {
@@ -163,8 +158,10 @@ def _cmd_gains(args, cfg: NetworkConfig) -> int:
 
 
 def _cmd_validate(args, cfg: NetworkConfig) -> int:
-    report = sweeps.validate(cfg, budget=args.trials, output=args.out, seed=args.seed)
+    report = sweeps.validate(cfg, budget=args.trials, seed=args.seed)
     sys.stdout.write(report.text)
+    if args.out is not None:
+        _emit(report.text, args.out)
     return report.exit_status
 
 
@@ -176,10 +173,8 @@ def main(argv=None) -> int:
             return _cmd_sweep(args, cfg)
         if args.command == "coverage":
             return _cmd_coverage(args, cfg)
-        if args.command == "ase":
-            return _cmd_efficiency(args, cfg, "ase")
-        if args.command == "ee":
-            return _cmd_efficiency(args, cfg, "ee")
+        if args.command in ("ase", "ee"):
+            return _cmd_efficiency(args, cfg)
         if args.command == "gains":
             return _cmd_gains(args, cfg)
         return _cmd_validate(args, cfg)

@@ -634,13 +634,12 @@ def realize_sinr(
     dep: Deployment,
     cfg: NetworkConfig,
     seed: int = 0,
-    draw_serving_gains: bool = False,
 ) -> SinrSample:
     """Realize link states, beams and activity on a fixed deployment."""
     if dep.bs_points.shape[0] == 0:
         raise ValueError("deployment has no base stations")
     trial = _trial(dep, cfg, _rng(seed, _REALIZE_KEY))
-    signal, interference, codes = _realize([trial], cfg, draw_serving_gains)
+    signal, interference, codes = _realize([trial], cfg, False)
     noise = cfg.noise_power_watt
     rho, xi, leg = (_CODE_STATE.get(int(c)) for c in codes[0])
     return SinrSample(
@@ -734,9 +733,9 @@ def association_frequencies(
 ) -> dict[str, float]:
     """Empirical association-case frequencies over independent deployments.
 
-    Keys: serving direct-link state (d_los, d_nlos), serving reflector state
-    (u_los, u_nlos, no_ris), and g_los, a serving reflected path with both
-    legs unblocked. Trial t draws the same link states as trial t of
+    Keys: d_los, a LOS serving BS; the serving reflector's state (u_los,
+    u_nlos, no_ris); and g_los, a serving reflected path with both legs
+    unblocked. Trial t draws the same link states as trial t of
     ``sinr_samples`` without geometric blockage, so the two agree on every
     association code.
     """
@@ -756,7 +755,6 @@ def association_frequencies(
     if done == 0:
         raise ValueError("no deployment contained a base station")
     freq = {key: val / done for key, val in counts.items()}
-    freq["d_nlos"] = 1.0 - freq["d_los"]
     freq["no_ris"] = 1.0 - freq["u_los"] - freq["u_nlos"]
     freq["trials"] = float(done)
     return freq

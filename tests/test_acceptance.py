@@ -22,12 +22,7 @@ from riscov.analytics import (
     coverage_probability,
     coverage_small_beta,
 )
-from riscov.association import (
-    assoc_prob_bs,
-    assoc_prob_ris,
-    assoc_prob_via_ris,
-    side_condition,
-)
+from riscov.association import association_probabilities, side_condition
 from riscov.beamforming import (
     average_gains,
     fejer_kernel,
@@ -37,7 +32,6 @@ from riscov.beamforming import (
 )
 from riscov.config import NetworkConfig
 from riscov.montecarlo import association_frequencies, empirical_coverage, sinr_samples
-from riscov.propagation import LinkKind
 from riscov.sweeps import (
     BS_DENSITY_GRID,
     RIS_SIZE_GRID,
@@ -111,13 +105,8 @@ def test_criterion_3_rare_blockage_limit():
 def test_criterion_4_association_statistics():
     """Closed-form association masses match empirical frequencies."""
     freq = association_frequencies(CFG, 100_000, seed=5)
-    expected = {
-        "d_los": assoc_prob_bs(LinkKind.LOS, CFG),
-        "d_nlos": assoc_prob_bs(LinkKind.NLOS, CFG),
-        "u_los": assoc_prob_ris(LinkKind.LOS, CFG),
-        "g_los": assoc_prob_via_ris(CFG),
-    }
-    deltas = {key: expected[key] - freq[key] for key in expected}
+    expected = association_probabilities(CFG)
+    deltas = {key: expected[key] - freq[key] for key in ("d_los", "u_los", "g_los")}
     worst = max(abs(d) for d in deltas.values())
     listing = " ".join(f"{k}:{d:+.4f}" for k, d in deltas.items())
     _report(

@@ -13,9 +13,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from riscov import analytics
-from riscov._quad import IntegrationError, refined, tan_halfline_nodes
+from riscov._quad import (
+    IntegrationError,
+    halfline_nodes,
+    log_halfline_nodes,
+    refined,
+    tan_halfline_nodes,
+)
 from riscov.analytics import (
     _TABLE_STEP,
+    _VOID_FREE_FLOOR,
+    _VOID_FREE_NODES,
     QuadratureSpec,
     _CoverageEvaluator,
     _ExponentTable,
@@ -207,10 +215,28 @@ def laplace_interference(
     intercept, alpha = path_law(state, cfg)
     c = s * power_gain * intercept
     knee = c ** (1.0 / alpha)
-    total = _j(c, _tail_table(state, exclusion, cfg, 192, knee))
-    check = refined(total, _j(c, _tail_table(state, exclusion, cfg, 384, knee)),
+    total = _j(c, _knee_table(state, exclusion, cfg, 192, knee))
+    check = refined(total, _j(c, _knee_table(state, exclusion, cfg, 384, knee)),
                     "interference tail integral", 1e-8, floor=1e-12)
     return float(np.exp(-density * check))
+
+
+def _knee_table(state, exclusion, cfg, nodes, knee):
+    """`_tail_table`'s rule for a table that serves one c: the knee
+    c^(1/alpha) is a floor on the map scale wherever blockage does not bound
+    it, so the rule resolves that c however far its knee lies."""
+    scale = max(3.0 * exclusion, 100.0 * cfg.r_min)
+    if state is LinkKind.LOS and cfg.beta > 0.0:
+        scale = max(min(scale, 5.0 / cfg.beta), 1.0 / cfg.beta)
+    else:
+        scale = max(scale, knee)
+    if exclusion > 0.0:
+        r, w = halfline_nodes(nodes, scale, exclusion)
+    else:
+        r, w = log_halfline_nodes(_VOID_FREE_NODES * nodes, nodes,
+                                  _VOID_FREE_FLOOR * cfg.r_min, scale)
+    _, alpha = path_law(state, cfg)
+    return w * state_weight(state, r, cfg.beta) * r, r**-alpha
 
 
 def _void_free_reference(cfg, state, c):

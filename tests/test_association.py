@@ -11,10 +11,9 @@ from scipy import integrate
 from riscov import association
 from riscov.analytics import _chebyshev_angle
 from riscov.association import (
+    _bs_masses,
     _serving_density,
-    assoc_prob_bs,
-    assoc_prob_ris,
-    assoc_prob_via_ris,
+    association_probabilities,
     bs_ris_distance,
     equivalent_distance,
     los_weighted_area,
@@ -77,8 +76,7 @@ def test_nearest_los_bs_pdf_normalizes(cfg):
 
 
 def test_serving_bs_masses(cfg):
-    a_los = assoc_prob_bs(LinkKind.LOS, cfg)
-    a_nlos = assoc_prob_bs(LinkKind.NLOS, cfg)
+    a_los, a_nlos = _bs_masses(cfg)
     assert 0.0 < a_los < 1.0
     assert a_los + a_nlos == pytest.approx(1.0, abs=1e-9)
     # each mass equals the integral of its unnormalized density
@@ -90,7 +88,7 @@ def test_serving_bs_masses(cfg):
 
 def test_serving_bs_mixture_normalizes(cfg):
     # the state-blind serving-BS density that weights `_ris_grid`'s x axis
-    total = assoc_prob_bs(LinkKind.LOS, cfg) + assoc_prob_bs(LinkKind.NLOS, cfg)
+    total = sum(_bs_masses(cfg))
     mass, _ = integrate.quad(
         lambda x: (serving_bs_density(x, LinkKind.LOS, cfg)
                    + serving_bs_density(x, LinkKind.NLOS, cfg)) / total,
@@ -101,9 +99,9 @@ def test_serving_bs_mixture_normalizes(cfg):
 
 def test_bs_association_limits(cfg):
     # removing blockage pushes every serving link to LOS
-    assert assoc_prob_bs(LinkKind.LOS, cfg.replace(beta=1e-6)) > 0.999
+    assert _bs_masses(cfg.replace(beta=1e-6))[0] > 0.999
     # strong blockage leaves mostly NLOS service
-    assert assoc_prob_bs(LinkKind.NLOS, cfg.replace(beta=0.2)) > 0.9
+    assert _bs_masses(cfg.replace(beta=0.2))[1] > 0.9
 
 
 def test_side_condition_hand_cases():
@@ -162,18 +160,18 @@ def test_nearest_los_ris_pdf_mass(cfg):
 
 
 def test_ris_masses_partition(cfg):
-    a_ul = assoc_prob_ris(LinkKind.LOS, cfg)
-    a_un = assoc_prob_ris(LinkKind.NLOS, cfg)
+    probs = association_probabilities(cfg)
+    a_ul, a_un = probs["u_los"], probs["u_nlos"]
     assert a_ul > 0.0 and a_un > 0.0
     assert a_ul + a_un <= 1.0 + 1e-9
-    # the joint-expectation identity the masses are built from
-    (total,) = ris_joint_expectation(cfg, (None,))
-    assert total == pytest.approx(a_ul + a_un, rel=1e-9)
+    # the masses are the joint expectation of the kernel 1
+    assert ris_joint_expectation(cfg, (None,)) == ((a_ul, a_un),)
 
 
 def test_joint_expectation_kernels_share_one_pass(cfg):
-    """Each total of a multi-kernel pass is bitwise its single-kernel pass,
-    on the default configuration and at extreme densities and blockage."""
+    """Each (kernel, state) total of a multi-kernel pass is bitwise its
+    single-kernel pass's, on the default configuration and at extreme
+    densities and blockage."""
     unit = 1.0 / (math.pi * 500.0**2)
     configs = [cfg] + [
         cfg.replace(lambda_u=lambda_u * unit, lambda_ris=lambda_ris * unit, beta=beta)
@@ -191,7 +189,8 @@ def test_joint_expectation_kernels_share_one_pass(cfg):
         assert pair == ris_joint_expectation(case, (occupancy,)) + ris_joint_expectation(
             case, (None,)
         )
-        assert 0.0 <= pair[0] <= pair[1]
+        for idle, total in zip(*pair):
+            assert 0.0 <= idle <= total
 
 
 def _full_circle(mp):
@@ -257,10 +256,10 @@ def test_joint_expectation_folded_matches_full_circle(cfg, q_v):
         with pytest.MonkeyPatch.context() as mp:
             _full_circle(mp)
             full = ris_joint_expectation(case, kernels, q_v=q_v)
-        assert folded == pytest.approx(full, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
 
 
 def test_reflected_path_state_split(cfg):
-    a_gl = assoc_prob_via_ris(cfg)
+    probs = association_probabilities(cfg)
     # a fully LOS reflected path requires an LOS serving reflector
-    assert 0.0 < a_gl <= assoc_prob_ris(LinkKind.LOS, cfg) + 1e-9
+    assert 0.0 < probs["g_los"] <= probs["u_los"] + 1e-9

@@ -341,7 +341,6 @@ def test_coverage_decreasing_in_threshold(cfg):
 
 def test_association_frequencies_structure(cfg):
     freq = association_frequencies(cfg, 600, seed=6)
-    assert freq["d_los"] + freq["d_nlos"] == pytest.approx(1.0)
     assert freq["u_los"] + freq["u_nlos"] + freq["no_ris"] == pytest.approx(1.0)
     assert 0.0 < freq["g_los"] <= freq["u_los"]
     assert freq["trials"] == 600.0

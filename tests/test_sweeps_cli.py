@@ -284,7 +284,7 @@ def test_validate_without_budget(cfg, light_quad):
     skipped = [c for c in report.checks if c.status == "SKIP"]
     assert len(skipped) == 3
     assert all("budget" in c.detail for c in skipped)
-    # the four analytic checks pass on their own, quadrature doubling included
+    # the three analytic checks pass on their own, quadrature doubling included
     assert report.exit_status == 0
     assert "FAIL" not in report.text
     # the doubling residual is printed in e-notation: at default nodes it is
@@ -294,10 +294,29 @@ def test_validate_without_budget(cfg, light_quad):
     assert match and float(match.group(1)) != 0.0
 
 
+def test_validate_report_rows(cfg, light_quad):
+    """Each row compares two independent results; none repeats or negates
+    another."""
+    report = validate(cfg, budget=200, quad=light_quad)
+    assert [c.name for c in report.checks] == [
+        "small-beta-consistency",
+        "quadrature-doubling",
+        "active-prob-closed-form",
+        "cross-coverage[-5dB]",
+        "cross-coverage[+0dB]",
+        "cross-coverage[+5dB]",
+        "cross-coverage[+10dB]",
+        "direct-consistency[thm-mc]",
+        "association[d_los]",
+        "association[u_los]",
+        "association[g_los]",
+    ]
+
+
 def test_validation_report_fail_exit_status():
     report = ValidationReport(
         checks=[
-            CheckResult("direct-consistency[thm-dir]", "PASS", "delta=+0.0000 limit=0.0300"),
+            CheckResult("small-beta-consistency", "PASS", "delta=+0.0004 limit=0.0200"),
             CheckResult("cross-coverage[+10dB]", "FAIL", "delta=-0.0854 limit=0.0300"),
             CheckResult("association", "SKIP", "no trial budget"),
         ],
@@ -317,7 +336,9 @@ def test_cli_gains_json(capsys):
 
 
 def test_cli_coverage_rejects_both_engines(capsys):
-    assert cli.main(["coverage", "--engine", "both"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["coverage", "--engine", "both"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_rejects_missing_config(capsys):
@@ -325,7 +346,9 @@ def test_cli_rejects_missing_config(capsys):
 
 
 def test_cli_ase_requires_analytic(capsys):
-    assert cli.main(["ase", "--engine", "montecarlo"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["ase", "--engine", "montecarlo"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_sweep_writes_both_formats(tmp_path, capsys):
@@ -357,9 +380,12 @@ def test_cli_coverage_payload(capsys):
     assert payload["by_case"] == dict(sorted(payload["by_case"].items()))
 
 
-def test_cli_validate_exit_code(capsys):
+def test_cli_validate_exit_code(tmp_path, capsys):
     # zero trials keeps only the analytic checks, which all pass
-    assert cli.main(["validate", "--trials", "0"]) == 0
+    path = tmp_path / "report" / "validate.txt"
+    assert cli.main(["validate", "--trials", "0", "--out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "SKIP" in out and "FAIL" not in out
     assert "result: PASS" in out
+    # --out writes exactly the report printed to stdout
+    assert path.read_text(encoding="utf-8") == out
