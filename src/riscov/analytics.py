@@ -522,6 +522,11 @@ class _CoverageEvaluator:
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
         if cfg.lambda_bs <= 0.0:
             raise ValueError("coverage requires lambda_bs > 0")
+        # the interference exponent integrates r^(1 - alpha) out to infinity
+        if cfg.beta == 0.0 and cfg.alpha_los <= 2.0:
+            raise ValueError("LOS interference diverges: beta=0 and alpha_los <= 2")
+        if cfg.beta > 0.0 and cfg.alpha_nlos <= 2.0:
+            raise ValueError("NLOS interference diverges: alpha_nlos <= 2")
         self.cfg = cfg
         self.quad = quad
         self.has_ris = cfg.lambda_ris > 0.0

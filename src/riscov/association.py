@@ -187,8 +187,10 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
     Every integrand sees upsilon only through cos upsilon, so of the q_v
     midpoints, which pair v with 2*pi - v, the rule keeps the half in (0, pi]
     at double weight: the same sums, to rounding.  Returns broadcastable
-    node/weight arrays; y nodes are scaled per (x, v) by the local
-    eligible-RIS density so the tan map resolves the mass.
+    node/weight arrays; y and wy are shaped (1, angles, q_y), one node set
+    for every x, scaled per angle by the eligible-RIS density at y = x, where
+    C(x, x, v) = 1 - arccos(sin(v/2))/pi whatever x is, so the tan map
+    resolves the mass.
     """
     scale_los, scale_nlos = _bs_length_scales(cfg)
     x_scale = max(scale_los, scale_nlos)
@@ -203,14 +205,15 @@ def _ris_grid(cfg: NetworkConfig, q_x: int, q_v: int, q_y: int):
 
     xg = x[:, None, None]
     vg = v[None, :, None]
-    # C depends on y as well; pick a y-independent scale from the y = x proxy
-    c_mid = side_condition(x[:, None], x[:, None], v[None, :])
-    base_scale = np.sqrt(2.0 / (np.pi * cfg.lambda_ris * np.maximum(c_mid, 0.05)))
+    # C depends on y as well; the scale takes it at y = x, where it depends on
+    # the angle alone and is at least 1/2
+    c_mid = 1.0 - np.arccos(np.sin(0.5 * v)) / np.pi
+    base_scale = np.sqrt(2.0 / (np.pi * cfg.lambda_ris * c_mid))
     if cfg.beta > 0:
         base_scale = np.minimum(base_scale, 3.0 / cfg.beta)
     t, wt = tan_halfline_nodes(q_y, 1.0)
-    y = base_scale[:, :, None] * t[None, None, :]
-    wy = base_scale[:, :, None] * wt[None, None, :]
+    y = base_scale[None, :, None] * t
+    wy = base_scale[None, :, None] * wt
     weight_xv = (wx * fx)[:, None] * wv[None, :]
     return xg, vg, y, weight_xv, wy
 
@@ -241,22 +244,22 @@ def ris_joint_expectation(
         return ((0.0, 0.0),) * len(kernels)
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
     # a block of x rows at a time keeps the kernels' temporaries small; the
-    # y sums are per row, so the blocks change no bit of the result
+    # y sums are per row, so the blocks change no bit of the result.  The y
+    # nodes are shared by every row, so the density's y-only factors broadcast
     rows = max(1, _GRID_BLOCK // (vg.size * q_y))
     inner = np.empty((len(kernels), 2) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
-        side = side_condition(xg[part], y[part], vg)
-        values = [None if k is None else k(xg[part], y[part], vg, side) for k in kernels]
+        side = side_condition(xg[part], y, vg)
+        values = [None if k is None else k(xg[part], y, vg, side) for k in kernels]
         # the reflectors' radial intensity, shared by both states; the side
         # condition is dropped before the densities' temporaries exist
         intensity = np.pi * cfg.lambda_ris * side
         del side
         for i, state in enumerate((LinkKind.LOS, LinkKind.NLOS)):
-            g = _serving_density(y[part], intensity, state, cfg)
+            g = _serving_density(y, intensity, state, cfg)
             for j, value in enumerate(values):
-                inner[j, i, part] = np.sum(wy[part] * (g if value is None else g * value),
-                                           axis=-1)
+                inner[j, i, part] = np.sum(wy * (g if value is None else g * value), axis=-1)
     return tuple((float(np.sum(weight_xv * los)), float(np.sum(weight_xv * nlos)))
                  for los, nlos in inner)
 

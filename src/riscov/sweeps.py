@@ -262,6 +262,8 @@ def run_sweep(
             raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     table = SweepTable()
 

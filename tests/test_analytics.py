@@ -141,6 +141,17 @@ def test_ris_interference_power_divergence_flags():
         ris_interference_power(NetworkConfig(alpha_nlos=1.0))
 
 
+def test_coverage_divergent_interference_raises(cfg):
+    # beta = 0 makes every link LOS, and alpha <= 2 leaves the interference
+    # exponent's integral of r^(1 - alpha) unbounded
+    with pytest.raises(ValueError, match="LOS interference diverges"):
+        coverage_probability(1.0, cfg.replace(beta=0.0))
+    with pytest.raises(ValueError, match="NLOS interference diverges"):
+        coverage_probability(1.0, cfg.replace(alpha_nlos=1.8, lambda_ris=0.0))
+    finite = coverage_probability(1.0, cfg.replace(beta=0.0, alpha_los=2.5))
+    assert 0.0 <= finite.total <= 1.0
+
+
 def test_laplace_trivial_values(cfg):
     assert laplace_interference("bs", LinkKind.LOS, 0.0, 10.0, cfg) == 1.0
     none = cfg.replace(lambda_bs=0.0, lambda_u=0.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from riscov import association
+from riscov._quad import tan_halfline_nodes
 from riscov.analytics import _chebyshev_angle
 from riscov.association import (
     _bs_masses,
@@ -111,6 +113,10 @@ def test_side_condition_hand_cases():
     assert side_condition(50.0, 50.0, math.pi / 2) == pytest.approx(0.75, abs=1e-12)
     # degenerate coincident geometry falls back to the symmetric tie
     assert side_condition(50.0, 50.0, 0.0) == pytest.approx(0.5)
+    # equal legs: C(x, x, v) = 1 - arccos(sin(v/2))/pi whatever x is
+    for x, v in itertools.product((3.0, 50.0, 900.0), (0.1, 1.0, 2.5, math.pi, 4.0)):
+        closed = 1.0 - math.acos(math.sin(v / 2.0)) / math.pi
+        assert side_condition(x, x, v) == pytest.approx(closed, abs=1e-12)
 
 
 def test_side_condition_against_brute_force():
@@ -257,6 +263,33 @@ def test_joint_expectation_folded_matches_full_circle(cfg, q_v):
             _full_circle(mp)
             full = ris_joint_expectation(case, kernels, q_v=q_v)
         np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
+
+
+def test_ris_grid_y_nodes_depend_on_angle_alone(cfg):
+    """Every x row shares one set of reflector-distance nodes and weights,
+    whose per-angle scale is the one side_condition(x, x, v) gives on each
+    row of the 96-node x grid."""
+    xg, vg, y, _, wy = association._ris_grid(cfg, 96, 48, 96)
+    assert y.shape == wy.shape == (1, 24, 96)
+    c = side_condition(xg[:, :, 0], xg[:, :, 0], vg[:, :, 0])
+    # the 3/beta cap binds at the small angles of the default configuration
+    scale = np.minimum(np.sqrt(2.0 / (np.pi * cfg.lambda_ris * c)), 3.0 / cfg.beta)
+    t, wt = tan_halfline_nodes(96, 1.0)
+    for got, nodes in ((y, t), (wy, wt)):
+        np.testing.assert_allclose(np.broadcast_to(got, (96, 24, 96)),
+                                   scale[:, :, None] * nodes, rtol=1e-14, atol=0.0)
+
+
+def test_association_probabilities_peak_memory():
+    # the y nodes, and the serving density's y-only factors, are one set for
+    # all x rows rather than one per row
+    tracemalloc.start()
+    try:
+        association_probabilities(NetworkConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_reflected_path_state_split(cfg):

@@ -271,6 +271,9 @@ def test_sweep_rejects_bad_arguments(cfg):
         run_sweep("sinr-threshold", cfg, engines=("exact",))
     with pytest.raises(ValueError):
         run_sweep("sinr-threshold", cfg, engines=("montecarlo",), trials=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep("ris-size", cfg, workers=workers)
     # analytic-only metrics on the sampling engine annotate instead of raising
     table = run_sweep("ris-size", cfg, engines=("montecarlo",), metrics=("ase",), trials=5)
     assert table.rows == []
@@ -343,6 +346,11 @@ def test_cli_coverage_rejects_both_engines(capsys):
 
 def test_cli_rejects_missing_config(capsys):
     assert cli.main(["gains", "--config", "/no/such/file.yaml"]) == 2
+
+
+def test_cli_sweep_rejects_zero_workers(capsys):
+    assert cli.main(["sweep", "--kind", "ris-size", "--workers", "0"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_ase_requires_analytic(capsys):
