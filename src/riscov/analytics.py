@@ -11,9 +11,9 @@ thinned point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the
 latter split again into active and idle) whose Laplace transforms share one
 half-line integral template.  The evaluator tabulates each side's summed
 exponent in u = ln s as per-interval polynomial coefficients, filled on
-demand: an evaluate first fills the intervals that its lookups at grid nodes
-of nonzero weight reach and no earlier one did, so a threshold costs two
-table lookups per Laplace product.
+demand: an evaluate first fills the intervals that its lookups at the kept
+grid nodes (those whose weight can reach the total) reach and no earlier one
+did, so a threshold costs two table lookups per Laplace product and kept node.
 """
 
 from __future__ import annotations
@@ -136,26 +136,42 @@ def active_prob_bs(cfg: NetworkConfig) -> float:
 
 
 @lru_cache(maxsize=64)
-def active_prob_ris(cfg: NetworkConfig) -> float:
-    """Probability a reflector cell holds at least one user.
+def _ris_activity(cfg: NetworkConfig) -> tuple[float, float]:
+    """(busy, idle) probabilities of a reflector cell.
 
-    Expectation of the occupancy over the serving geometry (x, y, angle),
-    normalized to the mass the serving-reflector densities capture.
+    Expectations of the occupancy and of its complement over the serving
+    geometry (x, y, angle), each normalized to their summed mass.  Both
+    kernels are integrated as they stand, so a small busy probability keeps
+    its full relative precision rather than the digits 1 - idle leaves.
     """
     if cfg.lambda_ris <= 0.0 or cfg.lambda_u <= 0.0 or cfg.lambda_bs <= 0.0:
-        return 0.0
+        return 0.0, 1.0
 
     # the eligible-user region around a reflector is a half-plane sector; its
     # effective cell is 1/c times larger than the isotropic Voronoi cell of a
-    # process with density lambda_ris / 2, hence the 2/c load scaling
-    def idle_kernel(x, y, v, side):
-        return _empty_cell_prob(2.0 * cfg.lambda_u / (side * cfg.lambda_ris))
+    # process with density lambda_ris / 2, hence the 2/c load scaling; the
+    # 3.5-moment fit in log1p form
+    def log_empty(side):
+        return -3.5 * np.log1p(2.0 * cfg.lambda_u / (side * cfg.lambda_ris))
 
-    # the kernel lies in [0, 1], so 0 <= idle_mass <= total_mass
-    idle_mass, total_mass = map(sum, ris_joint_expectation(cfg, (idle_kernel, None)))
-    if total_mass <= 0.0:
-        return 0.0
-    return 1.0 - idle_mass / total_mass
+    def busy_kernel(x, y, v, side):
+        return -np.expm1(log_empty(side))
+
+    def idle_kernel(x, y, v, side):
+        return np.exp(log_empty(side))
+
+    # both kernels lie in [0, 1]
+    busy, idle = map(sum, ris_joint_expectation(cfg, (busy_kernel, idle_kernel)))
+    total = busy + idle
+    if total <= 0.0:
+        return 0.0, 1.0
+    return busy / total, idle / total
+
+
+def active_prob_ris(cfg: NetworkConfig) -> float:
+    """Probability a reflector cell holds at least one user: the busy
+    probability of `_ris_activity`."""
+    return _ris_activity(cfg)[0]
 
 
 # -- ambient reflected power -------------------------------------------------
@@ -201,11 +217,12 @@ def _interferers(side: str, cfg: NetworkConfig) -> tuple[tuple[float, float], ..
     if side == "bs":
         return ((float(2.0 * np.pi * cfg.lambda_bs * active_prob_bs(cfg)),
                  float(cfg.p_bs_watt * mean_direct_interference_gain(cfg))),)
-    p_active, power = active_prob_ris(cfg), ris_interference_power(cfg)
+    p_busy, p_idle = _ris_activity(cfg)
+    power = ris_interference_power(cfg)
     return tuple(
         (float(np.pi * cfg.lambda_ris * p),
          float(power * mean_reflected_interference_gain(cfg, idle=idle)))
-        for p, idle in ((p_active, False), (1.0 - p_active, True))
+        for p, idle in ((p_busy, False), (p_idle, True))
     )
 
 
@@ -316,14 +333,24 @@ def _horner(coef, rows, t):
 class _Rows(NamedTuple):
     """The rows an `_ExponentTable` holds, replaced whole by each fill so a
     lookup reads one consistent set.  Per column, shaped like the
-    exclusions: the lattice index k0 of its first filled interval, their
-    count `width`, and the row `start` of `coef` that holds it; the series
-    row comes just before and the saturated row just after them."""
+    exclusions, or per node once `_ExponentTable.at` gathers them: the
+    lattice index k0 of its first filled interval, their count `width`, the
+    row `start` of `coef` that holds it, and the series edge s_edge; the
+    series row comes just before and the saturated row just after them."""
 
     coef: np.ndarray
     k0: np.ndarray
     width: np.ndarray
     start: np.ndarray
+    s_edge: np.ndarray
+
+    def __call__(self, s, k, t):
+        """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1), one per
+        node of gathered rows, in intervals `cover` has filled.  Below the
+        span a lookup takes the series row, with min(s, s_edge) in place of
+        t, and above it the saturated row."""
+        j = np.minimum(np.maximum(k - self.k0, -1), self.width)
+        return _horner(self.coef, self.start + j, np.where(j < 0, np.minimum(s, self.s_edge), t))
 
 
 class _ExponentTable:
@@ -337,7 +364,8 @@ class _ExponentTable:
     s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
     Hermite of L in t from its value and first two u-derivatives (with
     x = c*B, J_u = sum A*x*exp(-x) and J_uu = sum A*x*(1-x)*exp(-x)); and
-    the saturated sum(A*density) above the run.  A lookup is one Horner pass.
+    the saturated sum(A*density) above the run.  A lookup is one Horner pass
+    of the rows that `at` gathers.
 
     Intervals are filled on demand: `cover` fills those a u range reads, and
     each column holds one contiguous span of them.  `residual` is the worst
@@ -446,7 +474,7 @@ class _ExponentTable:
                     "interference exponent table", _TABLE_RTOL, floor=_TABLE_FLOOR)
             self.residual = max(self.residual, float(rel[worst]))
             self._rows = _Rows(coef, *(v.reshape(self.k_lo.shape)
-                                       for v in (k_lo + lo, width, start)))
+                                       for v in (k_lo + lo, width, start)), self.s_edge)
 
     def _exact(self, u, cols, derivatives: bool = False):
         """(L,) or (L, L_u, L_uu) at each (u, column) pair; the pairs come in
@@ -478,17 +506,39 @@ class _ExponentTable:
                 out += d * values[:, k::n]
         return out
 
-    def __call__(self, s, k, t):
-        """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1); s, k and
-        t broadcast against the columns, whose intervals at k `cover` has
-        filled.  Below the span a lookup takes the series row, with
-        min(s, s_edge) in place of t, and above it the saturated row."""
+    def at(self, cols):
+        """The rows the last fill left, gathered for nodes in the columns
+        `cols`, flat column indices one per node."""
         rows = self._rows
-        j = np.minimum(np.maximum(k - rows.k0, -1), rows.width)
-        return _horner(rows.coef, rows.start + j, np.where(j < 0, np.minimum(s, self.s_edge), t))
+        return _Rows(rows.coef, *(v.take(cols) for v in rows[1:]))
 
 
 # -- coverage evaluator ------------------------------------------------------
+
+# a case keeps the grid nodes whose weight exceeds this share of the grid
+# measure over (2^W - 1) times its node count: the gamma-dummy kernel is at
+# most 2^W - 1 in magnitude, so the nodes it drops move its part of the
+# total by at most this share
+_NEGLIGIBLE = 2.0**-100
+
+
+def _at(values, nodes, shape):
+    """`values`, which broadcast to the grid `shape`, at its flat `nodes`."""
+    return np.broadcast_to(values, shape).take(nodes)
+
+
+class _CaseNodes(NamedTuple):
+    """One case's nodes as an evaluate reads them: the case (irho, ixi,
+    los_only), the flat `nodes` of the grid `shape`, and per side, base
+    stations first, its exponent table's rows gathered at their columns."""
+
+    irho: int
+    ixi: int | None
+    los_only: bool
+    nodes: np.ndarray
+    shape: tuple
+    lookups: tuple
+
 
 def _reduce_to(ufunc, values, shape):
     """`ufunc`'s reduction of `values` over the axes where `shape` has size
@@ -512,11 +562,20 @@ class _CoverageEvaluator:
     `fdw` and tables) is built only by the configuration's reflector-free
     twin; an evaluator with reflectors holds the twin's evaluator as `base`
     and reads that side from it, so the cache keeps one copy for both.
+    Arrays live on the (x, y, angle) grid, with size-1 axes where a
+    quantity does not depend on that coordinate.
+
+    Per association case (irho, ixi), `_kept` holds the flat indices of the
+    nodes of the case's broadcast grid whose weight exceeds _NEGLIGIBLE *
+    norm / ((2^W - 1) * N), N the case's node count and W = quad.w_alzer.
+    The kernel is at most 2^W - 1, so the rest move the case's part by at
+    most _NEGLIGIBLE; their weight over `norm`, summed over the cases, is
+    `neglected_weight`.  The kept sets do not depend on the threshold.
     Evaluating one threshold first covers each table it reads over the s
-    range of its lookups, then forms s = gamma*T/signal on the grid and
-    looks each side up once per Laplace product; it keeps no result.  Arrays
-    live on the (x, y, angle) grid, with size-1 axes where a quantity does
-    not depend on that coordinate.
+    range of its lookups at kept nodes, then gathers each case's weight,
+    signals and table columns at its kept nodes and forms s = gamma*T/signal
+    there, looking each side up once per Laplace product; it keeps no
+    result.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -576,6 +635,16 @@ class _CoverageEvaluator:
             self.remainder = np.ones((quad.q1, self.v.size))
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
+        bound = _NEGLIGIBLE * self.norm / (2**quad.w_alzer - 1)
+        self._kept, dropped = {}, 0.0
+        for irho in (0, 1):
+            for ixi in (0, 1, None) if self.has_ris else (None,):
+                weight = self._weight(irho, ixi)
+                kept = weight > bound / weight.size
+                # int32 halves what the cached evaluators hold
+                self._kept[irho, ixi] = np.flatnonzero(kept).astype(np.int32)
+                dropped += float(np.sum(weight, where=~kept))
+        self.neglected_weight = dropped / self.norm
 
         self._build_signal_tables()
         self._build_factor_tables()
@@ -645,25 +714,25 @@ class _CoverageEvaluator:
 
         Keyed by (side index, serving state) of each table an evaluate
         reads: per column, the log of the largest and the smallest signal
-        over the grid nodes whose case weight is nonzero, and a mask of the
-        columns where no such node reads the table.  A lookup at a
-        zero-weight node is multiplied by 0, so any finite row serves it.
+        over the kept nodes of the cases that read it, and a mask of the
+        columns where no kept node reads the table.  No lookup happens at a
+        node a case does not keep, so its signal widens no span.
         """
         if direct_signal in self._log_signals:
             return self._log_signals[direct_signal]
         sides = self._sides()
         top, bottom = {}, {}
-        for irho in (0, 1):
-            for ixi in (0, 1, None) if self.has_ris else (None,):
-                live = self._weight(irho, ixi) != 0.0
-                for (_, sig), (extremes, ufunc, fill) in itertools.product(
-                        self._signals(irho, ixi, direct_signal),
-                        ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
-                    masked = np.where(live, sig, fill)
-                    for key in zip(range(len(sides)), (irho, ixi)):
-                        shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
-                        extremes[key] = ufunc(extremes.get(key, fill),
-                                              _reduce_to(ufunc, masked, shape))
+        for (irho, ixi), nodes in self._kept.items():
+            kept = np.zeros(self._weight(irho, ixi).shape, dtype=bool)
+            kept.flat[nodes] = True
+            for (_, sig), (extremes, ufunc, fill) in itertools.product(
+                    self._signals(irho, ixi, direct_signal),
+                    ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
+                masked = np.where(kept, sig, fill)
+                for key in zip(range(len(sides)), (irho, ixi)):
+                    shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
+                    extremes[key] = ufunc(extremes.get(key, fill),
+                                          _reduce_to(ufunc, masked, shape))
         # threads that race here store equal spans
         spans = self._log_signals[direct_signal] = {
             key: (np.log(np.where(hi > 0.0, hi, 1.0)),
@@ -676,19 +745,33 @@ class _CoverageEvaluator:
         """The evaluators of the Laplace product's sides, base stations first."""
         return (self.base, self) if self.has_ris else (self,)
 
-    def _log_laplace(self, s, irho: int, ixi: int | None, los_only: bool):
-        """Log of the interference Laplace product times exp(-s*sigma2) at s.
+    def _case_nodes(self, nodes, shape, irho: int, ixi: int | None,
+                    los_only: bool) -> _CaseNodes:
+        """The `_CaseNodes` of the flat `nodes` of the grid `shape`.
 
         irho and ixi are the serving BS and reflector states; ixi None takes
         the reflector sets without a void.  los_only drops the NLOS factors.
+        Each side's table is gathered at the nodes' columns, which `cover`
+        has filled, from one set of its rows.
+        """
+        lookups = []
+        for side, serving in zip(self._sides(), (irho, ixi)):
+            table = side.exponents[los_only][serving]
+            lookups.append(table.at(_at(np.arange(table.k_lo.size).reshape(table.k_lo.shape),
+                                        nodes, shape)))
+        return _CaseNodes(irho, ixi, los_only, nodes, shape, tuple(lookups))
+
+    def _log_laplace(self, s, case: _CaseNodes):
+        """Log of the interference Laplace product times exp(-s*sigma2) at
+        the nodes of `case`, s flat over them: one lookup per side.
         """
         u = np.log(s) / _TABLE_STEP
         k = np.floor(u)
         t = u - k
         k = k.astype(np.intp)
         expo = -(s * self.sigma2)
-        for side, serving in zip(self._sides(), (irho, ixi)):
-            expo = expo - side.exponents[los_only][serving](s, k, t)
+        for lookup in case.lookups:
+            expo = expo - lookup(s, k, t)
         return expo
 
     def _weight(self, irho: int, ixi: int | None):
@@ -705,12 +788,11 @@ class _CoverageEvaluator:
 
     def _cover(self, threshold: float, direct_signal: bool, los_only: bool) -> None:
         """Fill each exponent table an evaluate reads over the rows its
-        weighted lookups reach: per column, ln s = ln(gamma*T/signal) from
-        the first Alzer term at the largest signal to the last at the
-        smallest, over the nodes of nonzero weight of the cases that read
-        the table, one lattice step wider each way against the rounding of
-        s.  A column no such lookup reads keeps the first interval of its
-        lattice.
+        lookups reach: per column, ln s = ln(gamma*T/signal) from the first
+        Alzer term at the largest signal to the last at the smallest, over
+        the kept nodes of the cases that read the table, one lattice step
+        wider each way against the rounding of s.  A column no such lookup
+        reads keeps the first interval of its lattice.
 
         Spans are contiguous, so two covered thresholds cover every one
         between them.
@@ -757,9 +839,8 @@ class _CoverageEvaluator:
             # (direct signal only)
             for ixi, xi in (*enumerate(_STATES), (None, None)):
                 by_case[AssociationCase(rho, xi)] = self._case_value(
-                    threshold, terms, self._signals(irho, ixi, direct_signal),
-                    self._weight(irho, ixi), irho, ixi, los_only
-                ) if self.has_ris or ixi is None else 0.0
+                    threshold, terms, irho, ixi, direct_signal, los_only
+                ) if (irho, ixi) in self._kept else 0.0
 
         total = sum(by_case.values()) / self.norm
         by_case = {case: val / self.norm for case, val in by_case.items()}
@@ -771,8 +852,11 @@ class _CoverageEvaluator:
             "los_only_interference": los_only,
             "clamped": clamped,
             "raw_total": float(total),
+            # the weight of the nodes no case keeps over the grid measure;
+            # times 2^W - 1 it bounds how far they could move the total
+            "neglected_weight": self.neglected_weight,
             # the worst midpoint over the intervals filled so far: those
-            # that lookups with nonzero weight reach
+            # that lookups at kept nodes reach
             "table_residual": max(
                 table.residual for side in self._sides()
                 for table in side.exponents[los_only].values()
@@ -781,20 +865,28 @@ class _CoverageEvaluator:
         engine = "analytic-small-beta" if los_only else "analytic"
         return CoverageResult(result_total, by_case, engine, meta)
 
-    def _case_value(self, threshold, terms, signals, weight, irho, ixi, los_only):
-        """Grid integral of weight times the coverage kernel of one case.
+    def _case_value(self, threshold, terms, irho, ixi, direct_signal, los_only):
+        """Integral of weight times the coverage kernel of one case over its
+        kept nodes.
 
-        signals lists (probability, signal power) pairs that mix into the
-        kernel; each contributes its gamma-dummy sum of Laplace products.
+        The weight, the (probability, signal power) pairs of `_signals` that
+        mix into the kernel and each side's table columns are gathered at
+        the kept nodes once; each pair then contributes its gamma-dummy sum
+        of Laplace products, looked up on flat arrays.
         """
+        weight = self._weight(irho, ixi)
+        # gathers with intp indices, which take reads without a cast
+        shape, nodes = weight.shape, self._kept[irho, ixi].astype(np.intp)
+        case = self._case_nodes(nodes, shape, irho, ixi, los_only)
         acc = 0.0
-        for prob, sig in signals:
+        for prob, sig in self._signals(irho, ixi, direct_signal):
+            sig = _at(sig, nodes, shape)
             ksum = 0.0
             for gamma, coef in terms:
                 s = gamma * threshold / sig
-                ksum = ksum + coef * np.exp(self._log_laplace(s, irho, ixi, los_only))
-            acc = acc + prob * ksum
-        return float(np.sum(weight * acc))
+                ksum = ksum + coef * np.exp(self._log_laplace(s, case))
+            acc = acc + _at(prob, nodes, shape) * ksum
+        return float(np.sum(weight.take(nodes) * acc))
 
 
 class _CacheInfo(NamedTuple):

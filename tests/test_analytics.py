@@ -42,7 +42,12 @@ from riscov.analytics import (
     ris_interference_power,
 )
 from riscov.sweeps import THRESHOLD_GRID_DB
-from riscov.association import equivalent_distance, path_law, state_weight
+from riscov.association import (
+    equivalent_distance,
+    path_law,
+    ris_joint_expectation,
+    state_weight,
+)
 from riscov.beamforming import mean_direct_interference_gain
 from riscov.config import NetworkConfig
 from riscov.propagation import LinkKind
@@ -420,7 +425,8 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
             _, sig = ev.reflected[irho, ixi][0]
             s = threshold / sig
             _cover(ev, s, irho, ixi, los_only=False)
-            expo = ev._log_laplace(s, irho, ixi, los_only=False)
+            s_flat, case, shape = _every_node(ev, s, irho, ixi, los_only=False)
+            expo = ev._log_laplace(s_flat, case).reshape(shape)
             for i, j, k in nodes:
                 x, y, s_node = float(ev.x[i]), float(ev.y[j]), float(s[i, j, k])
                 expected = -s_node * cfg.noise_power_watt
@@ -461,14 +467,26 @@ def _fresh_evaluator(cfg, quad, monkeypatch):
     return _CoverageEvaluator(cfg, quad)
 
 
-def _exact_log_laplace(ev, s, irho, ixi, los_only):
-    """The evaluator's Laplace exponent summed straight from the tail tables
-    of both sides."""
+def _every_node(ev, s, irho, ixi, los_only):
+    """s flat over every node of the grid it spans with both sides' table
+    columns, that grid's `_CaseNodes` and its shape."""
+    shape = np.broadcast_shapes(np.shape(s), *(
+        side.exponents[los_only][serving].k_lo.shape for side, serving in _sides(ev, irho, ixi)
+    ))
+    case = ev._case_nodes(np.arange(math.prod(shape)), shape, irho, ixi, los_only)
+    return np.broadcast_to(s, shape).ravel(), case, shape
+
+
+def _exact_log_laplace(ev, s, case):
+    """The evaluator's Laplace exponent at the nodes of `case`, s flat over
+    them, summed straight from the tail tables of both sides."""
     expo = -(s * ev.sigma2)
-    for fstate in (0,) if los_only else (0, 1):
+    for fstate in (0,) if case.los_only else (0, 1):
         intercept, _ = path_law(STATES[fstate], ev.cfg)
-        for side, serving in _sides(ev, irho, ixi):
-            table = side.tables[fstate, serving]
+        for side, serving in _sides(ev, case.irho, case.ixi):
+            # each grid node's column of the tail table: (table nodes, grid nodes)
+            table = tuple(np.broadcast_to(t, t.shape[:1] + case.shape).reshape(len(t), -1)
+                          [:, case.nodes] for t in side.tables[fstate, serving])
             for density, power_gain in side.sets:
                 expo = expo - density * _j(s * power_gain * intercept, table)
     return expo
@@ -477,9 +495,7 @@ def _exact_log_laplace(ev, s, irho, ixi, los_only):
 def _exact_evaluator(cfg, quad):
     """A fresh evaluator whose Laplace exponent skips the exponent tables."""
     ev = _CoverageEvaluator(cfg, quad)
-    ev._log_laplace = lambda s, irho, ixi, los_only: _exact_log_laplace(
-        ev, s, irho, ixi, los_only
-    )
+    ev._log_laplace = lambda s, case: _exact_log_laplace(ev, s, case)
     return ev
 
 
@@ -498,8 +514,9 @@ def test_log_laplace_beyond_table_edges(cfg):
         s = np.exp(_TABLE_STEP * edges)[None, None, :]
         for irho, ixi in _serving_pairs(ev):
             _cover(ev, s, irho, ixi, los_only)
-            got = ev._log_laplace(s, irho, ixi, los_only)
-            want = _exact_log_laplace(ev, s, irho, ixi, los_only)
+            s_flat, case, _ = _every_node(ev, s, irho, ixi, los_only)
+            got = ev._log_laplace(s_flat, case)
+            want = _exact_log_laplace(ev, s_flat, case)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
@@ -514,9 +531,9 @@ def test_lookup_at_column_row_edges(cfg):
             last = table.k_lo + table.count - 1
             for k in (table.k_lo - 1, table.k_lo, last - 1, last, last + 4):
                 for t in (0.0, 0.5):
-                    u = (k + t) * _TABLE_STEP
-                    got = table(np.exp(u), k, t).ravel()
-                    want = table._exact(u.ravel(), cols)[0]
+                    u = ((k + t) * _TABLE_STEP).ravel()
+                    got = table.at(cols)(np.exp(u), k.ravel(), t)
+                    want = table._exact(u, cols)[0]
                     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
@@ -594,10 +611,11 @@ def test_evaluate_fills_a_minority_of_rows(cfg, monkeypatch):
 
 
 def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
-    """Only lookups at grid nodes of nonzero case weight set the spans:
-    signals scaled by 1e30 at every zero-weight node leave each filled span
-    and the coverage bitwise unchanged.  Every range `cover` gets is
-    finite, also in the columns that no weighted lookup reads."""
+    """Only lookups at the grid nodes a case keeps set the spans: signals
+    scaled by 1e30 at every node it does not keep, those of zero weight
+    among them, leave each filled span and the coverage bitwise unchanged.
+    Every range `cover` gets is finite, also in the columns that no
+    weighted lookup reads."""
     cover = _ExponentTable.cover
 
     def finite_cover(table, u_lo, u_hi):
@@ -620,7 +638,7 @@ def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
     def build_scaled(ev):
         build(ev)
         for irho in (0, 1):
-            live = {ixi: ev._weight(irho, ixi) != 0.0 for ixi in (0, 1, None)
+            live = {ixi: _kept_mask(ev, irho, ixi) for ixi in (0, 1, None)
                     if ev.has_ris or ixi is None}
             # the direct signal of x rows no case of irho weights
             dead = ~np.logical_or.reduce([w.any(axis=(1, 2)) for w in live.values()])
@@ -639,6 +657,33 @@ def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
     for result, ref in zip(got, want):
         assert result.total == ref.total
         assert result.by_case == ref.by_case
+
+
+def _kept_mask(ev, irho, ixi):
+    """The nodes case (irho, ixi) keeps, as a mask over its weight's grid."""
+    mask = np.zeros(ev._weight(irho, ixi).shape, dtype=bool)
+    mask.flat[ev._kept[irho, ixi]] = True
+    return mask
+
+
+def test_kept_nodes_fill_fewer_intervals(cfg, monkeypatch):
+    """A default 0 dB evaluate fills at most the 11 247 intervals that
+    lookups at every node of nonzero weight filled, and every lookup it
+    makes at a kept node matches the exact sum."""
+    ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    ev.evaluate(1.0)
+    assert sum(int(np.sum(table._rows.width)) for table in _all_exponent_tables(ev, False)) <= 11247
+    w_terms = ev.quad.w_alzer
+    for (irho, ixi), nodes in ev._kept.items():
+        assert 0 < nodes.size < ev._weight(irho, ixi).size
+        shape = ev._weight(irho, ixi).shape
+        case = ev._case_nodes(nodes, shape, irho, ixi, False)
+        for _, sig in ev._signals(irho, ixi, False):
+            sig = np.broadcast_to(sig, shape).ravel()[nodes]
+            for w in range(1, w_terms + 1):
+                s = w * alzer_epsilon(w_terms) / sig
+                np.testing.assert_allclose(ev._log_laplace(s, case),
+                                           _exact_log_laplace(ev, s, case), rtol=1e-9, atol=0.0)
 
 
 def _lattice(table):
@@ -800,6 +845,84 @@ def test_folded_angle_axis_matches_full_circle(cfg, monkeypatch, index, q3):
 UNIT = 1.0 / (math.pi * 500.0**2)
 
 
+@pytest.mark.parametrize("index", range(10))
+def test_neglected_weight_bound(cfg, index):
+    """The weight of the nodes no case keeps, over the grid measure, is at
+    most 2^-100 / (2^W - 1) per case, and it is what the evaluate reports."""
+    case = (_fill_configs(cfg) + [cfg.replace(lambda_ris=0.0)])[index]
+    ev = _get_evaluator(case, QuadratureSpec())
+    got = ev.evaluate(1.0).meta["neglected_weight"]
+    assert 0.0 <= got <= len(ev._kept) * 2.0**-100 / (2**ev.quad.w_alzer - 1)
+    dropped = sum(float(np.sum(ev._weight(*key), where=~_kept_mask(ev, *key))) for key in ev._kept)
+    assert got == pytest.approx(dropped / ev.norm, rel=1e-12, abs=0.0)
+    if index == 0:
+        assert got > 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    log_lambda_u=st.floats(-6.0, 4.0),
+    log_lambda_ris=st.floats(-6.0, 4.0),
+    log_beta=st.floats(-4.0, -1.0),
+    n_ris=st.integers(1, 256),
+    threshold_db=st.floats(-10.0, 20.0),
+)
+def test_kept_nodes_match_every_weighted_node(
+    cfg, log_lambda_u, log_lambda_ris, log_beta, n_ris, threshold_db
+):
+    """Evaluating at the kept nodes gives, within 1e-15, the coverage of
+    evaluating at every node of nonzero weight, for each signal and the
+    LOS-only form; each case reads the same nodes at every threshold."""
+    case = cfg.replace(lambda_u=10.0**log_lambda_u * UNIT, lambda_ris=10.0**log_lambda_ris * UNIT,
+                       beta=10.0**log_beta, n_ris=n_ris)
+    quad = QuadratureSpec(q1=16, q2=16, q3=8)
+    read = {}
+    case_nodes = _CoverageEvaluator._case_nodes
+
+    def recorded(ev, nodes, shape, irho, ixi, los_only):
+        read.setdefault((id(ev), irho, ixi), []).append(nodes)
+        return case_nodes(ev, nodes, shape, irho, ixi, los_only)
+
+    with pytest.MonkeyPatch.context() as m:
+        # no other test's evaluates reach the twin, and no twin built here
+        # outlives the test
+        m.setattr(analytics, "_get_evaluator", analytics._BuildOnce(_CoverageEvaluator, maxsize=8))
+        m.setattr(_CoverageEvaluator, "_case_nodes", recorded)
+        kept = _CoverageEvaluator(case, quad)
+        m.setattr(analytics, "_NEGLIGIBLE", 0.0)
+        every = _CoverageEvaluator(case, quad)
+        for key, nodes in every._kept.items():
+            assert np.array_equal(nodes, np.flatnonzero(every._weight(*key)))
+        for threshold in (10.0 ** (threshold_db / 10.0), 1.0):
+            for direct, los_only in ((False, False), (True, False), (False, True)):
+                got = kept.evaluate(threshold, direct, los_only)
+                want = every.evaluate(threshold, direct, los_only)
+                assert got.total == pytest.approx(want.total, rel=0.0, abs=1e-15)
+                assert got.by_case == pytest.approx(want.by_case, rel=0.0, abs=1e-15)
+    for (_, irho, ixi), calls in read.items():
+        assert len(calls) == 6
+        assert all(np.array_equal(nodes, calls[0]) for nodes in calls)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1e-4])
+def test_ris_activity_keeps_small_busy_probability(cfg, beta):
+    """A reflector busy with probability 2e-8 gets it to full precision: it
+    matches the same grid's small-load series 3.5L - 7.875L^2, whose next
+    term is below 1e-16 of it, and the idle set takes the rest."""
+    case = cfg.replace(lambda_u=1e-6 * UNIT, lambda_ris=1e3 * UNIT, beta=beta)
+
+    def series(x, y, v, side):
+        load = 2.0 * case.lambda_u / (side * case.lambda_ris)
+        return 3.5 * load - 7.875 * load * load
+
+    busy, total = map(sum, ris_joint_expectation(case, (series, None)))
+    assert active_prob_ris(case) == pytest.approx(busy / total, rel=1e-11)
+    (busy_density, _), (idle_density, _) = _interferers("ris", case)
+    assert busy_density / (math.pi * case.lambda_ris) == active_prob_ris(case)
+    assert idle_density / (math.pi * case.lambda_ris) == pytest.approx(1.0 - busy / total,
+                                                                       rel=1e-15)
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     beta=st.floats(1e-3, 0.05),
@@ -822,8 +945,9 @@ def test_log_laplace_matches_exact_sum(
         for scale, los_only in itertools.product((1.0, 1e-4, 1e4), (False, True)):
             s = scale * 10.0**log_threshold / sig
             _cover(ev, s, irho, ixi, los_only)
-            got = ev._log_laplace(s, irho, ixi, los_only)
-            want = _exact_log_laplace(ev, s, irho, ixi, los_only)
+            s_flat, case, _ = _every_node(ev, s, irho, ixi, los_only)
+            got = ev._log_laplace(s_flat, case)
+            want = _exact_log_laplace(ev, s_flat, case)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
