@@ -50,31 +50,30 @@ from .config import NetworkConfig
 from .propagation import LinkKind
 
 _STATES = (LinkKind.LOS, LinkKind.NLOS)
+# terms W of the gamma-dummy binomial sum; the smoothed SINR step it defines
+# moves with the depth (see `alzer_epsilon`)
+_W_ALZER = 5
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and series depth for the semianalytical engine.
+    """Node counts for the semianalytical engine.
 
     q1, q2, q3 and q_tail are quadrature resolutions: doubling them refines
-    the same integrals.  w_alzer is a constant of the gamma-dummy
-    approximation, not a resolution; the smoothed SINR step it defines moves
-    with the depth (see `alzer_epsilon`).
+    the same integrals.  The series depth is not a resolution but a constant
+    of the gamma-dummy approximation, `_W_ALZER`.
     """
 
     q1: int = 32  # serving-BS distance nodes
     q2: int = 32  # serving-reflector distance nodes
     q3: int = 16  # angle nodes
     q_tail: int = 48  # Gauss-Legendre nodes of the interference tail tables
-    w_alzer: int = 5  # terms in the gamma-dummy binomial sum
 
     def __post_init__(self) -> None:
         for name in ("q1", "q2", "q3", "q_tail"):
             count = getattr(self, name)
             if not isinstance(count, int) or count < 4:
                 raise ValueError(f"{name} must be an integer >= 4, got {count!r}")
-        if isinstance(self.w_alzer, bool) or not isinstance(self.w_alzer, int) or self.w_alzer < 1:
-            raise ValueError(f"w_alzer must be a positive integer, got {self.w_alzer!r}")
 
 
 @dataclass
@@ -123,16 +122,18 @@ def _chebyshev_angle(count: int) -> tuple[np.ndarray, np.ndarray]:
 # -- cell-load probabilities -------------------------------------------------
 
 
-def _empty_cell_prob(load):
-    """Probability that a cell with mean load `load` users is empty (3.5-moment fit)."""
-    return (1.0 + load) ** -3.5
+def _log_empty_cell(load):
+    """Log of the probability that a cell with mean load `load` users is
+    empty (3.5-moment fit), in log1p form: its busy complement -expm1 of it
+    keeps full relative precision at small loads."""
+    return -3.5 * np.log1p(load)
 
 
 def active_prob_bs(cfg: NetworkConfig) -> float:
     """Probability a BS cell holds at least one user (3.5-moment fit)."""
     if cfg.lambda_bs <= 0.0:
         return 0.0
-    return 1.0 - _empty_cell_prob(cfg.lambda_u / cfg.lambda_bs)
+    return float(-np.expm1(_log_empty_cell(cfg.lambda_u / cfg.lambda_bs)))
 
 
 @lru_cache(maxsize=64)
@@ -149,16 +150,12 @@ def _ris_activity(cfg: NetworkConfig) -> tuple[float, float]:
 
     # the eligible-user region around a reflector is a half-plane sector; its
     # effective cell is 1/c times larger than the isotropic Voronoi cell of a
-    # process with density lambda_ris / 2, hence the 2/c load scaling; the
-    # 3.5-moment fit in log1p form
-    def log_empty(side):
-        return -3.5 * np.log1p(2.0 * cfg.lambda_u / (side * cfg.lambda_ris))
-
+    # process with density lambda_ris / 2, hence the 2/c load scaling
     def busy_kernel(x, y, v, side):
-        return -np.expm1(log_empty(side))
+        return -np.expm1(_log_empty_cell(2.0 * cfg.lambda_u / (side * cfg.lambda_ris)))
 
     def idle_kernel(x, y, v, side):
-        return np.exp(log_empty(side))
+        return np.exp(_log_empty_cell(2.0 * cfg.lambda_u / (side * cfg.lambda_ris)))
 
     # both kernels lie in [0, 1]
     busy, idle = map(sum, ris_joint_expectation(cfg, (busy_kernel, idle_kernel)))
@@ -522,34 +519,6 @@ class _ExponentTable:
 _NEGLIGIBLE = 2.0**-100
 
 
-def _at(values, nodes, shape):
-    """`values`, which broadcast to the grid `shape`, at its flat `nodes`."""
-    return np.broadcast_to(values, shape).take(nodes)
-
-
-class _CaseNodes(NamedTuple):
-    """One case's nodes as an evaluate reads them: the case (irho, ixi,
-    los_only), the flat `nodes` of the grid `shape`, and per side, base
-    stations first, its exponent table's rows gathered at their columns."""
-
-    irho: int
-    ixi: int | None
-    los_only: bool
-    nodes: np.ndarray
-    shape: tuple
-    lookups: tuple
-
-
-def _reduce_to(ufunc, values, shape):
-    """`ufunc`'s reduction of `values` over the axes where `shape` has size
-    1, kept as size-1 axes.  The first axis goes alone and the rest
-    together, which keeps numpy's inner loops long."""
-    axes = tuple(i for i, n in enumerate(shape) if n == 1)
-    if axes[:1] == (0,):
-        values, axes = ufunc.reduce(values, axis=0, keepdims=True), axes[1:]
-    return ufunc.reduce(values, axis=axes, keepdims=True)
-
-
 class _CoverageEvaluator:
     """Precomputed grids and exponent tables for one (cfg, quad) pair.
 
@@ -567,15 +536,15 @@ class _CoverageEvaluator:
 
     Per association case (irho, ixi), `_kept` holds the flat indices of the
     nodes of the case's broadcast grid whose weight exceeds _NEGLIGIBLE *
-    norm / ((2^W - 1) * N), N the case's node count and W = quad.w_alzer.
+    norm / ((2^W - 1) * N), N the case's node count and W = _W_ALZER.
     The kernel is at most 2^W - 1, so the rest move the case's part by at
     most _NEGLIGIBLE; their weight over `norm`, summed over the cases, is
-    `neglected_weight`.  The kept sets do not depend on the threshold.
-    Evaluating one threshold first covers each table it reads over the s
-    range of its lookups at kept nodes, then gathers each case's weight,
-    signals and table columns at its kept nodes and forms s = gamma*T/signal
-    there, looking each side up once per Laplace product; it keeps no
-    result.
+    `neglected_weight`.  The kept sets do not depend on the threshold, and
+    they are the only per-node arrays an evaluator holds: `_view` gathers a
+    case at them anew on each read.  Evaluating one threshold first covers
+    each table it reads over the s range of its lookups at kept nodes, then
+    forms s = gamma*T/signal on each case's view, looking each side up once
+    per Laplace product; it keeps no result.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -611,7 +580,6 @@ class _CoverageEvaluator:
             xg = self.x[:, None, None]
             yg = self.y[None, :, None]
             vg = self.v[None, None, :]
-            self.z = bs_ris_distance(xg, yg, vg, r_min=cfg.r_min)
             # each state's serving-reflector density, with the intensity
             # computed once and dropped before the rest of the build
             intensity = np.pi * cfg.lambda_ris * side_condition(xg, yg, vg)
@@ -635,7 +603,7 @@ class _CoverageEvaluator:
             self.remainder = np.ones((quad.q1, self.v.size))
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
-        bound = _NEGLIGIBLE * self.norm / (2**quad.w_alzer - 1)
+        bound = _NEGLIGIBLE * self.norm / (2**_W_ALZER - 1)
         self._kept, dropped = {}, 0.0
         for irho in (0, 1):
             for ixi in (0, 1, None) if self.has_ris else (None,):
@@ -664,10 +632,12 @@ class _CoverageEvaluator:
         if not self.has_ris:
             return
         yl = np.maximum(self.y, cfg.r_min)[None, :, None]
-        leg_bs = [c * self.z**-alpha for c, alpha in laws]
+        z = bs_ris_distance(self.x[:, None, None], self.y[None, :, None], self.v[None, None, :],
+                            r_min=cfg.r_min)
+        leg_bs = [c * z**-alpha for c, alpha in laws]
         leg_user = [c * yl**-alpha for c, alpha in laws]
         # reflected signal: the BS->reflector leg state is mixed per node
-        leg_prob = [state_weight(state, self.z, cfg.beta) for state in _STATES]
+        leg_prob = [state_weight(state, z, cfg.beta) for state in _STATES]
         for irho, ixi in itertools.product(range(2), repeat=2):
             amp_direct = np.sqrt(self.sig_direct[irho])
             amp = [np.sqrt(power * gain_reflected * leg * leg_user[ixi]) for leg in leg_bs]
@@ -720,19 +690,16 @@ class _CoverageEvaluator:
         """
         if direct_signal in self._log_signals:
             return self._log_signals[direct_signal]
-        sides = self._sides()
         top, bottom = {}, {}
-        for (irho, ixi), nodes in self._kept.items():
-            kept = np.zeros(self._weight(irho, ixi).shape, dtype=bool)
-            kept.flat[nodes] = True
-            for (_, sig), (extremes, ufunc, fill) in itertools.product(
-                    self._signals(irho, ixi, direct_signal),
-                    ((top, np.maximum, 0.0), (bottom, np.minimum, np.inf))):
-                masked = np.where(kept, sig, fill)
-                for key in zip(range(len(sides)), (irho, ixi)):
-                    shape = sides[key[0]].exponents[False][key[1]].k_lo.shape
-                    extremes[key] = ufunc(extremes.get(key, fill),
-                                          _reduce_to(ufunc, masked, shape))
+        for irho, ixi in self._kept:
+            _, pairs, sides = self._view(irho, ixi, direct_signal, False)
+            for key, (table, cols) in zip(enumerate((irho, ixi)), sides):
+                # shaped like the columns; the reductions write flat views
+                hi = top.setdefault(key, np.zeros(table.k_lo.shape))
+                lo = bottom.setdefault(key, np.full(table.k_lo.shape, np.inf))
+                for _, sig in pairs:
+                    np.maximum.at(hi.reshape(-1), cols, sig)
+                    np.minimum.at(lo.reshape(-1), cols, sig)
         # threads that race here store equal spans
         spans = self._log_signals[direct_signal] = {
             key: (np.log(np.where(hi > 0.0, hi, 1.0)),
@@ -745,32 +712,41 @@ class _CoverageEvaluator:
         """The evaluators of the Laplace product's sides, base stations first."""
         return (self.base, self) if self.has_ris else (self,)
 
-    def _case_nodes(self, nodes, shape, irho: int, ixi: int | None,
-                    los_only: bool) -> _CaseNodes:
-        """The `_CaseNodes` of the flat `nodes` of the grid `shape`.
+    def _view(self, irho: int, ixi: int | None, direct_signal: bool, los_only: bool):
+        """One case at its kept nodes, in flat arrays: the weight, the
+        (probability, signal power) pairs that mix into its kernel, and per
+        side, base stations first, the exponent table an evaluate reads with
+        each node's column of it.
 
         irho and ixi are the serving BS and reflector states; ixi None takes
-        the reflector sets without a void.  los_only drops the NLOS factors.
-        Each side's table is gathered at the nodes' columns, which `cover`
-        has filled, from one set of its rows.
+        the reflector sets without a void and the direct signal.  los_only
+        drops the NLOS factors.
         """
-        lookups = []
-        for side, serving in zip(self._sides(), (irho, ixi)):
-            table = side.exponents[los_only][serving]
-            lookups.append(table.at(_at(np.arange(table.k_lo.size).reshape(table.k_lo.shape),
-                                        nodes, shape)))
-        return _CaseNodes(irho, ixi, los_only, nodes, shape, tuple(lookups))
+        weight = self._weight(irho, ixi)
+        # gathers with intp indices, which take reads without a cast
+        nodes = self._kept[irho, ixi].astype(np.intp)
 
-    def _log_laplace(self, s, case: _CaseNodes):
-        """Log of the interference Laplace product times exp(-s*sigma2) at
-        the nodes of `case`, s flat over them: one lookup per side.
+        def gather(values):
+            return np.broadcast_to(values, weight.shape).take(nodes)
+
+        pairs = ([(1.0, self.sig_direct[irho])] if ixi is None or direct_signal
+                 else self.reflected[irho, ixi])
+        tables = [side.exponents[los_only][serving]
+                  for side, serving in zip(self._sides(), (irho, ixi))]
+        return (weight.take(nodes), [(gather(prob), gather(sig)) for prob, sig in pairs],
+                [(t, gather(np.arange(t.k_lo.size).reshape(t.k_lo.shape))) for t in tables])
+
+    def _log_laplace(self, s, lookups):
+        """Log of the interference Laplace product times exp(-s*sigma2), s
+        flat over some nodes and `lookups` each side's table rows gathered
+        at their columns: one lookup per side.
         """
         u = np.log(s) / _TABLE_STEP
         k = np.floor(u)
         t = u - k
         k = k.astype(np.intp)
         expo = -(s * self.sigma2)
-        for lookup in case.lookups:
+        for lookup in lookups:
             expo = expo - lookup(s, k, t)
         return expo
 
@@ -779,12 +755,6 @@ class _CoverageEvaluator:
         density, or for ixi None the no-reflector remainder."""
         fdw = self.fdw[irho][:, None, None] * self.wv
         return fdw * (self.remainder[:, None, :] if ixi is None else self.gw[ixi])
-
-    def _signals(self, irho: int, ixi: int | None, direct_signal: bool) -> list:
-        """(probability, signal power) pairs that mix into one case's kernel."""
-        if ixi is None or direct_signal:
-            return [(1.0, self.sig_direct[irho])]
-        return self.reflected[irho, ixi]
 
     def _cover(self, threshold: float, direct_signal: bool, los_only: bool) -> None:
         """Fill each exponent table an evaluate reads over the rows its
@@ -801,11 +771,10 @@ class _CoverageEvaluator:
         t_lo, t_hi = self._covered.get(key, (math.inf, -math.inf))
         if t_lo <= threshold <= t_hi:
             return
-        w_terms = self.quad.w_alzer
-        eps = alzer_epsilon(w_terms)
+        eps = alzer_epsilon(_W_ALZER)
         u_t = math.log(threshold)
         u_lo = u_t + math.log(eps) - _TABLE_STEP
-        u_hi = u_t + math.log(w_terms * eps) + _TABLE_STEP
+        u_hi = u_t + math.log(_W_ALZER * eps) + _TABLE_STEP
         sides = self._sides()
         for (side, serving), extremes in self._spans(direct_signal).items():
             log_top, log_bottom, unread = extremes
@@ -825,12 +794,11 @@ class _CoverageEvaluator:
     ) -> CoverageResult:
         _check_threshold(threshold)
         self._cover(threshold, direct_signal, los_only)
-        w_terms = self.quad.w_alzer
-        eps = alzer_epsilon(w_terms)
+        eps = alzer_epsilon(_W_ALZER)
         # gamma-dummy sum: (scale of s, binomial coefficient) per term
         terms = [
-            (w * eps, (-1.0) ** (w + 1) * math.comb(w_terms, w))
-            for w in range(1, w_terms + 1)
+            (w * eps, (-1.0) ** (w + 1) * math.comb(_W_ALZER, w))
+            for w in range(1, _W_ALZER + 1)
         ]
 
         by_case: dict[AssociationCase, float] = {}
@@ -867,26 +835,22 @@ class _CoverageEvaluator:
 
     def _case_value(self, threshold, terms, irho, ixi, direct_signal, los_only):
         """Integral of weight times the coverage kernel of one case over its
-        kept nodes.
+        kept nodes, read through `_view`.
 
-        The weight, the (probability, signal power) pairs of `_signals` that
-        mix into the kernel and each side's table columns are gathered at
-        the kept nodes once; each pair then contributes its gamma-dummy sum
-        of Laplace products, looked up on flat arrays.
+        Each side's rows are gathered at the nodes' columns once; each
+        (probability, signal power) pair then contributes its gamma-dummy
+        sum of Laplace products, looked up on flat arrays.
         """
-        weight = self._weight(irho, ixi)
-        # gathers with intp indices, which take reads without a cast
-        shape, nodes = weight.shape, self._kept[irho, ixi].astype(np.intp)
-        case = self._case_nodes(nodes, shape, irho, ixi, los_only)
+        weight, pairs, sides = self._view(irho, ixi, direct_signal, los_only)
+        lookups = [table.at(cols) for table, cols in sides]
         acc = 0.0
-        for prob, sig in self._signals(irho, ixi, direct_signal):
-            sig = _at(sig, nodes, shape)
+        for prob, sig in pairs:
             ksum = 0.0
             for gamma, coef in terms:
                 s = gamma * threshold / sig
-                ksum = ksum + coef * np.exp(self._log_laplace(s, case))
-            acc = acc + _at(prob, nodes, shape) * ksum
-        return float(np.sum(weight.take(nodes) * acc))
+                ksum = ksum + coef * np.exp(self._log_laplace(s, lookups))
+            acc = acc + prob * ksum
+        return float(np.sum(weight * acc))
 
 
 class _CacheInfo(NamedTuple):

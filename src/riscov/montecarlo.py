@@ -699,8 +699,10 @@ def empirical_coverage(
     Pass a precomputed ``samples`` batch to evaluate several thresholds on
     the same draws; its trials/radius/seed then take precedence.
     """
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    # at a zero threshold a trial without a base station (SINR 0) would
+    # count as covered; an infinite one is a threshold no SINR reaches
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     if samples is None:
         samples = sinr_samples(cfg, trials, radius, seed)
     n = samples.sinr.size

@@ -399,10 +399,9 @@ def validate(
     checks.append(_tol_check("small-beta-consistency", reduced - full, _SMALL_BETA_TOL))
 
     # double every quadrature resolution; the Alzer depth is a constant of
-    # the approximation, not a resolution, so it is carried over
+    # the approximation, not a resolution, so it stays as it is
     doubled = QuadratureSpec(
         q1=2 * quad.q1, q2=2 * quad.q2, q3=2 * quad.q3, q_tail=2 * quad.q_tail,
-        w_alzer=quad.w_alzer,
     )
     drift = (
         coverage_probability(1.0, cfg, doubled).total

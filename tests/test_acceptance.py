@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from riscov.analytics import (
+    _W_ALZER,
     QuadratureSpec,
     active_prob_bs,
     coverage_direct,
@@ -288,10 +289,10 @@ def test_criterion_8_quadrature_stability():
     """Doubling every quadrature resolution leaves coverage within tolerance.
 
     The resolutions are the serving-geometry node counts q1, q2, q3 and the
-    tail-table node count q_tail. The Alzer depth w_alzer is a constant of
-    the gamma-dummy approximation, not a resolution: its smoothed step moves
-    by about +0.6 dB per doubling without limit, so it is held at its
-    default (its drift is pinned by test_series_depth_drift_bounded).
+    tail-table node count q_tail. The Alzer depth W is the module constant
+    `_W_ALZER` of the gamma-dummy approximation, not a resolution: its
+    smoothed step moves by about +0.6 dB per doubling without limit, so no
+    spec carries it (its drift is pinned by test_series_depth_drift_bounded).
     """
     base = QuadratureSpec()
     doubled = QuadratureSpec(
@@ -310,7 +311,7 @@ def test_criterion_8_quadrature_stability():
         8,
         "quadrature stability",
         ok,
-        f"doubling q1,q2,q3,q_tail (w_alzer={base.w_alzer} held) "
+        f"doubling q1,q2,q3,q_tail (constant depth W={_W_ALZER}) "
         f"drift={drift:+.2e} limit=2e-3; "
         f"activity closed-form err={act_err:.1e} limit=1e-12",
     )

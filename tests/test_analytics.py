@@ -24,6 +24,7 @@ from riscov.analytics import (
     _TABLE_STEP,
     _VOID_FREE_FLOOR,
     _VOID_FREE_NODES,
+    _W_ALZER,
     QuadratureSpec,
     _CoverageEvaluator,
     _ExponentTable,
@@ -43,6 +44,7 @@ from riscov.analytics import (
 )
 from riscov.sweeps import THRESHOLD_GRID_DB
 from riscov.association import (
+    bs_ris_distance,
     equivalent_distance,
     path_law,
     ris_joint_expectation,
@@ -93,10 +95,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(q1=3)
     with pytest.raises(ValueError):
         QuadratureSpec(q_tail=3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(w_alzer=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(w_alzer=True)
 
 
 def test_active_prob_bs_closed_form(cfg):
@@ -104,6 +102,16 @@ def test_active_prob_bs_closed_form(cfg):
     assert cfg.lambda_u / cfg.lambda_bs == pytest.approx(10.0)
     assert active_prob_bs(cfg) == pytest.approx(1.0 - 11.0 ** (-3.5), abs=1e-12)
     assert active_prob_bs(cfg.replace(lambda_bs=0.0)) == 0.0
+
+
+def test_active_prob_bs_small_load(cfg):
+    """At a load of 1e-7 users per cell the busy probability keeps its full
+    relative precision: it matches the series 3.5L - 7.875L^2 + 14.4375L^3,
+    whose next term is below 1e-20 of it."""
+    case = cfg.replace(lambda_u=1e-6 * UNIT)
+    load = case.lambda_u / case.lambda_bs
+    series = 3.5 * load - 7.875 * load**2 + 14.4375 * load**3
+    assert active_prob_bs(case) == pytest.approx(series, rel=1e-12, abs=0.0)
 
 
 def test_active_prob_ris_range(cfg):
@@ -425,8 +433,8 @@ def test_log_laplace_matches_public_transform(cfg, threshold):
             _, sig = ev.reflected[irho, ixi][0]
             s = threshold / sig
             _cover(ev, s, irho, ixi, los_only=False)
-            s_flat, case, shape = _every_node(ev, s, irho, ixi, los_only=False)
-            expo = ev._log_laplace(s_flat, case).reshape(shape)
+            s_flat, lookups, _, shape = _every_node(ev, s, irho, ixi, los_only=False)
+            expo = ev._log_laplace(s_flat, lookups).reshape(shape)
             for i, j, k in nodes:
                 x, y, s_node = float(ev.x[i]), float(ev.y[j]), float(s[i, j, k])
                 expected = -s_node * cfg.noise_power_watt
@@ -467,35 +475,63 @@ def _fresh_evaluator(cfg, quad, monkeypatch):
     return _CoverageEvaluator(cfg, quad)
 
 
+class _ExactTable:
+    """Stands in for one side's exponent table (serving state `serving`):
+    `at(cols)` gives a lookup that sums the side's exponent straight from
+    its tail tables, at each node's column of them."""
+
+    def __init__(self, side, serving, los_only):
+        self.side, self.serving, self.los_only = side, serving, los_only
+        self.k_lo = side.exponents[los_only][serving].k_lo
+
+    def at(self, cols):
+        def lookup(s, k, t):
+            expo = 0.0
+            for fstate in (0,) if self.los_only else (0, 1):
+                intercept, _ = path_law(STATES[fstate], self.side.cfg)
+                # (table nodes, looked-up nodes)
+                table = tuple(part.reshape(len(part), -1)[:, cols]
+                              for part in self.side.tables[fstate, self.serving])
+                for density, power_gain in self.side.sets:
+                    expo = expo + density * _j(s * power_gain * intercept, table)
+            return expo
+
+        return lookup
+
+
+def _exact_sides(ev, irho, ixi, los_only, sides):
+    """The (table, columns) `sides` of a `_view` with each table replaced
+    by its `_ExactTable`."""
+    return [(_ExactTable(side, serving, los_only), cols)
+            for (side, serving), (_, cols) in zip(_sides(ev, irho, ixi), sides)]
+
+
 def _every_node(ev, s, irho, ixi, los_only):
-    """s flat over every node of the grid it spans with both sides' table
-    columns, that grid's `_CaseNodes` and its shape."""
+    """s flat over every node of the grid it spans with both sides' tables,
+    each side's table lookups and exact lookups at those nodes' columns, and
+    that grid's shape."""
     shape = np.broadcast_shapes(np.shape(s), *(
         side.exponents[los_only][serving].k_lo.shape for side, serving in _sides(ev, irho, ixi)
     ))
-    case = ev._case_nodes(np.arange(math.prod(shape)), shape, irho, ixi, los_only)
-    return np.broadcast_to(s, shape).ravel(), case, shape
-
-
-def _exact_log_laplace(ev, s, case):
-    """The evaluator's Laplace exponent at the nodes of `case`, s flat over
-    them, summed straight from the tail tables of both sides."""
-    expo = -(s * ev.sigma2)
-    for fstate in (0,) if case.los_only else (0, 1):
-        intercept, _ = path_law(STATES[fstate], ev.cfg)
-        for side, serving in _sides(ev, case.irho, case.ixi):
-            # each grid node's column of the tail table: (table nodes, grid nodes)
-            table = tuple(np.broadcast_to(t, t.shape[:1] + case.shape).reshape(len(t), -1)
-                          [:, case.nodes] for t in side.tables[fstate, serving])
-            for density, power_gain in side.sets:
-                expo = expo - density * _j(s * power_gain * intercept, table)
-    return expo
+    sides = [(table, np.broadcast_to(np.arange(table.k_lo.size).reshape(table.k_lo.shape),
+                                     shape).ravel())
+             for table in (side.exponents[los_only][serving]
+                           for side, serving in _sides(ev, irho, ixi))]
+    return (np.broadcast_to(s, shape).ravel(), [table.at(cols) for table, cols in sides],
+            [table.at(cols) for table, cols in _exact_sides(ev, irho, ixi, los_only, sides)],
+            shape)
 
 
 def _exact_evaluator(cfg, quad):
     """A fresh evaluator whose Laplace exponent skips the exponent tables."""
     ev = _CoverageEvaluator(cfg, quad)
-    ev._log_laplace = lambda s, case: _exact_log_laplace(ev, s, case)
+    view = ev._view
+
+    def exact_view(irho, ixi, direct_signal, los_only):
+        weight, pairs, sides = view(irho, ixi, direct_signal, los_only)
+        return weight, pairs, _exact_sides(ev, irho, ixi, los_only, sides)
+
+    ev._view = exact_view
     return ev
 
 
@@ -514,9 +550,9 @@ def test_log_laplace_beyond_table_edges(cfg):
         s = np.exp(_TABLE_STEP * edges)[None, None, :]
         for irho, ixi in _serving_pairs(ev):
             _cover(ev, s, irho, ixi, los_only)
-            s_flat, case, _ = _every_node(ev, s, irho, ixi, los_only)
-            got = ev._log_laplace(s_flat, case)
-            want = _exact_log_laplace(ev, s_flat, case)
+            s_flat, lookups, exact, _ = _every_node(ev, s, irho, ixi, los_only)
+            got = ev._log_laplace(s_flat, lookups)
+            want = ev._log_laplace(s_flat, exact)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
@@ -666,6 +702,41 @@ def _kept_mask(ev, irho, ixi):
     return mask
 
 
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("index", [0, 7])
+def test_spans_match_plain_loop(cfg, index, direct):
+    """Each span `_spans` gives a (side, serving state) table is the largest
+    and smallest signal over the kept nodes of every case that reads the
+    table, found node by node, and its `unread` mask marks exactly the
+    columns no kept node reads."""
+    ev = _get_evaluator(_fill_configs(cfg)[index], QuadratureSpec())
+    want = {}
+    for (irho, ixi), nodes in ev._kept.items():
+        shape = ev._weight(irho, ixi).shape
+        pairs = ([(1.0, ev.sig_direct[irho])] if direct or ixi is None
+                 else ev.reflected[irho, ixi])
+        signals = [np.broadcast_to(sig, shape) for _, sig in pairs]
+        for key, (side, serving) in enumerate(_sides(ev, irho, ixi)):
+            columns = side.exponents[False][serving].k_lo.shape
+            extremes = want.setdefault((key, serving), {})
+            for node in nodes:
+                index = np.unravel_index(node, shape)
+                col = np.ravel_multi_index(
+                    tuple(i if n > 1 else 0 for i, n in zip(index, columns)), columns)
+                for sig in signals:
+                    hi, lo = extremes.get(col, (0.0, math.inf))
+                    extremes[col] = (max(hi, sig[index]), min(lo, sig[index]))
+    spans = ev._spans(direct)
+    assert spans.keys() == want.keys()
+    for key, (log_top, log_bottom, unread) in spans.items():
+        read = sorted(want[key])
+        assert np.array_equal(np.flatnonzero(~unread), read)
+        hi, lo = np.array([want[key][col] for col in read]).T
+        np.testing.assert_allclose(log_top.ravel()[read], np.log(hi), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(log_bottom.ravel()[read], np.log(lo), rtol=1e-15, atol=0.0)
+    assert any(unread.any() for _, _, unread in spans.values())
+
+
 def test_kept_nodes_fill_fewer_intervals(cfg, monkeypatch):
     """A default 0 dB evaluate fills at most the 11 247 intervals that
     lookups at every node of nonzero weight filled, and every lookup it
@@ -673,17 +744,16 @@ def test_kept_nodes_fill_fewer_intervals(cfg, monkeypatch):
     ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
     ev.evaluate(1.0)
     assert sum(int(np.sum(table._rows.width)) for table in _all_exponent_tables(ev, False)) <= 11247
-    w_terms = ev.quad.w_alzer
     for (irho, ixi), nodes in ev._kept.items():
         assert 0 < nodes.size < ev._weight(irho, ixi).size
-        shape = ev._weight(irho, ixi).shape
-        case = ev._case_nodes(nodes, shape, irho, ixi, False)
-        for _, sig in ev._signals(irho, ixi, False):
-            sig = np.broadcast_to(sig, shape).ravel()[nodes]
-            for w in range(1, w_terms + 1):
-                s = w * alzer_epsilon(w_terms) / sig
-                np.testing.assert_allclose(ev._log_laplace(s, case),
-                                           _exact_log_laplace(ev, s, case), rtol=1e-9, atol=0.0)
+        _, pairs, sides = ev._view(irho, ixi, False, False)
+        lookups = [table.at(cols) for table, cols in sides]
+        exact = [table.at(cols) for table, cols in _exact_sides(ev, irho, ixi, False, sides)]
+        for _, sig in pairs:
+            for w in range(1, _W_ALZER + 1):
+                s = w * alzer_epsilon(_W_ALZER) / sig
+                np.testing.assert_allclose(ev._log_laplace(s, lookups), ev._log_laplace(s, exact),
+                                           rtol=1e-9, atol=0.0)
 
 
 def _lattice(table):
@@ -828,7 +898,9 @@ def test_folded_angle_axis_matches_full_circle(cfg, monkeypatch, index, q3):
         full = _CoverageEvaluator(case, quad)
     assert (folded.v.size, full.v.size) == ((q3 + 1) // 2, q3)
     if full.has_ris:
-        for values in [full.z, *full.gw, *(sig for pair in full.reflected.values()
+        z = bs_ris_distance(full.x[:, None, None], full.y[None, :, None], full.v[None, None, :],
+                            r_min=case.r_min)
+        for values in [z, *full.gw, *(sig for pair in full.reflected.values()
                                            for _, sig in pair)]:
             np.testing.assert_allclose(values[..., ::-1], values, rtol=1e-9)
     for threshold in (0.1, 1.0, 10.0):
@@ -852,7 +924,7 @@ def test_neglected_weight_bound(cfg, index):
     case = (_fill_configs(cfg) + [cfg.replace(lambda_ris=0.0)])[index]
     ev = _get_evaluator(case, QuadratureSpec())
     got = ev.evaluate(1.0).meta["neglected_weight"]
-    assert 0.0 <= got <= len(ev._kept) * 2.0**-100 / (2**ev.quad.w_alzer - 1)
+    assert 0.0 <= got <= len(ev._kept) * 2.0**-100 / (2**_W_ALZER - 1)
     dropped = sum(float(np.sum(ev._weight(*key), where=~_kept_mask(ev, *key))) for key in ev._kept)
     assert got == pytest.approx(dropped / ev.norm, rel=1e-12, abs=0.0)
     if index == 0:
@@ -877,17 +949,18 @@ def test_kept_nodes_match_every_weighted_node(
                        beta=10.0**log_beta, n_ris=n_ris)
     quad = QuadratureSpec(q1=16, q2=16, q3=8)
     read = {}
-    case_nodes = _CoverageEvaluator._case_nodes
+    view = _CoverageEvaluator._view
 
-    def recorded(ev, nodes, shape, irho, ixi, los_only):
-        read.setdefault((id(ev), irho, ixi), []).append(nodes)
-        return case_nodes(ev, nodes, shape, irho, ixi, los_only)
+    def recorded(ev, irho, ixi, direct_signal, los_only):
+        weight, pairs, sides = view(ev, irho, ixi, direct_signal, los_only)
+        read.setdefault((id(ev), irho, ixi), []).append(weight)
+        return weight, pairs, sides
 
     with pytest.MonkeyPatch.context() as m:
         # no other test's evaluates reach the twin, and no twin built here
         # outlives the test
         m.setattr(analytics, "_get_evaluator", analytics._BuildOnce(_CoverageEvaluator, maxsize=8))
-        m.setattr(_CoverageEvaluator, "_case_nodes", recorded)
+        m.setattr(_CoverageEvaluator, "_view", recorded)
         kept = _CoverageEvaluator(case, quad)
         m.setattr(analytics, "_NEGLIGIBLE", 0.0)
         every = _CoverageEvaluator(case, quad)
@@ -899,9 +972,10 @@ def test_kept_nodes_match_every_weighted_node(
                 want = every.evaluate(threshold, direct, los_only)
                 assert got.total == pytest.approx(want.total, rel=0.0, abs=1e-15)
                 assert got.by_case == pytest.approx(want.by_case, rel=0.0, abs=1e-15)
+    # six evaluates and the spans of each signal read every case's view
     for (_, irho, ixi), calls in read.items():
-        assert len(calls) == 6
-        assert all(np.array_equal(nodes, calls[0]) for nodes in calls)
+        assert len(calls) == 8
+        assert all(np.array_equal(weight, calls[0]) for weight in calls)
 
 
 @pytest.mark.parametrize("beta", [0.1, 1e-4])
@@ -945,9 +1019,9 @@ def test_log_laplace_matches_exact_sum(
         for scale, los_only in itertools.product((1.0, 1e-4, 1e4), (False, True)):
             s = scale * 10.0**log_threshold / sig
             _cover(ev, s, irho, ixi, los_only)
-            s_flat, case, _ = _every_node(ev, s, irho, ixi, los_only)
-            got = ev._log_laplace(s_flat, case)
-            want = _exact_log_laplace(ev, s_flat, case)
+            s_flat, lookups, exact, _ = _every_node(ev, s, irho, ixi, los_only)
+            got = ev._log_laplace(s_flat, lookups)
+            want = ev._log_laplace(s_flat, exact)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
@@ -976,15 +1050,19 @@ def test_tiny_density_below_default(cfg):
     assert sparse <= coverage_probability(1.0, cfg).total + 1e-9
 
 
-def test_series_depth_drift_bounded(cfg):
+def test_series_depth_drift_bounded(cfg, monkeypatch):
     """Doubling the binomial depth shifts the smoothed threshold slightly.
 
     The gamma-dummy kernel is not asymptotically tight at the coverage step,
     so the value drifts with the depth; the regression bound pins the
-    measured drift (about 1.2e-2) without asserting false convergence.
+    measured drift (about 1.2e-2) without asserting false convergence.  The
+    deeper series is built on a cache of its own.
     """
     base = coverage_probability(1.0, cfg).total
-    deeper = coverage_probability(1.0, cfg, QuadratureSpec(w_alzer=10)).total
+    monkeypatch.setattr(analytics, "_get_evaluator",
+                        analytics._BuildOnce(_CoverageEvaluator, maxsize=8))
+    monkeypatch.setattr(analytics, "_W_ALZER", 10)
+    deeper = coverage_probability(1.0, cfg).total
     assert abs(deeper - base) < 0.02
 
 

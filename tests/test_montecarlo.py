@@ -321,6 +321,15 @@ def test_empirical_coverage_rejects_nan_threshold(cfg):
     assert empirical_coverage(math.inf, cfg, 20, samples=batch).total == 0.0
 
 
+def test_empirical_coverage_rejects_zero_threshold(cfg):
+    """At a zero threshold the trials without a base station, SINR 0, would
+    count as covered."""
+    batch = sinr_samples(cfg, 60, radius=130.0, seed=12)
+    assert batch.empty_trials > 0
+    with pytest.raises(ValueError, match="threshold"):
+        empirical_coverage(0.0, cfg, 60, samples=batch)
+
+
 def test_empirical_coverage_reports_empty_trials(cfg):
     # a 130 m disk holds no BS at the default density about half the time
     batch = sinr_samples(cfg, 60, radius=130.0, seed=12)

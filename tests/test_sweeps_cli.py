@@ -344,6 +344,14 @@ def test_cli_coverage_rejects_both_engines(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("engine", ["analytic", "montecarlo"])
+def test_cli_coverage_rejects_zero_threshold(capsys, engine):
+    # -inf dB is a zero threshold, which every trial without a base station
+    # would pass; no JSON with -Infinity in it is printed
+    assert cli.main(["coverage", "--engine", engine, "--threshold-db=-inf"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_rejects_missing_config(capsys):
     assert cli.main(["gains", "--config", "/no/such/file.yaml"]) == 2
 
