@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,19 @@ _ENGINE_SETS = {
     "montecarlo": ("montecarlo",),
     "both": ("analytic", "montecarlo"),
 }
+
+
+def _threshold_db(text: str) -> float:
+    """A finite SINR threshold in dB: -inf would be a zero threshold, and
+    inf or nan would be written into the output, where JSON has no token
+    for either."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"threshold must be a finite dB value, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="LIST",
         help=f"comma-separated subset of {','.join(sweeps.METRICS)} (default per kind)",
     )
-    p.add_argument("--threshold-db", type=float, default=0.0,
+    p.add_argument("--threshold-db", type=_threshold_db, default=0.0,
                    help="fixed SINR threshold for density/size sweeps (default 0 dB)")
     p.add_argument("--trials", type=int, default=2000,
                    help="sampling trials per grid point (default 2000)")
@@ -58,13 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", parents=[sampled], help="coverage at one threshold")
     p.add_argument("--engine", choices=sweeps.ENGINES, default="analytic",
                    help="evaluation engine (default analytic)")
-    p.add_argument("--threshold-db", type=float, default=0.0)
+    p.add_argument("--threshold-db", type=_threshold_db, default=0.0)
     p.add_argument("--metric", choices=("p1", "p2", "p_d", "p_t"), default="p1")
     p.add_argument("--trials", type=int, default=10_000)
 
     for name, text in (("ase", "area spectral efficiency"), ("ee", "energy efficiency")):
         p = sub.add_parser(name, parents=[common], help=f"{text} at one threshold")
-        p.add_argument("--threshold-db", type=float, default=0.0)
+        p.add_argument("--threshold-db", type=_threshold_db, default=0.0)
 
     sub.add_parser("gains", parents=[common], help="dump average misalignment gains")
 

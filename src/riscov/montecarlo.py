@@ -24,21 +24,10 @@ from .analytics import CoverageResult
 from .association import AssociationCase
 from .beamforming import fejer_kernel, profile_gain, serving_gains, spatial_frequency
 from .config import NetworkConfig
-from .propagation import (
-    LinkKind,
-    blockage_density,
-    crossings,
-    los_probability,
-    path_loss,
-    segment_endpoints,
-)
+from .propagation import LinkKind, los_probability, path_loss
 
 _TWO_PI = 2.0 * math.pi
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-# blockage segment lengths drawn uniformly from this range [m]
-BLOCKAGE_LENGTH_RANGE = (5.0, 15.0)
-
 
 @dataclass(frozen=True, eq=False)
 class Deployment:
@@ -49,9 +38,6 @@ class Deployment:
     ris_normals: np.ndarray = field(repr=False)   # (n_ris,) coated-face normal [rad]
     user_points: np.ndarray = field(repr=False)   # (n_user, 2) [m]
     radius: float                                 # simulation disk radius [m]
-    # both endpoints of every blockage segment, two (n_seg, 2) arrays [m];
-    # None draws link states from exp(-beta x) instead
-    blockage_segments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < math.inf:
@@ -68,16 +54,6 @@ class Deployment:
             raise ValueError("ris_normals must hold one angle per RIS")
         if not np.isfinite(self.ris_normals).all():
             raise ValueError("ris_normals must be finite")
-        segs = self.blockage_segments
-        if segs is not None and not (
-            isinstance(segs, tuple)
-            and len(segs) == 2
-            and all(isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[1] == 2 for e in segs)
-            and segs[0].shape == segs[1].shape
-        ):
-            raise ValueError("blockage_segments must be two (n, 2) endpoint arrays of equal n")
-        if segs is not None and not (np.isfinite(segs[0]).all() and np.isfinite(segs[1]).all()):
-            raise ValueError("blockage_segments must be finite")
 
 
 @dataclass(frozen=True)
@@ -154,11 +130,7 @@ def _disk_points(
 
 
 def _sample(
-    cfg: NetworkConfig,
-    radius: float,
-    rng: np.random.Generator,
-    geometric_blockage: bool,
-    keep_users: bool = True,
+    cfg: NetworkConfig, radius: float, rng: np.random.Generator, keep_users: bool = True
 ) -> Deployment:
     """One deployment; without ``keep_users`` the other users are drawn but
     not kept, for passes that never read them."""
@@ -170,28 +142,14 @@ def _sample(
     ris = _disk_points(rng, n_ris, radius)
     normals = rng.uniform(0.0, _TWO_PI, n_ris)
     users = _disk_points(rng, n_user, radius, keep_users)
-    segments = None
-    if geometric_blockage:
-        lo, hi = BLOCKAGE_LENGTH_RANGE
-        lam_b = blockage_density(cfg.beta, 0.5 * (lo + hi))
-        # margin so segments whose midpoint falls outside can still cut links
-        reach = radius + hi
-        n_seg = rng.poisson(lam_b * math.pi * reach**2)
-        mid = _disk_points(rng, n_seg, reach)
-        length = rng.uniform(lo, hi, n_seg)
-        orient = rng.uniform(0.0, math.pi, n_seg)
-        segments = segment_endpoints(mid, length, orient)
-    return Deployment(bs, ris, normals, users, radius, segments)
+    return Deployment(bs, ris, normals, users, radius)
 
 
 def sample_deployment(
-    cfg: NetworkConfig,
-    radius: float | None = None,
-    seed: int = 0,
-    geometric_blockage: bool = False,
+    cfg: NetworkConfig, radius: float | None = None, seed: int = 0
 ) -> Deployment:
     """Draw one deployment; identical seeds give identical point sets."""
-    return _sample(cfg, _radius(cfg, radius), _rng(seed), geometric_blockage)
+    return _sample(cfg, _radius(cfg, radius), _rng(seed))
 
 
 # -- trials in blocks ---------------------------------------------------------
@@ -200,9 +158,9 @@ def sample_deployment(
 # the trial's own generator, in a fixed order: the deployment, the link-state
 # uniforms, the other users' activity, then the interfering beams and the
 # loaded reflectors' profiles. It also does the work on per-trial matrices:
-# the other users' association and blockage-segment crossings. The block pass
-# then runs link states, the typical user's association, signal and
-# interference once for a chunk of trials whose points are laid end to end.
+# the other users' association. The block pass then runs link states, the
+# typical user's association, signal and interference once for a chunk of
+# trials whose points are laid end to end.
 # Its last stage hands each trial's generator back for the trial's last
 # draws, the idle reflectors' phases, whose count the association sets.
 # Every reduction is per trial (reduceat, bincount), so a trial's values do
@@ -314,9 +272,8 @@ def _activity(
     if users.shape[0] == 0:
         # the users' draws would be empty, so the stream is where it would be
         return np.zeros(n_bs, dtype=bool), np.zeros(n_ris, dtype=bool)
-    # other users associate exactly like the typical one; their link states
-    # stay analytic draws even in geometric mode (they only set cell
-    # occupancy, not any path toward the origin)
+    # other users associate exactly like the typical one, on their own
+    # link-state draws
     d_ub = _distances(users, dep.bs_points)
     dx, dy = _offsets(users, dep.ris_points)
     d_ur = np.sqrt(dx * dx + dy * dy)
@@ -337,8 +294,8 @@ class _Trial:
 
     dep: Deployment
     rng: np.random.Generator
-    # link-state draws of the BS, reflector and BS-reflector links (legs
-    # row-major): uniforms, or the LOS states where blockage segments cut them
+    # link-state uniforms of the BS, reflector and BS-reflector links (legs
+    # row-major)
     links: tuple[np.ndarray, np.ndarray, np.ndarray]
     # BSs and reflectors loaded by the other users
     bs_busy: np.ndarray | None = None
@@ -353,18 +310,6 @@ def _split(values: np.ndarray, n_bs: int, n_ris: int) -> tuple[np.ndarray, ...]:
     return values[:n_bs], values[n_bs:n_bs + n_ris], values[n_bs + n_ris:]
 
 
-def _link_draws(
-    dep: Deployment, cfg: NetworkConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
-    if dep.blockage_segments is None:
-        return _split(rng.random(n_bs + n_ris + n_bs * n_ris), n_bs, n_ris)
-    # links run from the typical user at the origin, or from a leg's BS
-    a = np.concatenate((np.zeros((n_bs + n_ris, 2)), np.repeat(dep.bs_points, n_ris, axis=0)))
-    b = np.concatenate((dep.bs_points, dep.ris_points, np.tile(dep.ris_points, (n_bs, 1))))
-    return _split(~crossings(a, b, *dep.blockage_segments).any(axis=1), n_bs, n_ris)
-
-
 def _trial(
     dep: Deployment,
     cfg: NetworkConfig,
@@ -372,11 +317,11 @@ def _trial(
     links_only: bool = False,
 ) -> _Trial:
     """The per-trial pass; ``links_only`` stops after the link states."""
-    links = _link_draws(dep, cfg, rng)
+    n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
+    links = _split(rng.random(n_bs + n_ris + n_bs * n_ris), n_bs, n_ris)
     if links_only:
         return _Trial(dep, rng, links)
     bs_busy, ris_busy = _activity(dep, cfg, rng)
-    n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
     azimuths = _split(rng.uniform(0.0, _TWO_PI, n_bs + 2 * n_ris), n_bs, n_ris)
     return _Trial(dep, rng, links, bs_busy, ris_busy, azimuths)
 
@@ -417,9 +362,9 @@ class _Block:
         bs_dist = np.hypot(self.bs[:, 0], self.bs[:, 1])
         ris_dist = np.hypot(self.ris[:, 0], self.ris[:, 1])
         bs_draw, ris_draw, leg_draw = (np.concatenate(d) for d in zip(*(t.links for t in trials)))
-        self.bs_los = _states(bs_draw, bs_dist, cfg.beta)
-        self.ris_los = _states(ris_draw, ris_dist, cfg.beta)
-        self.leg_los = _states(leg_draw, leg_dist, cfg.beta)
+        self.bs_los = bs_draw < los_probability(bs_dist, cfg.beta)
+        self.ris_los = ris_draw < los_probability(ris_dist, cfg.beta)
+        self.leg_los = leg_draw < los_probability(leg_dist, cfg.beta)
         self.bs_gain = path_loss(bs_dist, self.bs_los, cfg)
         self.ris_gain = path_loss(ris_dist, self.ris_los, cfg)
         self.leg_gain = path_loss(leg_dist, self.leg_los, cfg)
@@ -430,12 +375,6 @@ class _Block:
         trial = self.bs_trial[bs]
         return (self.leg_start[trial] + (bs - self.bs_start[trial]) * self.n_ris[trial]
                 + ris - self.ris_start[trial])
-
-
-def _states(drawn: np.ndarray, dist: np.ndarray, beta: float) -> np.ndarray:
-    """LOS states from link-state draws: uniforms under exp(-beta x), or the
-    states themselves."""
-    return drawn if drawn.dtype == bool else drawn < los_probability(dist, beta)
 
 
 def _associate(block: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -599,12 +538,7 @@ def _realize(
 
 
 def _blocks(
-    cfg: NetworkConfig,
-    trials: int,
-    radius: float,
-    seed: int,
-    geometric_blockage: bool,
-    links_only: bool = False,
+    cfg: NetworkConfig, trials: int, radius: float, seed: int, links_only: bool = False
 ):
     """The per-trial pass of trials 0 .. trials - 1, trial t on the (seed, t)
     stream, grouped into blocks of about _BLOCK_LINKS links. Yields each
@@ -613,7 +547,7 @@ def _blocks(
     index, block, links = [], [], 0
     for t in range(trials):
         rng = _rng(seed, (t,))
-        dep = _sample(cfg, radius, rng, geometric_blockage, keep_users=not links_only)
+        dep = _sample(cfg, radius, rng, keep_users=not links_only)
         n_bs, n_ris = dep.bs_points.shape[0], dep.ris_points.shape[0]
         if n_bs == 0:
             continue
@@ -653,7 +587,6 @@ def sinr_samples(
     trials: int,
     radius: float | None = None,
     seed: int = 0,
-    geometric_blockage: bool = False,
     draw_serving_gains: bool = False,
 ) -> SinrBatch:
     """Independent SINR draws; trial t uses the (seed, t) counter stream.
@@ -667,7 +600,7 @@ def sinr_samples(
     sinr = np.zeros(trials)
     codes = np.tile(np.array([1, -1, -1], dtype=np.int8), (trials, 1))
     done = 0
-    for index, block in _blocks(cfg, trials, radius, seed, geometric_blockage):
+    for index, block in _blocks(cfg, trials, radius, seed):
         signal, interference, block_codes = _realize(block, cfg, draw_serving_gains)
         sinr[index] = signal / (interference + cfg.noise_power_watt)
         codes[index] = block_codes
@@ -738,15 +671,14 @@ def association_frequencies(
     Keys: d_los, a LOS serving BS; the serving reflector's state (u_los,
     u_nlos, no_ris); and g_los, a serving reflected path with both legs
     unblocked. Trial t draws the same link states as trial t of
-    ``sinr_samples`` without geometric blockage, so the two agree on every
-    association code.
+    ``sinr_samples``, so the two agree on every association code.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     radius = _radius(cfg, radius)
     counts = dict.fromkeys(("d_los", "u_los", "u_nlos", "g_los"), 0)
     done = 0
-    for index, trial_block in _blocks(cfg, trials, radius, seed, False, links_only=True):
+    for index, trial_block in _blocks(cfg, trials, radius, seed, links_only=True):
         block = _Block(trial_block, cfg)
         bs, ris, leg = _codes(block, *_associate(block)).T
         counts["d_los"] += int(np.sum(bs == 0))

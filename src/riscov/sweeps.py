@@ -255,6 +255,8 @@ def run_sweep(
     unknown = [e for e in requested if e not in ENGINES]
     if not requested or unknown:
         raise ValueError(f"engines must be a non-empty subset of {ENGINES}, got {engines!r}")
+    if not math.isfinite(threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
     points = _sweep_points(kind, cfg, 10.0 ** (threshold_db / 10.0))
     metrics = _DEFAULT_METRICS[kind] if metrics is None else tuple(metrics)
     for m in metrics:
@@ -415,7 +417,7 @@ def validate(
 
     # sampling checks
     if budget < 1:
-        for name in ("cross-coverage", "direct-consistency[mc]", "association"):
+        for name in ("cross-coverage", "direct-consistency[thm-mc]", "association"):
             checks.append(CheckResult(name, "SKIP", "no trial budget"))
     else:
         batch = montecarlo.sinr_samples(cfg, budget, radius=500.0, seed=seed)

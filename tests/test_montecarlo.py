@@ -1,4 +1,4 @@
-"""Sampling engine: determinism, closed-form checks and blockage calibration."""
+"""Sampling engine: determinism, closed-form checks and per-trial reference passes."""
 
 import copy
 import dataclasses
@@ -26,8 +26,9 @@ from riscov.montecarlo import (
     sinr_samples,
     wilson_interval,
 )
-from riscov.propagation import LinkKind, crossings, path_loss
+from riscov.propagation import LinkKind, path_loss
 from riscov.sweeps import RIS_DENSITY_GRID, RIS_SIZE_GRID, UNIT_DENSITY
+from test_propagation import blockage_density, crossings, segment_endpoints
 
 NO_POINTS = np.empty((0, 2))
 NO_ANGLES = np.empty((0,))
@@ -59,19 +60,10 @@ def test_deployment_validation():
             bs_points=NO_POINTS.copy(), ris_points=np.array([[1.0, 1.0]]),
             ris_normals=NO_ANGLES.copy(), user_points=NO_POINTS.copy(), radius=100.0,
         )
-    ends = np.zeros((3, 2))
     valid = dict(
         bs_points=NO_POINTS.copy(), ris_points=NO_POINTS.copy(),
         ris_normals=NO_ANGLES.copy(), user_points=NO_POINTS.copy(), radius=100.0,
     )
-    assert Deployment(**valid, blockage_segments=(ends, ends)).blockage_segments[0] is ends
-    # blockage segments are two (n, 2) endpoint arrays with the same n
-    for bad in (
-        (ends, ends, ends), (ends, np.zeros((2, 2))), (ends, np.zeros((3, 3))),
-        (ends[:, 0], ends[:, 0]), [ends, ends],
-    ):
-        with pytest.raises(ValueError):
-            Deployment(**valid, blockage_segments=bad)
     # a NaN point is never outside the disk, and would reach the SINR
     for name, bad in (("bs_points", np.array([[np.nan, 0.0]])),
                       ("user_points", np.array([[np.inf, 0.0]]))):
@@ -85,10 +77,6 @@ def test_deployment_validation():
         for points in (NO_POINTS.copy(), np.array([[10.0, 0.0]])):
             with pytest.raises(ValueError, match="radius must be positive and finite"):
                 Deployment(**{**valid, "bs_points": points, "radius": radius})
-    # a NaN segment endpoint would cut no link
-    for bad in (np.array([[np.nan, 0.0]]), np.array([[0.0, np.inf]])):
-        with pytest.raises(ValueError, match="finite"):
-            Deployment(**valid, blockage_segments=(np.zeros((1, 2)), bad))
 
 
 def test_default_radius(cfg):
@@ -123,10 +111,6 @@ def test_sample_deployment_in_disk(cfg):
     dep = sample_deployment(cfg, radius=400.0, seed=3)
     assert dep.radius == 400.0
     assert np.hypot(dep.bs_points[:, 0], dep.bs_points[:, 1]).max() <= 400.0
-    assert dep.blockage_segments is None
-    geo = sample_deployment(cfg, radius=400.0, seed=3, geometric_blockage=True)
-    seg_p, seg_q = geo.blockage_segments
-    assert seg_p.shape[0] > 0
 
 
 def test_sinr_batch_determinism(cfg):
@@ -142,7 +126,7 @@ def test_empty_trials_counted(cfg):
     radius, seed, trials = 130.0, 12, 60
     batch = sinr_samples(cfg, trials, radius=radius, seed=seed)
     empty = np.array([
-        mc._sample(cfg, radius, mc._rng(seed, (t,)), False).bs_points.shape[0] == 0
+        mc._sample(cfg, radius, mc._rng(seed, (t,))).bs_points.shape[0] == 0
         for t in range(trials)
     ])
     assert 0 < batch.empty_trials == empty.sum() < trials
@@ -384,33 +368,36 @@ def test_serve_rule_is_the_typical_user_rule(cfg):
 
 
 def test_geometric_blockage_calibrates_to_exponential(cfg):
-    """Boolean segment fields reproduce p_los(x) = exp(-beta x) for real links."""
+    """A line-Boolean segment field and the engine's per-link draws both give
+    p_los(x) = exp(-beta x) on real links."""
+    distances = np.array([50.0, 100.0, 200.0])
+    law = np.exp(-cfg.beta * distances)
+    # the engine: one BS at each distance, the serving link's drawn state
     trials = 4000
-    distances = (50.0, 100.0, 200.0)
-    hits = {d: 0 for d in distances}
-    for t in range(trials):
-        dep = sample_deployment(cfg, radius=250.0, seed=t, geometric_blockage=True)
-        for d in distances:
-            probe = dataclasses.replace(
-                dep,
-                bs_points=np.array([[d, 0.0]]),
-                ris_points=NO_POINTS.copy(),
-                ris_normals=NO_ANGLES.copy(),
-                user_points=NO_POINTS.copy(),
-            )
-            sample = realize_sinr(probe, cfg, seed=t)
-            hits[d] += sample.serving_case.bs_state is LinkKind.LOS
-    for d in distances:
-        assert hits[d] / trials == pytest.approx(math.exp(-cfg.beta * d), abs=0.02)
-
-
-def test_blockage_modes_agree_on_coverage(cfg):
-    drawn = empirical_coverage(1.0, cfg, 1200, radius=450.0, seed=14).total
-    geometric = empirical_coverage(
-        1.0, cfg, 1200,
-        samples=sinr_samples(cfg, 1200, radius=450.0, seed=14, geometric_blockage=True),
-    ).total
-    assert geometric == pytest.approx(drawn, abs=0.06)
+    drawn = np.array([
+        sum(
+            realize_sinr(_single_bs_deployment(d), cfg, seed=t).serving_case.bs_state
+            is LinkKind.LOS
+            for t in range(trials)
+        )
+        for d in distances
+    ])
+    np.testing.assert_allclose(drawn / trials, law, atol=0.02)
+    # the field: links from the origin along the x axis, one field of
+    # segments with lengths U(5, 15) per trial, midpoints in the rectangle
+    # from which a segment can reach any of them
+    rng = np.random.default_rng(11)
+    lo, hi = 5.0, 15.0
+    density = blockage_density(cfg.beta, 0.5 * (lo + hi))
+    a, b = np.zeros((3, 2)), np.column_stack((distances, np.zeros(3)))
+    x0, x1, half_y = -0.5 * hi, distances.max() + 0.5 * hi, 0.5 * hi
+    trials, clear = 10000, np.zeros(3)
+    for _ in range(trials):
+        n = rng.poisson(density * (x1 - x0) * 2.0 * half_y)
+        mid = np.column_stack((rng.uniform(x0, x1, n), rng.uniform(-half_y, half_y, n)))
+        ends = segment_endpoints(mid, rng.uniform(lo, hi, n), rng.uniform(0.0, math.pi, n))
+        clear += ~crossings(a, b, *ends).any(axis=1)
+    np.testing.assert_allclose(clear / trials, law, atol=0.02)
 
 
 def test_drawn_serving_gains_lower_coverage(cfg):
@@ -467,17 +454,9 @@ def _reference_links(dep, cfg, rng):
     ris_dist = np.hypot(dep.ris_points[:, 0], dep.ris_points[:, 1])
     diff = dep.bs_points[:, None, :] - dep.ris_points[None, :, :]
     leg_dist = np.hypot(diff[..., 0], diff[..., 1])
-    if dep.blockage_segments is None:
-        bs_los = mc._los_draw(rng, bs_dist, cfg.beta)
-        ris_los = mc._los_draw(rng, ris_dist, cfg.beta)
-        leg_los = mc._los_draw(rng, leg_dist, cfg.beta)
-    else:
-        seg = dep.blockage_segments
-        bs_los = ~crossings(np.zeros_like(dep.bs_points), dep.bs_points, *seg).any(axis=1)
-        ris_los = ~crossings(np.zeros_like(dep.ris_points), dep.ris_points, *seg).any(axis=1)
-        a = np.repeat(dep.bs_points, dep.ris_points.shape[0], axis=0)
-        b = np.tile(dep.ris_points, (dep.bs_points.shape[0], 1))
-        leg_los = ~crossings(a, b, *seg).any(axis=1).reshape(leg_dist.shape)
+    bs_los = mc._los_draw(rng, bs_dist, cfg.beta)
+    ris_los = mc._los_draw(rng, ris_dist, cfg.beta)
+    leg_los = mc._los_draw(rng, leg_dist, cfg.beta)
     return SimpleNamespace(
         bs_dist=bs_dist, bs_los=bs_los, ris_dist=ris_dist, ris_los=ris_los,
         leg_dist=leg_dist, leg_los=leg_los,
@@ -630,14 +609,14 @@ def _reference_realize(dep, cfg, rng, draw_serving_gains):
     return signal / (interference + cfg.noise_power_watt), codes
 
 
-def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains):
+def _reference_samples(cfg, trials, radius, seed, draw_serving_gains):
     """sinr_samples trial by trial: SINR, state codes, empty trials, and
     where each trial's generator ends."""
     sinr, codes, ends = np.zeros(trials), np.zeros((trials, 3), dtype=np.int8), []
     empty = 0
     for t in range(trials):
         rng = mc._rng(seed, (t,))
-        dep = mc._sample(cfg, radius, rng, geometric)
+        dep = mc._sample(cfg, radius, rng)
         if dep.bs_points.shape[0] == 0:
             codes[t] = (1, -1, -1)
             empty += 1
@@ -648,7 +627,7 @@ def _reference_samples(cfg, trials, radius, seed, geometric, draw_serving_gains)
 
 
 @pytest.mark.parametrize("case", (
-    "sampled", "geometric", "drawn-gains", "scheme2", "no-reflectors", "empty-bs", "no-users",
+    "sampled", "drawn-gains", "scheme2", "no-reflectors", "empty-bs", "no-users",
 ))
 def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
     run_cfg = {
@@ -658,18 +637,13 @@ def test_block_pass_matches_per_trial_reference(cfg, monkeypatch, case):
         # have moved the stream
         "no-users": cfg.replace(lambda_u=0.0),
     }.get(case, cfg)
-    radius = {"geometric": 300.0, "empty-bs": 130.0}.get(case)
-    if radius is None:
-        radius = default_radius(run_cfg)
-    modes = dict(
-        geometric_blockage=case == "geometric",
-        draw_serving_gains=case in ("drawn-gains", "scheme2"),
-    )
+    radius = 130.0 if case == "empty-bs" else default_radius(run_cfg)
+    drawn = case in ("drawn-gains", "scheme2")
     trials = 30
     made = _recording_rng(monkeypatch)
-    batch = sinr_samples(run_cfg, trials, radius=radius, seed=17, **modes)
+    batch = sinr_samples(run_cfg, trials, radius=radius, seed=17, draw_serving_gains=drawn)
     block_ends = [_position(used) for _, used in made]
-    sinr, codes, empty, ends = _reference_samples(run_cfg, trials, radius, 17, *modes.values())
+    sinr, codes, empty, ends = _reference_samples(run_cfg, trials, radius, 17, drawn)
     np.testing.assert_array_equal(batch.bs_state, codes[:, 0])
     np.testing.assert_array_equal(batch.ris_state, codes[:, 1])
     np.testing.assert_array_equal(batch.leg_state, codes[:, 2])
@@ -719,16 +693,13 @@ def _check_against_loop(dep, cfg, seed, loaded=None):
     return stage[0], args
 
 
-@pytest.mark.parametrize(
-    "case", ("sampled", "all-active", "all-idle", "scheme2", "geometric")
-)
+@pytest.mark.parametrize("case", ("sampled", "all-active", "all-idle", "scheme2"))
 def test_interference_stage_matches_loop(cfg, case):
-    geometric = case == "geometric"
     run_cfg = cfg.replace(antenna_scheme="scheme2") if case == "scheme2" else cfg
     loaded = {"all-active": True, "all-idle": False}.get(case)
     mixed = False
     for seed in (31, 32, 33):
-        dep = sample_deployment(run_cfg, radius=500.0, seed=seed, geometric_blockage=geometric)
+        dep = sample_deployment(run_cfg, radius=500.0, seed=seed)
         _, args = _check_against_loop(dep, run_cfg, seed, loaded)
         ris_active = args[4]
         assert len(ris_active) > 1  # several reflectors, so the loop has work

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 import sys
 import threading
@@ -280,6 +281,34 @@ def test_sweep_rejects_bad_arguments(cfg):
     assert any("analytic-only" in err for err in table.errors)
 
 
+@pytest.mark.parametrize("threshold_db", [math.inf, -math.inf, math.nan])
+def test_sweep_rejects_non_finite_threshold(cfg, monkeypatch, threshold_db):
+    # refused once, before any sample is drawn, rather than once per row
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the threshold was checked")
+
+    monkeypatch.setattr(sweeps.montecarlo, "sinr_samples", never)
+    with pytest.raises(ValueError, match="threshold_db must be finite"):
+        run_sweep("ris-size", cfg, engines=("analytic", "montecarlo"),
+                  threshold_db=threshold_db, trials=5)
+
+
+# the rows of a validate report with a trial budget, in order
+_VALIDATE_ROWS = [
+    "small-beta-consistency",
+    "quadrature-doubling",
+    "active-prob-closed-form",
+    "cross-coverage[-5dB]",
+    "cross-coverage[+0dB]",
+    "cross-coverage[+5dB]",
+    "cross-coverage[+10dB]",
+    "direct-consistency[thm-mc]",
+    "association[d_los]",
+    "association[u_los]",
+    "association[g_los]",
+]
+
+
 def test_validate_without_budget(cfg, light_quad):
     report = validate(cfg, budget=0, quad=light_quad)
     names = [c.name for c in report.checks]
@@ -287,6 +316,10 @@ def test_validate_without_budget(cfg, light_quad):
     skipped = [c for c in report.checks if c.status == "SKIP"]
     assert len(skipped) == 3
     assert all("budget" in c.detail for c in skipped)
+    # each SKIP row carries the name of the check it stands for, or the part
+    # before the brackets of a family of them
+    for c in skipped:
+        assert any(name == c.name or name.startswith(c.name + "[") for name in _VALIDATE_ROWS)
     # the three analytic checks pass on their own, quadrature doubling included
     assert report.exit_status == 0
     assert "FAIL" not in report.text
@@ -301,19 +334,7 @@ def test_validate_report_rows(cfg, light_quad):
     """Each row compares two independent results; none repeats or negates
     another."""
     report = validate(cfg, budget=200, quad=light_quad)
-    assert [c.name for c in report.checks] == [
-        "small-beta-consistency",
-        "quadrature-doubling",
-        "active-prob-closed-form",
-        "cross-coverage[-5dB]",
-        "cross-coverage[+0dB]",
-        "cross-coverage[+5dB]",
-        "cross-coverage[+10dB]",
-        "direct-consistency[thm-mc]",
-        "association[d_los]",
-        "association[u_los]",
-        "association[g_los]",
-    ]
+    assert [c.name for c in report.checks] == _VALIDATE_ROWS
 
 
 def test_validation_report_fail_exit_status():
@@ -348,8 +369,30 @@ def test_cli_coverage_rejects_both_engines(capsys):
 def test_cli_coverage_rejects_zero_threshold(capsys, engine):
     # -inf dB is a zero threshold, which every trial without a base station
     # would pass; no JSON with -Infinity in it is printed
-    assert cli.main(["coverage", "--engine", engine, "--threshold-db=-inf"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["coverage", "--engine", engine, "--threshold-db=-inf"])
+    assert exit_info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["coverage", "--engine", "montecarlo", "--trials", "10"],
+    ["coverage", "--engine", "analytic"],
+    ["sweep", "--kind", "ris-size", "--engine", "montecarlo", "--trials", "10"],
+    ["ase"],
+    ["ee"],
+])
+@pytest.mark.parametrize("value", ["inf", "nan", "zero"])
+def test_cli_rejects_non_finite_threshold(capsys, command, value):
+    # an infinite, NaN or non-numeric threshold is a usage error, refused
+    # before anything runs: no JSON with Infinity or NaN in it, no row per
+    # warning
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, f"--threshold-db={value}"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite dB value" in err and "warning" not in err
 
 
 def test_cli_rejects_missing_config(capsys):
