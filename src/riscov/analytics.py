@@ -11,9 +11,11 @@ thinned point processes (LOS/NLOS base stations, LOS/NLOS reflectors, the
 latter split again into active and idle) whose Laplace transforms share one
 half-line integral template.  The evaluator tabulates each side's summed
 exponent in u = ln s as per-interval polynomial coefficients, filled on
-demand: an evaluate first fills the intervals that its lookups at the kept
-grid nodes (those whose weight can reach the total) reach and no earlier one
-did, so a threshold costs two table lookups per Laplace product and kept node.
+demand.  Per threshold, an evaluate reads only the live grid nodes: those
+whose weight, times the bound the noise term alone puts on their kernel,
+can reach the total.  It first fills the intervals that its lookups at live
+nodes reach and no earlier one did, in batched `_j` calls, so a threshold
+costs two table lookups per Laplace product and live node.
 """
 
 from __future__ import annotations
@@ -282,13 +284,13 @@ def _j(c, table, derivatives: bool = False):
 
 # step of the u = ln s lattice every exponent table sits on
 _TABLE_STEP = 0.1
-# below a column's lattice every node has c*B <= this, so the two-term series
-# of J is within (c*B)^2/6 < 2e-11 relative
-_SERIES_EDGE = 1e-5
+# below a column's lattice every node has x = c*B <= this, so the five-term
+# series of J is within x^5/720 < 4.5e-12 relative
+_SERIES_EDGE = 0.02
 # above it every node with weight has c*B >= this: J is saturated to exp(-40)
 # and exp(-x) rounds to zero, so `_j` returns sum(A) and zero derivatives
 _SATURATION_EDGE = 40.0
-# elements of one (nodes, lattice points) temporary while filling a table
+# elements of one (table nodes, values) temporary of a `_j` call in a fill
 _CHUNK = 1 << 16
 # the build check holds every table to this relative error at its midpoints;
 # exponents under the floor are invisible in exp(-L) and reach subnormals
@@ -331,9 +333,10 @@ class _Rows(NamedTuple):
     """The rows an `_ExponentTable` holds, replaced whole by each fill so a
     lookup reads one consistent set.  Per column, shaped like the
     exclusions, or per node once `_ExponentTable.at` gathers them: the
-    lattice index k0 of its first filled interval, their count `width`, the
-    row `start` of `coef` that holds it, and the series edge s_edge; the
-    series row comes just before and the saturated row just after them."""
+    lattice index k0 of its first filled interval, their count `width`
+    (zero while no lookup has read the column), the row `start` of `coef`
+    that holds it, and the series edge s_edge; the series row comes just
+    before and the saturated row just after them."""
 
     coef: np.ndarray
     k0: np.ndarray
@@ -344,10 +347,11 @@ class _Rows(NamedTuple):
     def __call__(self, s, k, t):
         """L at s = exp(u) where u/_TABLE_STEP = k + t, t in [0, 1), one per
         node of gathered rows, in intervals `cover` has filled.  Below the
-        span a lookup takes the series row, with min(s, s_edge) in place of
-        t, and above it the saturated row."""
+        span a lookup takes the series row, with min(s/s_edge, 1) in place
+        of t, and above it the saturated row."""
         j = np.minimum(np.maximum(k - self.k0, -1), self.width)
-        return _horner(self.coef, self.start + j, np.where(j < 0, np.minimum(s, self.s_edge), t))
+        return _horner(self.coef, self.start + j,
+                       np.where(j < 0, np.minimum(s / self.s_edge, 1.0), t))
 
 
 class _ExponentTable:
@@ -356,13 +360,14 @@ class _ExponentTable:
     `groups` lists (tail table, [(density, scale), ...]) pairs whose tail
     tables share one exclusion shape; the terms of a group share the table's
     `_j` calls.  Each exclusion node is a column with its own run of lattice
-    nodes u = k*_TABLE_STEP.  A column keeps three kinds of rows of
-    six coefficients, one after the other: the two-term series
-    s*S1 - s^2*S2/2 in s below the run; per interval of the run, the quintic
-    Hermite of L in t from its value and first two u-derivatives (with
-    x = c*B, J_u = sum A*x*exp(-x) and J_uu = sum A*x*(1-x)*exp(-x)); and
-    the saturated sum(A*density) above the run.  A lookup is one Horner pass
-    of the rows that `at` gathers.
+    nodes u = k*_TABLE_STEP, the first at s_edge = e^u.  A column keeps three
+    kinds of rows of six coefficients, one after the other: below the run,
+    J's five-term series sum_n (-1)^(n+1) x^n/n! summed over the nodes, in
+    t = s/s_edge; per interval of the run, the quintic Hermite of L in t
+    from its value and first two u-derivatives (with x = c*B,
+    J_u = sum A*x*exp(-x) and J_uu = sum A*x*(1-x)*exp(-x)); and the
+    saturated sum(A*density) above the run.  A lookup is one Horner pass of
+    the rows that `at` gathers.
 
     Intervals are filled on demand: `cover` fills those a u range reads, and
     each column holds one contiguous span of them.  `residual` is the worst
@@ -373,7 +378,7 @@ class _ExponentTable:
         shape = groups[0][0][0].shape[1:]  # the exclusion shape of the tail tables
         size = math.prod(shape)
         lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
-        s1, s2, sat = np.zeros((3, size))
+        sat = np.zeros(size)
         # the groups with their terms of zero density or scale dropped, and
         # the tail tables flattened to (nodes, columns)
         self.groups = []
@@ -387,8 +392,6 @@ class _ExponentTable:
                     lo = np.minimum(lo, np.log(_SERIES_EDGE / (sc * b.max(axis=0))))
                     b_live = np.where(a > 0.0, b, np.inf).min(axis=0)
                     hi = np.maximum(hi, np.log(_SATURATION_EDGE / (sc * b_live)))
-                s1 += d * sc * np.sum(a * b, axis=0)
-                s2 += d * sc**2 * np.sum(a * b * b, axis=0)
                 sat += d * np.sum(a, axis=0)
             self.groups.append((table, terms))
         h = _TABLE_STEP
@@ -399,8 +402,21 @@ class _ExponentTable:
         # per-column constants, shaped like the exclusions
         self.k_lo, self.count = k_lo.reshape(shape), count.reshape(shape)
         self.s_edge = np.exp(self.k_lo * h)
+        # the series row's coefficients of t^1 .. t^5: each x^n is summed at
+        # x = s_edge*c*B <= _SERIES_EDGE, so no power of s_edge under- or
+        # overflows on its own
+        series = np.zeros((5, size))
+        edge = np.where(empty, 0.0, self.s_edge.ravel())
+        for (a, b), terms in self.groups:
+            for d, sc in terms:
+                x = edge * sc * b
+                power = x
+                for n in range(1, 6):
+                    series[n - 1] += (-1) ** (n + 1) * d / math.factorial(n) * np.sum(
+                        a * power, axis=0)
+                    power = power * x
         # the series and saturated rows
-        self._outside = (s1, -0.5 * s2, sat)
+        self._outside = (series.T, sat)
         self._rows = None  # until the first fill
         self._lock = threading.Lock()
         self.residual = 0.0
@@ -408,37 +424,40 @@ class _ExponentTable:
     def cover(self, u_lo, u_hi):
         """Fill the intervals that lookups at u in [u_lo, u_hi] read.
 
-        u_lo and u_hi broadcast against the columns.  A range off a column's
-        lattice fills the interval nearest to it, so a span filled for two
-        ranges holds every range between them.  Each column's span grows to
-        the one run that holds its old span and the new range; only the new
-        intervals and their end nodes are computed, and every new interval is
-        held to _TABLE_RTOL at its midpoint before a lookup can read it.
-        Fills run under the table's lock, so threads may share a table.
+        u_lo and u_hi broadcast against the columns; a column where u_lo >
+        u_hi asks for nothing.  A range off a column's lattice fills the
+        interval nearest to it, so a span filled for two ranges holds every
+        range between them.  Each column's span grows to the one run that
+        holds its old span and the new range; only the new intervals and
+        their end nodes are computed, and every new interval is held to
+        _TABLE_RTOL at its midpoint before a lookup can read it.  Fills run
+        under the table's lock, so threads may share a table.
         """
         h = _TABLE_STEP
         k_lo = self.k_lo.ravel()
         end = self.count.ravel() - 1  # intervals 0 .. count - 2 hold quintics
-        # the lookups' interval index, floor(u/h) - k_lo, at either end
-        i_lo, i_hi = (np.floor(np.broadcast_to(u, self.k_lo.shape).ravel() / h) - k_lo
-                      for u in (u_lo, u_hi))
-        want_lo = np.clip(i_lo, 0, end - 1).astype(np.intp)
-        want_hi = np.clip(i_hi + 1, want_lo + 1, end).astype(np.intp)
+        u_lo, u_hi = (np.broadcast_to(u, self.k_lo.shape).ravel() for u in (u_lo, u_hi))
+        # the lookups' interval index, floor(u/h) - k_lo, at either end; a
+        # column asking for nothing gets the empty span (end, 0), which is
+        # the identity of the union below
+        i_lo, i_hi = (np.floor(u / h) - k_lo for u in (u_lo, u_hi))
+        none = ~(u_lo <= u_hi)
+        want_lo = np.where(none, end, np.clip(i_lo, 0, end - 1)).astype(np.intp)
+        want_hi = np.where(none, 0, np.clip(i_hi + 1, want_lo + 1, end)).astype(np.intp)
         with self._lock:
             old = self._rows
-            # every fill leaves each column at least one interval; before the
-            # first, each has the empty span (count - 1, 0)
             if old is None:
                 old_lo, old_hi = end, np.zeros_like(end)
             else:
                 old_lo = old.k0.ravel() - k_lo
-                old_hi = old_lo + old.width.ravel()
+                old_hi = np.where(old.width.ravel() > 0, old_lo + old.width.ravel(), 0)
             lo, hi = np.minimum(old_lo, want_lo), np.maximum(old_hi, want_hi)
             if np.array_equal(lo, old_lo) and np.array_equal(hi, old_hi):
                 return
-            # every node lo .. hi of each column; interval i runs from node i
-            # to node i + 1, and it is new outside the old span
-            col, i = _ranges(lo, hi - lo + 1)
+            width = np.maximum(hi - lo, 0)
+            # every node lo .. hi of each column with a span; interval i runs
+            # from node i to node i + 1, and it is new outside the old span
+            col, i = _ranges(lo, np.where(width > 0, width + 1, 0))
             k = i + k_lo[col]  # the lattice index
             new = ((i < old_lo[col]) | (i >= old_hi[col])) & (i < hi[col])
             needed = new | np.concatenate(([False], new[:-1]))
@@ -446,13 +465,12 @@ class _ExponentTable:
             f, df, ddf = self._exact(k[needed] * h, col[needed], derivatives=True)
             values[needed] = np.stack([f, h * df, h * h * ddf], axis=-1)
             # per column its series row, intervals lo .. hi - 1, saturated row
-            width = hi - lo
             start = np.cumsum(width + 2) - width - 1
             coef = np.zeros((start[-1] + width[-1] + 1, 6))
-            coef[start - 1, 1:3] = np.stack(self._outside[:2], axis=-1)
-            coef[start + width, 0] = self._outside[2]
+            coef[start - 1, 1:] = self._outside[0]
+            coef[start + width, 0] = self._outside[1]
             if old is not None:
-                c, j = _ranges(old_lo, old_hi - old_lo)
+                c, j = _ranges(old_lo, old.width.ravel())
                 coef[start[c] + j - lo[c]] = old.coef[old.start.ravel()[c] + j - old_lo[c]]
             cols = col[new]
             rows = start[cols] + i[new] - lo[cols]
@@ -474,31 +492,29 @@ class _ExponentTable:
                                        for v in (k_lo + lo, width, start)), self.s_edge)
 
     def _exact(self, u, cols, derivatives: bool = False):
-        """(L,) or (L, L_u, L_uu) at each (u, column) pair; the pairs come in
-        column order, the order `cover` builds them in.
+        """(L,) or (L, L_u, L_uu) at each (u, column) pair.
 
-        The terms of a group share its `_j` calls: one per column, on a
-        (nodes, 1) slice of the tail table, over each pair's c for every
-        term, _CHUNK elements at a time.  Each pair then adds its terms in
-        group then term order, so no value depends on how they share calls.
+        The terms of a group share its `_j` calls: each call takes the next
+        _CHUNK elements' worth of (pair, term) values, whatever their
+        columns, on the tail table's columns gathered one per value.  Each
+        pair then adds its terms in group then term order, so no value
+        depends on how they share calls.
         """
         out = np.zeros((3 if derivatives else 1, len(u)))
-        bounds = np.searchsorted(cols, np.arange(self.k_lo.size + 1))
         for (a, b), terms in self.groups:
             n = len(terms)
-            # each column's pairs, and within a pair its terms, end to end
+            # each pair's terms, end to end, with their column
             c = np.multiply.outer(np.exp(u), [sc for _, sc in terms]).ravel()
+            col = np.repeat(cols, n)
             values = np.empty((len(out), len(c)))
             chunk = max(1, _CHUNK // len(a))
-            for col in np.flatnonzero(np.diff(bounds)):
-                table = (a[:, col:col + 1], b[:, col:col + 1])
-                stop = bounds[col + 1] * n
-                for start in range(bounds[col] * n, stop, chunk):
-                    part = c[start:min(start + chunk, stop)]
-                    # einsum sums over the nodes in another order for a lone
-                    # c; a pair keeps each value independent of the batching
-                    value = _j(np.repeat(part, 2) if part.size == 1 else part, table, derivatives)
-                    values[:, start:start + part.size] = np.array(value, ndmin=2)[:, :part.size]
+            for start in range(0, len(c), chunk):
+                stop = min(start + chunk, len(c))
+                # einsum sums over the nodes in another order for a lone c;
+                # a pair keeps each value independent of the batching
+                part = np.arange(start, stop).repeat(2 if stop - start == 1 else 1)
+                value = _j(c[part], (a[:, col[part]], b[:, col[part]]), derivatives)
+                values[:, start:stop] = np.array(value, ndmin=2)[:, :stop - start]
             for k, (d, _) in enumerate(terms):
                 out += d * values[:, k::n]
         return out
@@ -513,9 +529,10 @@ class _ExponentTable:
 # -- coverage evaluator ------------------------------------------------------
 
 # a case keeps the grid nodes whose weight exceeds this share of the grid
-# measure over (2^W - 1) times its node count: the gamma-dummy kernel is at
-# most 2^W - 1 in magnitude, so the nodes it drops move its part of the
-# total by at most this share
+# measure over (2^W - 1) times its node count, and at a threshold reads those
+# whose weight times exp(-x) still does (x the noise term's least exponent):
+# the gamma-dummy kernel is at most (2^W - 1) exp(-x) in magnitude, so the
+# nodes it drops or skips move its part of the total by at most this share
 _NEGLIGIBLE = 2.0**-100
 
 
@@ -535,16 +552,21 @@ class _CoverageEvaluator:
     quantity does not depend on that coordinate.
 
     Per association case (irho, ixi), `_kept` holds the flat indices of the
-    nodes of the case's broadcast grid whose weight exceeds _NEGLIGIBLE *
-    norm / ((2^W - 1) * N), N the case's node count and W = _W_ALZER.
-    The kernel is at most 2^W - 1, so the rest move the case's part by at
-    most _NEGLIGIBLE; their weight over `norm`, summed over the cases, is
-    `neglected_weight`.  The kept sets do not depend on the threshold, and
-    they are the only per-node arrays an evaluator holds: `_view` gathers a
-    case at them anew on each read.  Evaluating one threshold first covers
-    each table it reads over the s range of its lookups at kept nodes, then
-    forms s = gamma*T/signal on each case's view, looking each side up once
-    per Laplace product; it keeps no result.
+    nodes of the case's broadcast grid whose weight exceeds the floor
+    _NEGLIGIBLE * norm / ((2^W - 1) * N), N the case's node count and
+    W = _W_ALZER.  The kernel is at most 2^W - 1, so the rest move the case's
+    part by at most _NEGLIGIBLE; their weight over `norm`, summed over the
+    cases, is `neglected_weight`.  The kept sets do not depend on the
+    threshold, and they are the only per-node arrays an evaluator holds.
+
+    Evaluating one threshold T gathers each case anew at its live nodes: the
+    kept nodes whose weight times exp(-x), x = eps*T*sigma2 over the node's
+    largest signal, still exceeds the floor.  L >= 0, so the noise term alone
+    holds the kernel to (2^W - 1) exp(-x), and the skipped nodes add no more
+    than the kept-node rule allows.  The evaluate then covers each table it
+    reads over the s range of its lookups at live nodes, and forms
+    s = gamma*T/signal on each case's view, looking each side up once per
+    Laplace product; it keeps no result.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -591,7 +613,9 @@ class _CoverageEvaluator:
             mass = self.gw[0].sum(axis=1) + self.gw[1].sum(axis=1)
             # conditional case masses cannot exceed one per (x, angle) node; far
             # off the grid's natural scale the tan-map tail can overshoot, which
-            # would double-count signal mass, so rescale instead of clipping
+            # would double-count signal mass, so rescale instead of clipping,
+            # and keep the largest mass: above one, something was rescaled
+            self.mass_rescale = float(mass.max())
             over = np.maximum(mass, 1.0)
             self.gw = [g / over[:, None, :] for g in self.gw]
             self.remainder = np.clip(1.0 - mass / over, 0.0, 1.0)
@@ -601,14 +625,16 @@ class _CoverageEvaluator:
             self.x, wx = tan_halfline_nodes(quad.q1, sx)
             self.fdw = [wx * serving_bs_density(self.x, state, cfg) for state in _STATES]
             self.remainder = np.ones((quad.q1, self.v.size))
+            self.mass_rescale = 0.0
         # normalizer: total measure of the grid, so T->0 gives exactly 1
         self.norm = sum(float(w.sum()) for w in self.fdw) * float(self.wv.sum())
-        bound = _NEGLIGIBLE * self.norm / (2**_W_ALZER - 1)
+        # the floor of a case is this over its node count
+        self._bound = _NEGLIGIBLE * self.norm / (2**_W_ALZER - 1)
         self._kept, dropped = {}, 0.0
         for irho in (0, 1):
             for ixi in (0, 1, None) if self.has_ris else (None,):
                 weight = self._weight(irho, ixi)
-                kept = weight > bound / weight.size
+                kept = weight > self._bound / weight.size
                 # int32 halves what the cached evaluators hold
                 self._kept[irho, ixi] = np.flatnonzero(kept).astype(np.int32)
                 dropped += float(np.sum(weight, where=~kept))
@@ -674,49 +700,18 @@ class _CoverageEvaluator:
             }
             for los_only in (False, True)
         }
-        # (direct_signal, los_only) -> lowest and highest threshold covered
-        self._covered = {}
-        # direct_signal -> `_spans`, made on that signal's first evaluate
-        self._log_signals = {}
-
-    def _spans(self, direct_signal: bool) -> dict:
-        """The threshold-free part of `_cover`'s spans for one signal.
-
-        Keyed by (side index, serving state) of each table an evaluate
-        reads: per column, the log of the largest and the smallest signal
-        over the kept nodes of the cases that read it, and a mask of the
-        columns where no kept node reads the table.  No lookup happens at a
-        node a case does not keep, so its signal widens no span.
-        """
-        if direct_signal in self._log_signals:
-            return self._log_signals[direct_signal]
-        top, bottom = {}, {}
-        for irho, ixi in self._kept:
-            _, pairs, sides = self._view(irho, ixi, direct_signal, False)
-            for key, (table, cols) in zip(enumerate((irho, ixi)), sides):
-                # shaped like the columns; the reductions write flat views
-                hi = top.setdefault(key, np.zeros(table.k_lo.shape))
-                lo = bottom.setdefault(key, np.full(table.k_lo.shape, np.inf))
-                for _, sig in pairs:
-                    np.maximum.at(hi.reshape(-1), cols, sig)
-                    np.minimum.at(lo.reshape(-1), cols, sig)
-        # threads that race here store equal spans
-        spans = self._log_signals[direct_signal] = {
-            key: (np.log(np.where(hi > 0.0, hi, 1.0)),
-                  np.log(np.where(hi > 0.0, bottom[key], 1.0)), ~(hi > 0.0))
-            for key, hi in top.items()
-        }
-        return spans
 
     def _sides(self) -> tuple:
         """The evaluators of the Laplace product's sides, base stations first."""
         return (self.base, self) if self.has_ris else (self,)
 
-    def _view(self, irho: int, ixi: int | None, direct_signal: bool, los_only: bool):
-        """One case at its kept nodes, in flat arrays: the weight, the
-        (probability, signal power) pairs that mix into its kernel, and per
-        side, base stations first, the exponent table an evaluate reads with
-        each node's column of it.
+    def _view(self, irho: int, ixi: int | None, threshold: float, direct_signal: bool,
+              los_only: bool):
+        """One case at its live nodes at `threshold`, in flat arrays: the
+        weight, the (probability, signal power) pairs that mix into its
+        kernel, per side, base stations first, the exponent table an
+        evaluate reads with each node's column of it, and the sum of weight
+        times exp(-x) over the kept nodes it skips.
 
         irho and ixi are the serving BS and reflector states; ixi None takes
         the reflector sets without a void and the direct signal.  los_only
@@ -725,16 +720,42 @@ class _CoverageEvaluator:
         weight = self._weight(irho, ixi)
         # gathers with intp indices, which take reads without a cast
         nodes = self._kept[irho, ixi].astype(np.intp)
+        pairs = ([(1.0, self.sig_direct[irho])] if ixi is None or direct_signal
+                 else self.reflected[irho, ixi])
+        kept = weight.take(nodes)
+        signals = [np.broadcast_to(sig, weight.shape).take(nodes) for _, sig in pairs]
+        with np.errstate(divide="ignore"):
+            reach = kept * np.exp(-(alzer_epsilon(_W_ALZER) * threshold * self.sigma2)
+                                  / np.max(signals, axis=0))
+        live = reach > self._bound / weight.size
+        skipped = float(np.sum(reach, where=~live))
+        nodes = nodes[live]
 
         def gather(values):
             return np.broadcast_to(values, weight.shape).take(nodes)
 
-        pairs = ([(1.0, self.sig_direct[irho])] if ixi is None or direct_signal
-                 else self.reflected[irho, ixi])
         tables = [side.exponents[los_only][serving]
                   for side, serving in zip(self._sides(), (irho, ixi))]
-        return (weight.take(nodes), [(gather(prob), gather(sig)) for prob, sig in pairs],
-                [(t, gather(np.arange(t.k_lo.size).reshape(t.k_lo.shape))) for t in tables])
+        return (kept[live],
+                [(gather(prob), sig[live]) for (prob, _), sig in zip(pairs, signals)],
+                [(t, gather(np.arange(t.k_lo.size).reshape(t.k_lo.shape))) for t in tables],
+                skipped)
+
+    def _spans(self, views: dict) -> dict:
+        """Per (side index, serving state) of each table `views` read: per
+        column, the log of the largest and of the smallest signal over the
+        nodes of the views that read it, -inf and inf where none does."""
+        top, bottom = {}, {}
+        for (irho, ixi), (_, pairs, sides, _) in views.items():
+            for key, (table, cols) in zip(enumerate((irho, ixi)), sides):
+                hi = top.setdefault(key, np.zeros(table.k_lo.shape))
+                lo = bottom.setdefault(key, np.full(table.k_lo.shape, np.inf))
+                for _, sig in pairs:
+                    # the reductions write flat views
+                    np.maximum.at(hi.reshape(-1), cols, sig)
+                    np.minimum.at(lo.reshape(-1), cols, sig)
+        with np.errstate(divide="ignore"):
+            return {key: (np.log(hi), np.log(bottom[key])) for key, hi in top.items()}
 
     def _log_laplace(self, s, lookups):
         """Log of the interference Laplace product times exp(-s*sigma2), s
@@ -756,33 +777,24 @@ class _CoverageEvaluator:
         fdw = self.fdw[irho][:, None, None] * self.wv
         return fdw * (self.remainder[:, None, :] if ixi is None else self.gw[ixi])
 
-    def _cover(self, threshold: float, direct_signal: bool, los_only: bool) -> None:
-        """Fill each exponent table an evaluate reads over the rows its
-        lookups reach: per column, ln s = ln(gamma*T/signal) from the first
-        Alzer term at the largest signal to the last at the smallest, over
-        the kept nodes of the cases that read the table, one lattice step
-        wider each way against the rounding of s.  A column no such lookup
-        reads keeps the first interval of its lattice.
+    def _cover(self, threshold: float, views: dict, los_only: bool) -> None:
+        """Fill each exponent table `views` read over the rows its lookups
+        reach: per column, ln s = ln(gamma*T/signal) from the first Alzer
+        term at the largest signal to the last at the smallest, over the
+        live nodes of the cases that read the table, one lattice step wider
+        each way against the rounding of s.  A column no live node reads
+        asks for nothing.
 
         Spans are contiguous, so two covered thresholds cover every one
-        between them.
+        between them at the nodes both read.
         """
-        key = (direct_signal, los_only)
-        t_lo, t_hi = self._covered.get(key, (math.inf, -math.inf))
-        if t_lo <= threshold <= t_hi:
-            return
         eps = alzer_epsilon(_W_ALZER)
         u_t = math.log(threshold)
         u_lo = u_t + math.log(eps) - _TABLE_STEP
         u_hi = u_t + math.log(_W_ALZER * eps) + _TABLE_STEP
         sides = self._sides()
-        for (side, serving), extremes in self._spans(direct_signal).items():
-            log_top, log_bottom, unread = extremes
-            table = sides[side].exponents[los_only][serving]
-            start = table.k_lo * _TABLE_STEP
-            table.cover(np.where(unread, start, u_lo - log_top),
-                        np.where(unread, start, u_hi - log_bottom))
-        self._covered[key] = min(t_lo, threshold), max(t_hi, threshold)
+        for (side, serving), (log_top, log_bottom) in self._spans(views).items():
+            sides[side].exponents[los_only][serving].cover(u_lo - log_top, u_hi - log_bottom)
 
     # public evaluation
 
@@ -793,7 +805,9 @@ class _CoverageEvaluator:
         los_only: bool = False,
     ) -> CoverageResult:
         _check_threshold(threshold)
-        self._cover(threshold, direct_signal, los_only)
+        views = {case: self._view(*case, threshold, direct_signal, los_only)
+                 for case in self._kept}
+        self._cover(threshold, views, los_only)
         eps = alzer_epsilon(_W_ALZER)
         # gamma-dummy sum: (scale of s, binomial coefficient) per term
         terms = [
@@ -806,9 +820,9 @@ class _CoverageEvaluator:
             # cases served through a reflector, then the no-reflector bucket
             # (direct signal only)
             for ixi, xi in (*enumerate(_STATES), (None, None)):
-                by_case[AssociationCase(rho, xi)] = self._case_value(
-                    threshold, terms, irho, ixi, direct_signal, los_only
-                ) if (irho, ixi) in self._kept else 0.0
+                view = views.get((irho, ixi))
+                by_case[AssociationCase(rho, xi)] = (
+                    0.0 if view is None else self._case_value(threshold, terms, view))
 
         total = sum(by_case.values()) / self.norm
         by_case = {case: val / self.norm for case, val in by_case.items()}
@@ -820,11 +834,16 @@ class _CoverageEvaluator:
             "los_only_interference": los_only,
             "clamped": clamped,
             "raw_total": float(total),
-            # the weight of the nodes no case keeps over the grid measure;
-            # times 2^W - 1 it bounds how far they could move the total
-            "neglected_weight": self.neglected_weight,
+            # the weight of the nodes no case keeps, and weight times exp(-x)
+            # of those kept but not live at this threshold, over the grid
+            # measure; times 2^W - 1 it bounds how far they could move the total
+            "neglected_weight": self.neglected_weight
+            + sum(skipped for *_, skipped in views.values()) / self.norm,
+            # the largest reflector case mass of an (x, angle) node before the
+            # rescale to one; at most one when nothing was rescaled
+            "mass_rescale": self.mass_rescale,
             # the worst midpoint over the intervals filled so far: those
-            # that lookups at kept nodes reach
+            # that lookups at live nodes reach
             "table_residual": max(
                 table.residual for side in self._sides()
                 for table in side.exponents[los_only].values()
@@ -833,15 +852,17 @@ class _CoverageEvaluator:
         engine = "analytic-small-beta" if los_only else "analytic"
         return CoverageResult(result_total, by_case, engine, meta)
 
-    def _case_value(self, threshold, terms, irho, ixi, direct_signal, los_only):
-        """Integral of weight times the coverage kernel of one case over its
-        kept nodes, read through `_view`.
+    def _case_value(self, threshold, terms, view):
+        """Integral of weight times the coverage kernel of one case over the
+        live nodes of its `_view`.
 
         Each side's rows are gathered at the nodes' columns once; each
         (probability, signal power) pair then contributes its gamma-dummy
         sum of Laplace products, looked up on flat arrays.
         """
-        weight, pairs, sides = self._view(irho, ixi, direct_signal, los_only)
+        weight, pairs, sides, _ = view
+        if not weight.size:
+            return 0.0
         lookups = [table.at(cols) for table, cols in sides]
         acc = 0.0
         for prob, sig in pairs:

@@ -527,9 +527,9 @@ def _exact_evaluator(cfg, quad):
     ev = _CoverageEvaluator(cfg, quad)
     view = ev._view
 
-    def exact_view(irho, ixi, direct_signal, los_only):
-        weight, pairs, sides = view(irho, ixi, direct_signal, los_only)
-        return weight, pairs, _exact_sides(ev, irho, ixi, los_only, sides)
+    def exact_view(irho, ixi, threshold, direct_signal, los_only):
+        weight, pairs, sides, skipped = view(irho, ixi, threshold, direct_signal, los_only)
+        return weight, pairs, _exact_sides(ev, irho, ixi, los_only, sides), skipped
 
     ev._view = exact_view
     return ev
@@ -540,7 +540,7 @@ def _serving_pairs(ev):
 
 
 def test_log_laplace_beyond_table_edges(cfg):
-    """s below every table takes the two-term series, s above it saturates."""
+    """s below every table takes the five-term series, s above it saturates."""
     ev = _get_evaluator(cfg, QuadratureSpec())
     for los_only in (False, True):
         tables = _all_exponent_tables(ev, los_only)
@@ -650,12 +650,15 @@ def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
     """Only lookups at the grid nodes a case keeps set the spans: signals
     scaled by 1e30 at every node it does not keep, those of zero weight
     among them, leave each filled span and the coverage bitwise unchanged.
-    Every range `cover` gets is finite, also in the columns that no
-    weighted lookup reads."""
+    Every range `cover` gets is finite, except the empty (inf, -inf) of the
+    columns that no live lookup reads, which keep an empty span."""
     cover = _ExponentTable.cover
+    unread = []
 
     def finite_cover(table, u_lo, u_hi):
-        assert np.all(np.isfinite(u_lo)) and np.all(np.isfinite(u_hi))
+        empty = (u_lo == np.inf) & (u_hi == -np.inf)
+        assert np.all(np.isfinite(u_lo) | empty) and np.all(np.isfinite(u_hi) | empty)
+        unread.append(int(np.sum(empty)))
         cover(table, u_lo, u_hi)
 
     monkeypatch.setattr(_ExponentTable, "cover", finite_cover)
@@ -667,7 +670,8 @@ def test_zero_weight_nodes_do_not_widen_spans(cfg, monkeypatch):
         return ev, results, spans
 
     ev, want, want_spans = run()
-    assert any(unread.any() for _, _, unread in ev._log_signals[False].values())
+    assert sum(unread) > 0
+    assert any(np.any(table._rows.width == 0) for table in _all_exponent_tables(ev, False))
     build = _CoverageEvaluator._build_signal_tables
     scaled = []
 
@@ -702,16 +706,34 @@ def _kept_mask(ev, irho, ixi):
     return mask
 
 
+def _live_nodes(ev, irho, ixi, threshold, direct):
+    """The kept nodes of case (irho, ixi) whose weight times exp(-x), x =
+    eps*T*sigma2 over the node's largest signal, exceeds the kept-node
+    floor, and that product summed over the kept nodes it does not."""
+    weight = ev._weight(irho, ixi)
+    pairs = [(1.0, ev.sig_direct[irho])] if direct or ixi is None else ev.reflected[irho, ixi]
+    top = np.max([np.broadcast_to(sig, weight.shape) for _, sig in pairs], axis=0)
+    reach = weight * np.exp(-alzer_epsilon(_W_ALZER) * threshold * ev.sigma2 / top)
+    kept = _kept_mask(ev, irho, ixi)
+    live = kept & (reach > ev._bound / weight.size)
+    return np.flatnonzero(live), float(np.sum(reach, where=kept & ~live))
+
+
+def _views(ev, threshold, direct, los_only=False):
+    return {case: ev._view(*case, threshold, direct, los_only) for case in ev._kept}
+
+
 @pytest.mark.parametrize("direct", [False, True])
 @pytest.mark.parametrize("index", [0, 7])
 def test_spans_match_plain_loop(cfg, index, direct):
-    """Each span `_spans` gives a (side, serving state) table is the largest
-    and smallest signal over the kept nodes of every case that reads the
-    table, found node by node, and its `unread` mask marks exactly the
-    columns no kept node reads."""
+    """At 10 dB, each span `_spans` gives a (side, serving state) table is
+    the log of the largest and smallest signal over the live nodes of every
+    case that reads the table, found node by node, and it is (-inf, inf)
+    in exactly the columns no live node reads."""
     ev = _get_evaluator(_fill_configs(cfg)[index], QuadratureSpec())
     want = {}
-    for (irho, ixi), nodes in ev._kept.items():
+    for irho, ixi in ev._kept:
+        nodes, _ = _live_nodes(ev, irho, ixi, 10.0, direct)
         shape = ev._weight(irho, ixi).shape
         pairs = ([(1.0, ev.sig_direct[irho])] if direct or ixi is None
                  else ev.reflected[irho, ixi])
@@ -726,27 +748,35 @@ def test_spans_match_plain_loop(cfg, index, direct):
                 for sig in signals:
                     hi, lo = extremes.get(col, (0.0, math.inf))
                     extremes[col] = (max(hi, sig[index]), min(lo, sig[index]))
-    spans = ev._spans(direct)
+    spans = ev._spans(_views(ev, 10.0, direct))
     assert spans.keys() == want.keys()
-    for key, (log_top, log_bottom, unread) in spans.items():
+    unread = 0
+    for key, (log_top, log_bottom) in spans.items():
         read = sorted(want[key])
-        assert np.array_equal(np.flatnonzero(~unread), read)
+        assert np.array_equal(np.flatnonzero(np.isfinite(log_top)), read)
+        assert np.all(log_top.ravel()[~np.isfinite(log_top.ravel())] == -np.inf)
+        assert np.array_equal(np.isfinite(log_top), np.isfinite(log_bottom))
+        assert np.all(log_bottom.ravel()[~np.isfinite(log_bottom.ravel())] == np.inf)
         hi, lo = np.array([want[key][col] for col in read]).T
         np.testing.assert_allclose(log_top.ravel()[read], np.log(hi), rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(log_bottom.ravel()[read], np.log(lo), rtol=1e-15, atol=0.0)
-    assert any(unread.any() for _, _, unread in spans.values())
+        unread += log_top.size - len(read)
+    assert unread > 0
 
 
 def test_kept_nodes_fill_fewer_intervals(cfg, monkeypatch):
-    """A default 0 dB evaluate fills at most the 11 247 intervals that
-    lookups at every node of nonzero weight filled, and every lookup it
-    makes at a kept node matches the exact sum."""
+    """A default 0 dB evaluate reads fewer nodes than it keeps, and every
+    lookup it makes at a node it reads matches the exact sum; the nodes it
+    skips as dead are not looked up, and their intervals need not be
+    filled (test_cold_evaluate_work_counts caps the fill)."""
     ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
     ev.evaluate(1.0)
-    assert sum(int(np.sum(table._rows.width)) for table in _all_exponent_tables(ev, False)) <= 11247
-    for (irho, ixi), nodes in ev._kept.items():
+    read = 0
+    for (irho, ixi), view in _views(ev, 1.0, False).items():
+        nodes = ev._kept[irho, ixi]
         assert 0 < nodes.size < ev._weight(irho, ixi).size
-        _, pairs, sides = ev._view(irho, ixi, False, False)
+        weight, pairs, sides, _ = view
+        read += weight.size
         lookups = [table.at(cols) for table, cols in sides]
         exact = [table.at(cols) for table, cols in _exact_sides(ev, irho, ixi, False, sides)]
         for _, sig in pairs:
@@ -754,6 +784,28 @@ def test_kept_nodes_fill_fewer_intervals(cfg, monkeypatch):
                 s = w * alzer_epsilon(_W_ALZER) / sig
                 np.testing.assert_allclose(ev._log_laplace(s, lookups), ev._log_laplace(s, exact),
                                            rtol=1e-9, atol=0.0)
+    assert 0 < read < sum(nodes.size for nodes in ev._kept.values())
+
+
+def test_cold_evaluate_work_counts(cfg, monkeypatch):
+    """A fresh default evaluator's cold 0 dB evaluate fills at most 3 144
+    table intervals and runs `_j` on at most 1.4 M (node, value) elements,
+    against 8 255 intervals and 3.48 M elements before the evaluate read
+    live nodes only, closed each column with the five-term series and
+    batched its `_j` calls."""
+    ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
+    elements = [0]
+    j = analytics._j
+
+    def counted_j(c, table, derivatives=False):
+        elements[0] += math.prod(np.broadcast_shapes(np.shape(c), table[1].shape))
+        return j(c, table, derivatives)
+
+    monkeypatch.setattr(analytics, "_j", counted_j)
+    ev.evaluate(1.0)
+    filled = sum(int(np.sum(table._rows.width)) for table in _all_exponent_tables(ev, False))
+    assert 0 < filled <= 3144
+    assert 0 < elements[0] <= 1_400_000
 
 
 def _lattice(table):
@@ -784,11 +836,12 @@ def test_shared_tail_table_fill_is_per_term_fill(cfg, light_quad):
     assert shared > 0
 
 
-def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
-    """A fresh reflector evaluator calls `_j` once per (tail table, column,
-    chunk) of each fill, however many terms share the table."""
+def test_one_j_call_per_tail_table_chunk(cfg, monkeypatch):
+    """A fresh reflector evaluator calls `_j` once per (tail table, chunk)
+    of each fill, whatever columns its values fall in and however many
+    terms share the table: fewer calls than one per (term, column, chunk)."""
     ev = _fresh_evaluator(cfg, QuadratureSpec(), monkeypatch)
-    calls, triples, per_term = [0], [0], [0]
+    calls, chunks, per_term = [0], [0], [0]
     j, exact = analytics._j, _ExponentTable._exact
 
     def counted_j(*args):
@@ -800,13 +853,13 @@ def test_one_j_call_per_tail_table_column_chunk(cfg, monkeypatch):
         for (a, _), terms in table.groups:
             chunk = max(1, analytics._CHUNK // len(a))
             per_term[0] += len(terms) * int(np.sum(-(-count // chunk)))
-            triples[0] += int(np.sum(-(-(len(terms) * count) // chunk)))
+            chunks[0] += -(-len(terms) * len(u) // chunk)
         return exact(table, u, cols, derivatives)
 
     monkeypatch.setattr(analytics, "_j", counted_j)
     monkeypatch.setattr(_ExponentTable, "_exact", counted_exact)
     ev.evaluate(1.0)
-    assert 0 < calls[0] == triples[0] < per_term[0]
+    assert 0 < calls[0] == chunks[0] < per_term[0]
 
 
 def test_threads_share_table_fills(cfg, light_quad, monkeypatch):
@@ -882,6 +935,32 @@ def test_pruned_fill_matches_full_sum(cfg, light_quad, index):
                 assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("index", range(9))
+def test_series_row_matches_exact_sum(cfg, light_quad, monkeypatch, index):
+    """Below every column's lattice the five-term series row is within
+    5e-12 of the exact sum, at the column's s_edge and 30 lattice steps
+    below; the default holds a column whose exponent there is below 1e-250."""
+    ev = _fresh_evaluator(_fill_configs(cfg)[index], light_quad, monkeypatch)
+    smallest = math.inf
+    for los_only in (False, True):
+        for table in _all_exponent_tables(ev, los_only):
+            # only the top interval is filled, so each lookup below takes the
+            # series row (zero in the two-node columns no term reaches)
+            top = (table.k_lo + table.count - 1) * _TABLE_STEP
+            table.cover(top, top)
+            cols = np.arange(table.k_lo.size)
+            for steps in range(31):
+                k = (table.k_lo - steps).ravel()
+                u = k * _TABLE_STEP
+                got = table.at(cols)(np.exp(u), k, 0.0)
+                want = table._exact(u, cols)[0]
+                np.testing.assert_allclose(got, want, rtol=5e-12, atol=0.0)
+                if steps == 0 and np.any(want > 0.0):
+                    smallest = min(smallest, want[want > 0.0].min())
+    if index == 0:
+        assert smallest < 1e-250
+
+
 @pytest.mark.parametrize("q3", [8, 7])
 @pytest.mark.parametrize("index", range(10))
 def test_folded_angle_axis_matches_full_circle(cfg, monkeypatch, index, q3):
@@ -919,14 +998,16 @@ UNIT = 1.0 / (math.pi * 500.0**2)
 
 @pytest.mark.parametrize("index", range(10))
 def test_neglected_weight_bound(cfg, index):
-    """The weight of the nodes no case keeps, over the grid measure, is at
-    most 2^-100 / (2^W - 1) per case, and it is what the evaluate reports."""
+    """The weight of the nodes no case keeps, plus weight times exp(-x) of
+    the kept nodes a 0 dB evaluate skips as dead, over the grid measure, is
+    what the evaluate reports and at most 2 * 2^-100 / (2^W - 1) per case."""
     case = (_fill_configs(cfg) + [cfg.replace(lambda_ris=0.0)])[index]
     ev = _get_evaluator(case, QuadratureSpec())
     got = ev.evaluate(1.0).meta["neglected_weight"]
-    assert 0.0 <= got <= len(ev._kept) * 2.0**-100 / (2**_W_ALZER - 1)
+    assert 0.0 <= got <= 2 * len(ev._kept) * 2.0**-100 / (2**_W_ALZER - 1)
     dropped = sum(float(np.sum(ev._weight(*key), where=~_kept_mask(ev, *key))) for key in ev._kept)
-    assert got == pytest.approx(dropped / ev.norm, rel=1e-12, abs=0.0)
+    skipped = sum(_live_nodes(ev, *key, 1.0, False)[1] for key in ev._kept)
+    assert got == pytest.approx((dropped + skipped) / ev.norm, rel=1e-12, abs=0.0)
     if index == 0:
         assert got > 0.0
 
@@ -944,17 +1025,18 @@ def test_kept_nodes_match_every_weighted_node(
 ):
     """Evaluating at the kept nodes gives, within 1e-15, the coverage of
     evaluating at every node of nonzero weight, for each signal and the
-    LOS-only form; each case reads the same nodes at every threshold."""
+    LOS-only form; each case reads the kept nodes the liveness rule passes
+    at the threshold and signal of each evaluate."""
     case = cfg.replace(lambda_u=10.0**log_lambda_u * UNIT, lambda_ris=10.0**log_lambda_ris * UNIT,
                        beta=10.0**log_beta, n_ris=n_ris)
     quad = QuadratureSpec(q1=16, q2=16, q3=8)
     read = {}
     view = _CoverageEvaluator._view
 
-    def recorded(ev, irho, ixi, direct_signal, los_only):
-        weight, pairs, sides = view(ev, irho, ixi, direct_signal, los_only)
-        read.setdefault((id(ev), irho, ixi), []).append(weight)
-        return weight, pairs, sides
+    def recorded(ev, irho, ixi, threshold, direct_signal, los_only):
+        got = view(ev, irho, ixi, threshold, direct_signal, los_only)
+        read.setdefault((ev, irho, ixi), []).append((threshold, direct_signal, got[0]))
+        return got
 
     with pytest.MonkeyPatch.context() as m:
         # no other test's evaluates reach the twin, and no twin built here
@@ -972,10 +1054,65 @@ def test_kept_nodes_match_every_weighted_node(
                 want = every.evaluate(threshold, direct, los_only)
                 assert got.total == pytest.approx(want.total, rel=0.0, abs=1e-15)
                 assert got.by_case == pytest.approx(want.by_case, rel=0.0, abs=1e-15)
-    # six evaluates and the spans of each signal read every case's view
-    for (_, irho, ixi), calls in read.items():
-        assert len(calls) == 8
-        assert all(np.array_equal(weight, calls[0]) for weight in calls)
+    # each of the six evaluates reads every case's view once
+    for (ev, irho, ixi), calls in read.items():
+        assert len(calls) == 6
+        weight = ev._weight(irho, ixi).ravel()
+        for threshold, direct, got in calls:
+            nodes, _ = _live_nodes(ev, irho, ixi, threshold, direct)
+            assert np.array_equal(got, weight[nodes])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    log_lambda_u=st.floats(-6.0, 4.0),
+    log_lambda_ris=st.floats(-6.0, 4.0),
+    log_beta=st.floats(-4.0, -1.0),
+    n_ris=st.integers(1, 1024),
+    threshold_db=st.floats(-20.0, 40.0),
+)
+def test_live_nodes_match_every_kept_node(
+    cfg, log_lambda_u, log_lambda_ris, log_beta, n_ris, threshold_db
+):
+    """Evaluating at the live nodes gives, within 1e-15 relative, the
+    coverage of evaluating at every kept node (those where weight times
+    exp(-x) is not zero), for each signal and the LOS-only form.  The rule
+    bounds what a case loses against the total, so parts are held to it."""
+    case = cfg.replace(lambda_u=10.0**log_lambda_u * UNIT, lambda_ris=10.0**log_lambda_ris * UNIT,
+                       beta=10.0**log_beta, n_ris=n_ris)
+    quad = QuadratureSpec(q1=16, q2=16, q3=8)
+    threshold = 10.0 ** (threshold_db / 10.0)
+    with pytest.MonkeyPatch.context() as m:
+        # no other test's evaluates reach the twin, and no twin built here
+        # outlives the test
+        m.setattr(analytics, "_get_evaluator", analytics._BuildOnce(_CoverageEvaluator, maxsize=8))
+        live = _CoverageEvaluator(case, quad)
+        every = _CoverageEvaluator(case, quad)
+    # a zero floor leaves the kept sets and passes every kept node
+    every._bound = 0.0
+    for direct, los_only in ((False, False), (True, False), (False, True)):
+        got = live.evaluate(threshold, direct, los_only)
+        want = every.evaluate(threshold, direct, los_only)
+        assert got.total == pytest.approx(want.total, rel=1e-15, abs=0.0)
+        assert got.by_case == pytest.approx(want.by_case, rel=0.0, abs=1e-15 * want.total)
+        assert got.meta["neglected_weight"] >= want.meta["neglected_weight"]
+
+
+def test_mass_rescale_reported(cfg):
+    """meta["mass_rescale"] is the largest summed LOS + NLOS reflector case
+    mass of an (x, angle) node before the evaluator rescales it to one:
+    below one at the default, 2.94 where the serving-reflector grid's tail
+    overshoots, and zero without reflectors."""
+    def reported(case):
+        return _get_evaluator(case, QuadratureSpec()).evaluate(1.0).meta["mass_rescale"]
+
+    assert reported(cfg) == pytest.approx(0.99999661, rel=0.0, abs=5e-9)
+    over = cfg.replace(lambda_u=1e-6 * UNIT, lambda_ris=0.1 * UNIT, beta=0.1)
+    assert reported(over) == pytest.approx(2.94, rel=0.0, abs=0.005)
+    ev = _get_evaluator(over, QuadratureSpec())
+    # after the rescale the largest mass is one
+    assert float(np.max(ev.gw[0].sum(axis=1) + ev.gw[1].sum(axis=1))) == pytest.approx(1.0)
+    assert reported(cfg.replace(lambda_ris=0.0)) == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.1, 1e-4])
