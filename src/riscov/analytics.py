@@ -35,6 +35,7 @@ from ._quad import fold_circle, halfline_nodes, log_halfline_nodes, refined, tan
 from .association import (
     AssociationCase,
     _serving_density,
+    _serving_factors,
     bs_ris_distance,
     equivalent_distance,
     path_law,
@@ -142,10 +143,10 @@ def active_prob_bs(cfg: NetworkConfig) -> float:
 def _ris_activity(cfg: NetworkConfig) -> tuple[float, float]:
     """(busy, idle) probabilities of a reflector cell.
 
-    Expectations of the occupancy and of its complement over the serving
-    geometry (x, y, angle), each normalized to their summed mass.  Both
-    kernels are integrated as they stand, so a small busy probability keeps
-    its full relative precision rather than the digits 1 - idle leaves.
+    The expectation of the occupancy over the serving geometry (x, y,
+    angle), normalized to the geometry's mass, which the same pass sums.
+    The busy kernel is integrated as it stands, so a small busy probability
+    keeps its full relative precision; idle is the rest of the mass.
     """
     if cfg.lambda_ris <= 0.0 or cfg.lambda_u <= 0.0 or cfg.lambda_bs <= 0.0:
         return 0.0, 1.0
@@ -156,15 +157,12 @@ def _ris_activity(cfg: NetworkConfig) -> tuple[float, float]:
     def busy_kernel(x, y, v, side):
         return -np.expm1(_log_empty_cell(2.0 * cfg.lambda_u / (side * cfg.lambda_ris)))
 
-    def idle_kernel(x, y, v, side):
-        return np.exp(_log_empty_cell(2.0 * cfg.lambda_u / (side * cfg.lambda_ris)))
-
-    # both kernels lie in [0, 1]
-    busy, idle = map(sum, ris_joint_expectation(cfg, (busy_kernel, idle_kernel)))
-    total = busy + idle
+    # busy <= 1 at every node, and both sums add non-negative terms in one
+    # order, so busy <= total and idle is never negative
+    busy, total = map(sum, ris_joint_expectation(cfg, (busy_kernel, None)))
     if total <= 0.0:
         return 0.0, 1.0
-    return busy / total, idle / total
+    return busy / total, (total - busy) / total
 
 
 def active_prob_ris(cfg: NetworkConfig) -> float:
@@ -606,7 +604,7 @@ class _CoverageEvaluator:
             # computed once and dropped before the rest of the build
             intensity = np.pi * cfg.lambda_ris * side_condition(xg, yg, vg)
             self.gw = [
-                wy[None, :, None] * _serving_density(yg, intensity, state, cfg)
+                wy[None, :, None] * _serving_density(intensity, _serving_factors(yg, state, cfg))
                 for state in _STATES
             ]
             del intensity

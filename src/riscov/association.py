@@ -92,24 +92,22 @@ def equivalent_distance(x, source: LinkKind, target: LinkKind, cfg: NetworkConfi
     return (c_t / c_s) ** (1.0 / alpha_t) * x ** (alpha_s / alpha_t)
 
 
-def _serving_density(r, intensity, state: LinkKind, cfg: NetworkConfig):
-    """Density of the serving distance r to the nearest point in `state`.
-
-    `intensity` is the radial intensity of the point set; the serving point
-    must also beat every point of the other state, which are excluded up to
-    the equal-received-power radius.
-    """
+def _serving_factors(r, state: LinkKind, cfg: NetworkConfig):
+    """(state weight * r, void area): the serving density's factors of r alone.
+    The void is empty of `state` points up to r and of the other state's up
+    to the equal-received-power radius; the intensity scales it."""
     r = np.asarray(r, dtype=float)
     other = _OTHER[state]
-    own_area = _WEIGHTED_AREA[state](r, cfg.beta)
-    other_area = _WEIGHTED_AREA[other](equivalent_distance(r, state, other, cfg), cfg.beta)
-    return (
-        intensity
-        * state_weight(state, r, cfg.beta)
-        * r
-        * np.exp(-intensity * own_area)
-        * np.exp(-intensity * other_area)
-    )
+    void = (_WEIGHTED_AREA[state](r, cfg.beta)
+            + _WEIGHTED_AREA[other](equivalent_distance(r, state, other, cfg), cfg.beta))
+    return state_weight(state, r, cfg.beta) * r, void
+
+
+def _serving_density(intensity, factors):
+    """Density of the serving distance r, from the point set's radial
+    `intensity` and `_serving_factors` at r, which a grid forms once per r."""
+    weight, void = factors
+    return intensity * weight * np.exp(intensity * -void)
 
 
 # -- serving-BS distributions ------------------------------------------------
@@ -117,7 +115,7 @@ def _serving_density(r, intensity, state: LinkKind, cfg: NetworkConfig):
 
 def serving_bs_density(x, state: LinkKind, cfg: NetworkConfig):
     """Unnormalized serving-BS distance density (mass = association prob)."""
-    return _serving_density(x, _TWO_PI * cfg.lambda_bs, state, cfg)
+    return _serving_density(_TWO_PI * cfg.lambda_bs, _serving_factors(x, state, cfg))
 
 
 def _mass_over_halfline(density: Callable[[np.ndarray], np.ndarray], scale: float) -> float:
@@ -156,17 +154,15 @@ def side_condition(x, y, upsilon):
     """Probability that the user and its BS fall on the same side of the RIS.
 
     x: BS-user distance, y: RIS-user distance, upsilon: angle between the two
-    directions. The RIS lies on a wall of uniformly random orientation.
+    directions. The RIS lies on a wall of uniformly random orientation, so C
+    is 1 - angle/pi, with the angle at the RIS taken by atan2.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cu = np.cos(np.asarray(upsilon, dtype=float))
-    z2 = x**2 + y**2 - 2.0 * x * y * cu
-    degenerate = z2 <= 0.0
-    z = np.sqrt(np.where(degenerate, 1.0, z2))
-    arg = np.clip((y - x * cu) / z, -1.0, 1.0)
-    c = 1.0 - np.arccos(arg) / np.pi
-    out = np.where(degenerate, 0.5, c)  # x=y, upsilon=0: symmetric tie
+    adjacent = y - x * np.cos(upsilon)
+    c = 1.0 - np.arctan2(x * np.abs(np.sin(upsilon)), adjacent) / np.pi
+    # adjacent 0 is a right angle, C = 1/2, unless the BS sits on the RIS
+    # (x = y, upsilon = 0), whose symmetric tie is 1/2 as well
+    out = np.where(adjacent == 0.0, 0.5, c)
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,8 +241,10 @@ def ris_joint_expectation(
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
     # a block of x rows at a time keeps the kernels' temporaries small; the
     # y sums are per row, so the blocks change no bit of the result.  The y
-    # nodes are shared by every row, so the density's y-only factors broadcast
+    # nodes are shared by every row, so the density's y-only factors are
+    # formed once and broadcast
     rows = max(1, _GRID_BLOCK // (vg.size * q_y))
+    factors = [_serving_factors(y, state, cfg) for state in (LinkKind.LOS, LinkKind.NLOS)]
     inner = np.empty((len(kernels), 2) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
@@ -256,8 +254,8 @@ def ris_joint_expectation(
         # condition is dropped before the densities' temporaries exist
         intensity = np.pi * cfg.lambda_ris * side
         del side
-        for i, state in enumerate((LinkKind.LOS, LinkKind.NLOS)):
-            g = _serving_density(y, intensity, state, cfg)
+        for i, state_factors in enumerate(factors):
+            g = _serving_density(intensity, state_factors)
             for j, value in enumerate(values):
                 inner[j, i, part] = np.sum(wy * (g if value is None else g * value), axis=-1)
     return tuple((float(np.sum(weight_xv * los)), float(np.sum(weight_xv * nlos)))

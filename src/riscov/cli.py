@@ -41,6 +41,18 @@ def _threshold_db(text: str) -> float:
     return value
 
 
+def _count(minimum: int):
+    """The argparse type of a trial budget or a worker count: an integer of
+    at least `minimum`."""
+
+    def count(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
+        return int(text)
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riscov",
@@ -65,16 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threshold-db", type=_threshold_db, default=0.0,
                    help="fixed SINR threshold for density/size sweeps (default 0 dB)")
-    p.add_argument("--trials", type=int, default=2000,
+    p.add_argument("--trials", type=_count(1), default=2000,
                    help="sampling trials per grid point (default 2000)")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--workers", type=_count(1), default=1, help="worker threads (default 1)")
 
     p = sub.add_parser("coverage", parents=[sampled], help="coverage at one threshold")
     p.add_argument("--engine", choices=sweeps.ENGINES, default="analytic",
                    help="evaluation engine (default analytic)")
     p.add_argument("--threshold-db", type=_threshold_db, default=0.0)
     p.add_argument("--metric", choices=("p1", "p2", "p_d", "p_t"), default="p1")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_count(1), default=10_000)
 
     for name, text in (("ase", "area spectral efficiency"), ("ee", "energy efficiency")):
         p = sub.add_parser(name, parents=[common], help=f"{text} at one threshold")
@@ -83,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gains", parents=[common], help="dump average misalignment gains")
 
     p = sub.add_parser("validate", parents=[sampled], help="cross-engine tolerance checks")
-    p.add_argument("--trials", type=int, default=10_000,
+    p.add_argument("--trials", type=_count(0), default=10_000,
                    help="trial budget for sampling checks; 0 skips them")
     return parser
 
@@ -181,21 +193,11 @@ def _cmd_validate(args, cfg: NetworkConfig) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"sweep": _cmd_sweep, "coverage": _cmd_coverage, "ase": _cmd_efficiency,
+                "ee": _cmd_efficiency, "gains": _cmd_gains, "validate": _cmd_validate}
     try:
-        cfg = _load(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg)
-        if args.command == "coverage":
-            return _cmd_coverage(args, cfg)
-        if args.command in ("ase", "ee"):
-            return _cmd_efficiency(args, cfg)
-        if args.command == "gains":
-            return _cmd_gains(args, cfg)
-        return _cmd_validate(args, cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return commands[args.command](args, _load(args))
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -388,10 +388,12 @@ def validate(
     """Run the cross-engine tolerance checks and return a deterministic report.
 
     `budget` is the trial count for every sampling-based check; a budget of
-    zero skips those and runs the analytic-only checks. The report text
-    depends only on (cfg, budget, seed, quad), so identical calls produce
-    byte-identical reports.
+    zero skips those and runs the analytic-only checks, and a negative one
+    raises ValueError. The report text depends only on (cfg, budget, seed,
+    quad), so identical calls produce byte-identical reports.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     checks: list[CheckResult] = []
 
     # analytic-only checks
@@ -416,7 +418,7 @@ def validate(
     checks.append(_tol_check("active-prob-closed-form", act_err, _ACTIVE_PROB_TOL, ".2e"))
 
     # sampling checks
-    if budget < 1:
+    if budget == 0:
         for name in ("cross-coverage", "direct-consistency[thm-mc]", "association"):
             checks.append(CheckResult(name, "SKIP", "no trial budget"))
     else:

@@ -32,6 +32,8 @@ from riscov.analytics import (
     _get_evaluator,
     _interferers,
     _j,
+    _log_empty_cell,
+    _ris_activity,
     _tail_table,
     active_prob_bs,
     active_prob_ris,
@@ -1132,6 +1134,46 @@ def test_ris_activity_keeps_small_busy_probability(cfg, beta):
     assert busy_density / (math.pi * case.lambda_ris) == active_prob_ris(case)
     assert idle_density / (math.pi * case.lambda_ris) == pytest.approx(1.0 - busy / total,
                                                                        rel=1e-15)
+
+
+def test_ris_activity_idle_is_the_rest_of_the_mass(cfg, monkeypatch):
+    """One grid pass integrates the busy kernel beside the mass (kernel None)
+    and idle is what busy leaves: never negative, summing with busy to one
+    within 2 ulp, and where idle is at least 1e-3 equal to the integral of
+    its own occupancy kernel, the form the activity used to take."""
+    passed = []
+
+    def counted(case, kernels):
+        passed.append(kernels)
+        return ris_joint_expectation(case, kernels)
+
+    monkeypatch.setattr(analytics, "ris_joint_expectation", counted)
+    compared = 0
+    for lambda_u, lambda_ris, beta in itertools.product((1e-6, 1e4), (0.1, 1e3), (1e-4, 0.1)):
+        case = cfg.replace(lambda_u=lambda_u * UNIT, lambda_ris=lambda_ris * UNIT, beta=beta)
+        passed.clear()
+        busy, idle = _ris_activity.__wrapped__(case)
+        # one pass, and one kernel in it besides None
+        assert len(passed) == 1 and len(passed[0]) == 2
+        assert sum(kernel is None for kernel in passed[0]) == 1
+        assert idle >= 0.0
+        assert abs(busy + idle - 1.0) <= 2.0 * math.ulp(1.0)
+        if idle < 1e-3:
+            continue
+
+        def load(side):
+            return 2.0 * case.lambda_u / (side * case.lambda_ris)
+
+        def busy_kernel(x, y, v, side):
+            return -np.expm1(_log_empty_cell(load(side)))
+
+        def idle_kernel(x, y, v, side):
+            return np.exp(_log_empty_cell(load(side)))
+
+        busy_mass, idle_mass = map(sum, ris_joint_expectation(case, (busy_kernel, idle_kernel)))
+        assert idle == pytest.approx(idle_mass / (busy_mass + idle_mass), rel=1e-12)
+        compared += 1
+    assert compared == 4
 
 
 @settings(max_examples=8, deadline=None)

@@ -15,6 +15,7 @@ from riscov.analytics import _chebyshev_angle
 from riscov.association import (
     _bs_masses,
     _serving_density,
+    _serving_factors,
     association_probabilities,
     bs_ris_distance,
     equivalent_distance,
@@ -119,6 +120,32 @@ def test_side_condition_hand_cases():
         assert side_condition(x, x, v) == pytest.approx(closed, abs=1e-12)
 
 
+def test_side_condition_near_collinear_and_limits():
+    """C = 1 - angle/pi with the angle at the RIS from atan2 keeps its
+    precision within 1e-9 of the user-BS line, where the first-order closed
+    form holds; x = 0 gives 1, y = 0 gives upsilon/pi, and upsilon and
+    2*pi - upsilon agree."""
+    eps = 1e-9
+    for x, y in ((100.0, 50.0), (50.0, 100.0), (3.0, 900.0), (900.0, 3.0)):
+        # the BS just off the ray through the RIS: the angle at the RIS is
+        # x*eps/|y - x| when the RIS is nearer the user, else pi minus it
+        angle = x * eps / abs(y - x)
+        near = 1.0 - angle / math.pi if y > x else angle / math.pi
+        assert side_condition(x, y, eps) == pytest.approx(near, rel=0.0, abs=1e-12)
+        # the BS just off the ray away from the RIS
+        behind = 1.0 - x * eps / ((x + y) * math.pi)
+        assert side_condition(x, y, math.pi - eps) == pytest.approx(behind, rel=0.0, abs=1e-12)
+    for v in (1e-9, 0.3, 1.0, 2.5, math.pi):
+        assert side_condition(0.0, 40.0, v) == 1.0
+        assert side_condition(30.0, 0.0, v) == pytest.approx(v / math.pi, rel=0.0, abs=1e-15)
+        for x, y in ((30.0, 40.0), (40.0, 30.0), (5.0, 500.0)):
+            assert side_condition(x, y, 2.0 * math.pi - v) == pytest.approx(
+                side_condition(x, y, v), rel=0.0, abs=1e-13)
+    assert type(side_condition(50.0, 50.0, 0.3)) is float
+    assert type(side_condition(50.0, 50.0, 0.0)) is float
+    assert isinstance(side_condition(np.array([50.0]), 40.0, 0.3), np.ndarray)
+
+
 def test_side_condition_against_brute_force():
     rng = np.random.default_rng(11)
     walls = rng.uniform(0.0, 2.0 * math.pi, size=200_000)
@@ -145,7 +172,7 @@ def test_bs_ris_distance_law_of_cosines():
 def _ris_case_density(y, x, upsilon, state, cfg):
     """Serving-reflector distance density of one state at (x, upsilon)."""
     intensity = np.pi * cfg.lambda_ris * side_condition(x, y, upsilon)
-    return _serving_density(y, intensity, state, cfg)
+    return _serving_density(intensity, _serving_factors(y, state, cfg))
 
 
 def test_nearest_los_ris_pdf_mass(cfg):

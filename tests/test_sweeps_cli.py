@@ -400,8 +400,40 @@ def test_cli_rejects_missing_config(capsys):
 
 
 def test_cli_sweep_rejects_zero_workers(capsys):
-    assert cli.main(["sweep", "--kind", "ris-size", "--workers", "0"]) == 2
-    assert "workers must be >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--kind", "ris-size", "--workers", "0"])
+    assert exit_info.value.code == 2
+    assert "argument --workers: must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value, minimum", [
+    (["coverage"], "--trials", "-5", 1),
+    (["coverage", "--engine", "montecarlo"], "--trials", "0", 1),
+    (["coverage"], "--trials", "many", 1),
+    (["sweep", "--kind", "ris-size", "--engine", "montecarlo"], "--trials", "0", 1),
+    (["sweep", "--kind", "ris-size"], "--workers", "-2", 1),
+    (["sweep", "--kind", "ris-size"], "--workers", "1.5", 1),
+    (["validate"], "--trials", "-3", 0),
+    (["validate"], "--trials", "2.5", 0),
+])
+def test_cli_rejects_bad_counts(capsys, command, option, value, minimum):
+    # a trial budget or worker count out of range is a usage error, refused
+    # before anything runs: no budget=-3 report whose sampling checks all SKIP
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, f"{option}={value}"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: must be an integer >= {minimum}, got {value}" in err
+
+
+def test_validate_rejects_negative_budget(cfg, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran before the budget was checked")
+
+    monkeypatch.setattr(sweeps, "coverage_small_beta", never)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        validate(cfg, budget=-1)
 
 
 def test_cli_ase_requires_analytic(capsys):
