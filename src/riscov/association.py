@@ -158,12 +158,11 @@ def side_condition(x, y, upsilon):
     is 1 - angle/pi, with the angle at the RIS taken by atan2.
     """
     x = np.asarray(x, dtype=float)
-    adjacent = y - x * np.cos(upsilon)
-    c = 1.0 - np.arctan2(x * np.abs(np.sin(upsilon)), adjacent) / np.pi
-    # adjacent 0 is a right angle, C = 1/2, unless the BS sits on the RIS
-    # (x = y, upsilon = 0), whose symmetric tie is 1/2 as well
-    out = np.where(adjacent == 0.0, 0.5, c)
-    return float(out) if out.ndim == 0 else out
+    # the least positive opposite side moves no other angle, but makes the
+    # BS on the RIS (x = y, upsilon = 0) a right angle: the symmetric tie 1/2
+    opposite = np.maximum(x * np.abs(np.sin(upsilon)), np.finfo(float).smallest_subnormal)
+    c = 1.0 - np.arctan2(opposite, y - x * np.cos(upsilon)) / np.pi
+    return float(c) if c.ndim == 0 else c
 
 
 def bs_ris_distance(x, y, upsilon, r_min: float = 0.0):
@@ -240,11 +239,11 @@ def ris_joint_expectation(
         return ((0.0, 0.0),) * len(kernels)
     xg, vg, y, weight_xv, wy = _ris_grid(cfg, q_x, q_v, q_y)
     # a block of x rows at a time keeps the kernels' temporaries small; the
-    # y sums are per row, so the blocks change no bit of the result.  The y
-    # nodes are shared by every row, so the density's y-only factors are
-    # formed once and broadcast
+    # y sums are per row, so the blocks change no bit of the result.  The
+    # density's y-only factors, y weights included, are formed once per call
     rows = max(1, _GRID_BLOCK // (vg.size * q_y))
-    factors = [_serving_factors(y, state, cfg) for state in (LinkKind.LOS, LinkKind.NLOS)]
+    factors = [(wy * weight, void) for weight, void in
+               (_serving_factors(y, state, cfg) for state in (LinkKind.LOS, LinkKind.NLOS))]
     inner = np.empty((len(kernels), 2) + weight_xv.shape)
     for start in range(0, q_x, rows):
         part = slice(start, start + rows)
@@ -257,7 +256,7 @@ def ris_joint_expectation(
         for i, state_factors in enumerate(factors):
             g = _serving_density(intensity, state_factors)
             for j, value in enumerate(values):
-                inner[j, i, part] = np.sum(wy * (g if value is None else g * value), axis=-1)
+                inner[j, i, part] = np.sum(g if value is None else g * value, axis=-1)
     return tuple((float(np.sum(weight_xv * los)), float(np.sum(weight_xv * nlos)))
                  for los, nlos in inner)
 

@@ -114,6 +114,8 @@ def test_side_condition_hand_cases():
     assert side_condition(50.0, 50.0, math.pi / 2) == pytest.approx(0.75, abs=1e-12)
     # degenerate coincident geometry falls back to the symmetric tie
     assert side_condition(50.0, 50.0, 0.0) == pytest.approx(0.5)
+    np.testing.assert_array_equal(side_condition(np.array([50.0, 0.0]), 50.0 * np.arange(2)[::-1],
+                                                 0.0), [0.5, 0.5])
     # equal legs: C(x, x, v) = 1 - arccos(sin(v/2))/pi whatever x is
     for x, v in itertools.product((3.0, 50.0, 900.0), (0.1, 1.0, 2.5, math.pi, 4.0)):
         closed = 1.0 - math.acos(math.sin(v / 2.0)) / math.pi
